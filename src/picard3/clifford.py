@@ -35,6 +35,8 @@ MASK_NAMES = ("", "1", "2", "12", "3", "13", "23", "123")
 NAME_TO_MASK = {name: i for i, name in enumerate(MASK_NAMES)}
 EVEN_MASKS = (0, 3, 5, 6)
 ODD_MASKS = (1, 2, 4, 7)
+# Gram tuples kept per table cache: acceptance families plus a verify round.
+PARAMS_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def _mono_times_gen(mono: tuple, j: int, pair, half):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _mult_table(params: GramParams):
     """64-entry table: product of basis monomials as coefficient 8-vectors."""
     pair = _full_pairing(params)
@@ -305,7 +307,7 @@ def clifford_mul(x: CliffordElement, y: CliffordElement,
     return CliffordElement(tuple(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _reversal_table(params: GramParams):
     """Reversal of each basis monomial, computed by multiplying in reverse."""
     out = {}

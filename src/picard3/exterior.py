@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .clifford import (CliffordElement, EvenCliffordElement, GramParams,
-                       OddCliffordElement, clifford_mul, element_E, norm,
-                       pairing_E, reversal)
+from .clifford import (PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
+                       GramParams, OddCliffordElement, clifford_mul, element_E,
+                       norm, pairing_E, reversal)
 from .linalg import inverse, mat, mat_mul, smith_normal_form
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
@@ -115,6 +116,7 @@ def mu_matrix(x: EvenCliffordElement, y: EvenCliffordElement,
     return mat(tuple(zip(*cols)))
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _pairing_matrix(params: GramParams):
     """T[i][j] = (e_i, F_j)_E on the bases (e_i) and (E1E2E3, E1, E2, E3)."""
     evens = [EvenCliffordElement(*[int(i == j) for j in range(4)])
@@ -147,8 +149,9 @@ def iota_matrix(params: GramParams):
 
 
 def iota_inverse_matrix(params: GramParams):
+    """G_W^{-1} C, where G_W^{-1} = G_W (a permutation involution)."""
     c = _compound_matrix(_pairing_matrix(params))
-    return mat_mul(inverse(GRAM_W), c)
+    return mat_mul(GRAM_W, c)
 
 
 def _odd_coords(x: CliffordElement) -> tuple:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .linalg import (det, identity, inverse, is_integral, mat, mat_mul,
-                     mat_vec, positive_vector, signature_of, transpose,
-                     vec_dot)
+from .linalg import (det, factor, identity, inverse, is_integral, mat,
+                     mat_mul, mat_vec, positive_vector, signature_of,
+                     transpose, vec_dot)
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,9 @@ def represents(k: int, l: int, eps: int) -> bool:
 
     Closed-form criterion: gcd(k, l) = 1 and eps*l a square mod |k|.  Used
     both for the existence of the odd-unit coset and for the (-2)-curve test
-    (the lattice has a (-2)-vector iff the halved form represents -1).
+    (the lattice has a (-2)-vector iff the halved form represents -1).  The
+    unit eps*l is a square mod p^e || k iff it is one mod p (Euler, then
+    Hensel) for odd p, and 1 mod 1, 4, 8 for 2^e, e = 1, 2, >= 3.
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
@@ -319,6 +321,6 @@ def represents(k: int, l: int, eps: int) -> bool:
         raise ValueError("k and l must be nonzero")
     if gcd(k, l) != 1:
         return False
-    kk = abs(k)
-    target = (eps * l) % kk
-    return any((x * x) % kk == target for x in range(kk))
+    u = eps * l
+    return all(pow(u, (p - 1) // 2, p) == 1 if p > 2
+               else e == 1 or u % (4 if e == 2 else 8) == 1 for p, e in factor(k))

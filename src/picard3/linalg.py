@@ -9,7 +9,7 @@ implementations favour clarity over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 Matrix = tuple  # tuple of row tuples
 Vector = tuple
@@ -323,20 +323,25 @@ def char_poly_3x3(a: Matrix):
     return (1, -tr, m01 + m02 + m12, -det(a))
 
 
+def factor(n: int) -> tuple:
+    """((p, e), ...) with p ascending and |n| = prod p^e (n != 0), by trial
+    division by 2, 3 and then 6k +- 1 while p^2 <= the unfactored part."""
+    if n == 0:
+        raise ValueError("0 has no factorisation")
+    n, out, p = abs(n), [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p = 3 if p == 2 else 5 if p == 3 else p + (2 if p % 6 == 5 else 4)
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def squarefree_part(n: int) -> int:
     """The squarefree integer representing n modulo nonzero rational squares."""
-    if n == 0:
-        raise ValueError("0 has no square class")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e % 2:
-            out *= p
-        p += 1
-    return sign * out * n
+    return (-1 if n < 0 else 1) * prod(p for p, e in factor(n) if e % 2)

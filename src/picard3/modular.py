@@ -11,9 +11,9 @@ irrational factor sqrt(l') never materializes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .linalg import mat
+from .linalg import factor, mat
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,7 @@ class ScaledModularElement:
 
     def radical(self) -> int:
         """rad(l'): the product of the primes dividing l'."""
-        r, n, p = 1, self.l_prime, 2
-        while p * p <= n:
-            if n % p == 0:
-                r *= p
-                while n % p == 0:
-                    n //= p
-            p += 1
-        return r * (n if n > 1 else 1)
+        return prod(p for p, _ in factor(self.l_prime))
 
 
 def _scaled_entries(x: ScaledModularElement, l: int):
@@ -196,21 +189,11 @@ def member(x, spec: SubgroupSpec) -> bool:
 
 
 def _totient_like_index(n: int) -> int:
-    """n^3 * prod_{p|n} (1 - 1/p^2), exactly."""
-    num, den = n ** 3, 1
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            num *= p * p - 1
-            den *= p * p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        num *= m * m - 1
-        den *= m * m
-    assert num % den == 0
-    return num // den
+    """n^3 * prod_{p|n} (1 - 1/p^2), exactly (p^3 divides n^3 for each p)."""
+    v = n ** 3
+    for p, _ in factor(n):
+        v = v // (p * p) * (p * p - 1)
+    return v
 
 
 def index_gamma_n(n: int) -> int:
@@ -222,7 +205,8 @@ def index_gamma_n(n: int) -> int:
     if n == 2:
         return 6
     v = _totient_like_index(n)
-    assert v % 2 == 0
+    if v % 2:
+        raise AssertionError("[Gamma : Gamma(n)] formula gave an odd count")
     return v // 2
 
 
@@ -239,20 +223,27 @@ def order_psl2_zn(n: int) -> int:
                         count += 1
     if n == 2:
         return count
-    assert count % 2 == 0
+    if count % 2:
+        raise AssertionError("odd count of det-1 matrices mod n")
     return count // 2
 
 
 def delta_n(n: int) -> int:
-    """|{a in (Z/n)^x : a^2 = +-1 mod n} / {+-1}| by exhaustive scan."""
+    """|{a in (Z/n)^x : a^2 = +-1 mod n} / {+-1}| = (s+ + s-)/2 for n > 2, s+-
+    the CRT products of the local root counts of a^2 = +-1 mod p^e || n."""
     if n < 1:
         raise ValueError("n must be positive")
     if n <= 2:
         return 1
-    sols = {a for a in range(1, n) if gcd(a, n) == 1
-            and (a * a) % n in (1 % n, (-1) % n)}
-    classes = {frozenset((a, (-a) % n)) for a in sols}
-    return len(classes)
+    plus = minus = 1
+    for p, e in factor(n):
+        if p == 2:
+            plus *= min(2 ** (e - 1), 4)
+            minus *= 1 if e == 1 else 0
+        else:
+            plus *= 2
+            minus *= 2 if p % 4 == 1 else 0
+    return (plus + minus) // 2
 
 
 def index_pi_g_n(n: int) -> int:
@@ -265,7 +256,8 @@ def index_pi_g_n(n: int) -> int:
         return 6
     v = _totient_like_index(n)
     d = delta_n(n)
-    assert v % d == 0
+    if v % d:
+        raise AssertionError("delta_n does not divide the index")
     return v // d
 
 
@@ -305,20 +297,22 @@ def torsion_search(spec: SubgroupSpec, bound: int):
     Emptiness is bounded evidence only, never a proof of torsion-freeness.
     The enumeration runs over the complete torsion trace/det classes
     (det 1 with tr in {0, +-1}; det -1 with tr 0), solving bc = ad - det by
-    divisor enumeration, which is exactly the bounded box scan.
+    divisor enumeration, which is exactly the bounded box scan.  Each such
+    candidate is torsion and none is the identity (trace 2), so only
+    membership is tested, and only for b, c in the multiples of the fixed
+    moduli (mb, mc) that every member's b and c obey.
     """
+    if spec.kind in ("Pi_n", "Gamma_n", "G_n"):
+        mb = mc = abs(spec.n)
+    elif spec.kind == "B_kl_units":
+        mb, mc = abs(spec.l), abs(spec.k)
+    else:
+        mb, mc = 1, abs(spec.k if spec.kind == "Gamma0_k" else spec.l)
     found = set()
 
     def consider(a, b, c, d):
-        if max(abs(a), abs(b), abs(c), abs(d)) > bound:
-            return
-        try:
-            el = ModularElement(a, b, c, d)
-        except ValueError:
-            return
-        if el == ModularElement(1, 0, 0, 1):
-            return
-        if member(el, spec) and is_torsion(el)[0]:
+        el = ModularElement(a, b, c, d)
+        if member(el, spec):
             found.add(el)
 
     for det_val, traces in ((1, (0, 1, -1)), (-1, (0,))):
@@ -329,15 +323,14 @@ def torsion_search(spec: SubgroupSpec, bound: int):
                     continue
                 m = a * d - det_val  # need bc = m
                 if m == 0:
-                    for b in range(-bound, bound + 1):
+                    for b in range(-(bound // mb) * mb, bound + 1, mb):
                         consider(a, b, 0, d)
-                    for c in range(-bound, bound + 1):
+                    for c in range(-(bound // mc) * mc, bound + 1, mc):
                         consider(a, 0, c, d)
-                else:
-                    am = abs(m)
-                    for b in range(1, bound + 1):
-                        if am % b == 0 and am // b <= bound:
-                            c = m // b
+                elif m % (mb * mc) == 0:
+                    for b in range(mb, bound + 1, mb):
+                        c, rem = divmod(m, b)
+                        if not rem and abs(c) <= bound and c % mc == 0:
                             consider(a, b, c, d)
                             consider(a, -b, -c, d)
     return tuple(sorted(found, key=lambda e: (e.a, e.b, e.c, e.d)))
@@ -356,11 +349,11 @@ def free_rank(index_in_pi: int) -> int:
 
 
 def qr_minus_one(n: int) -> bool:
-    """Is -1 a quadratic residue modulo n?  (Unit square; scan.)"""
+    """Is -1 a quadratic residue modulo n?  Yes iff 4 does not divide n and
+    every odd prime p | n has p = 1 mod 4."""
     if n < 1:
         raise ValueError("n must be positive")
-    target = (-1) % n
-    return any((a * a) % n == target for a in range(n) if gcd(a, n) == 1)
+    return n % 4 != 0 and all(p % 4 == 1 for p, _ in factor(n) if p != 2)
 
 
 def _sqrt_continued_fraction(d: int):
@@ -388,7 +381,8 @@ def _pell_minus_one(d: int):
     period, p, q = _sqrt_continued_fraction(d)
     if period % 2 == 0:
         return None
-    assert p * p - d * q * q == -1
+    if p * p - d * q * q != -1:
+        raise AssertionError("continued fraction gave no -1 Pell solution")
     return p, q
 
 
@@ -447,7 +441,7 @@ def prime_power_generator(n: int):
     Cases: n = 2 -> diag(1, -1); n = 4 -> None (G_4 = Gamma(4));
     n = 2^e, e >= 3 -> the unipotent-like matrix with lambda = 1 + 2^{e-1};
     n = p^e with p = 3 mod 4 -> None; n = p^e with p = 1 mod 4 -> the
-    det -1 matrix built from a with a^2 = -1 mod n.
+    det -1 class witness of the smaller root a of a^2 = -1 mod n.
     """
     p, e = _prime_power(n)
     if p is None:
@@ -462,26 +456,18 @@ def prime_power_generator(n: int):
                               1 - 2 ** (e - 1) + 2 ** (2 * (e - 1)))
     if p % 4 == 3:
         return None
-    a = next(x for x in range(2, n) if (x * x + 1) % n == 0)
-    top = a ** (2 * n) + 1
-    assert top % n == 0
-    return ModularElement(a, n, top // n, a ** (2 * n - 1))
+    # a^2 = -1 mod p from a non-residue c (Euler), Newton-lifted to p^e
+    c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    a = pow(c, (p - 1) // 4, p)
+    for _ in range(e - 1):
+        a = (a - (a * a + 1) * pow(2 * a, -1, n)) % n
+    return g_n_class_witness(n, min(a, n - a), -1)
 
 
 def _prime_power(n: int):
-    if n < 2:
-        return None, None
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else (None, None)
-        p += 1
-    return n, 1
+    """(p, e) with n = p^e, or (None, None) when n is not a prime power."""
+    f = factor(n) if n >= 2 else ()
+    return f[0] if len(f) == 1 else (None, None)
 
 
 def g_n_class_witness(n: int, lam: int, eps: int) -> ModularElement:
@@ -493,10 +479,9 @@ def g_n_class_witness(n: int, lam: int, eps: int) -> ModularElement:
     if (lam * lam - eps) % n != 0:
         raise ValueError("lam^2 != eps mod n")
     m = (lam * lam - eps) // n
-    lam_inv = next(x for x in range(1, n + 1) if (x * lam) % n == 1 % n)
-    t = (-m * lam_inv) % n
+    t = (-m * pow(lam, -1, n)) % n
     r = (m + lam * t) // n
     el = ModularElement(lam + n * t, n * r, n, lam)
-    assert el.det == eps
-    assert member(el, SubgroupSpec("G_n", n=n))
+    if el.det != eps or not member(el, SubgroupSpec("G_n", n=n)):
+        raise AssertionError("class witness left G_n or has the wrong det")
     return el

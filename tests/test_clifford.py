@@ -1,14 +1,17 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from picard3 import linalg as la
+from picard3.cli import main
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
-                              GramParams, OddCliffordElement, alternating_E,
-                              clifford_mul, dual_basis_vectors, element_E,
-                              gram_B, norm, odd_gram, odd_norm_family,
-                              pairing_E, phi_rep, reversal, tilde_e, trace,
-                              v_dot_E)
+                              GramParams, OddCliffordElement, _mult_table,
+                              _reversal_table, alternating_E, clifford_mul,
+                              dual_basis_vectors, element_E, gram_B, norm,
+                              odd_gram, odd_norm_family, pairing_E, phi_rep,
+                              reversal, tilde_e, trace, v_dot_E)
 from conftest import random_gram_params
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
@@ -319,3 +322,15 @@ def test_clifford_json_roundtrip():
     x = CliffordElement((1, Fraction(3, 2), 0, 0, -2, 0, 0, Fraction(-1, 4)))
     assert CliffordElement.from_json(x.to_json()).coeffs == x.coeffs
     assert x.to_json()["coeffs"]["1"] == "3/2"
+
+
+def test_per_tuple_caches_stay_bounded():
+    # 100 fresh Gram tuples pass through caches that hold 32
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--suite", "clifford", "--trials", "100",
+                     "--format", "json"]) == 0
+    for table in (_mult_table, _reversal_table):
+        info = table.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+    assert _mult_table.cache_info().currsize == _mult_table.cache_info().maxsize

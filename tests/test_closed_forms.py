@@ -1,0 +1,107 @@
+"""The factorisation-based number theory and the pruned torsion search
+against the exhaustive scans they replaced (tests/oracles.py), plus time
+budgets for the CLI at large n."""
+
+import io
+import os
+import subprocess
+import sys
+import time
+from contextlib import redirect_stdout
+from math import prod
+from pathlib import Path
+
+import pytest
+
+from oracles import (delta_n_scan, qr_minus_one_scan, represents_scan,
+                     torsion_search_scan, totient_like_index_scan)
+from picard3.cli import main
+from picard3.lattice import represents
+from picard3.linalg import factor
+from picard3.modular import (SubgroupSpec, _totient_like_index, delta_n,
+                             qr_minus_one, torsion_search)
+
+ROOT = Path(__file__).resolve().parent.parent
+PRIME_POWERS = sorted({p ** e for p in (2, 3, 5, 13) for e in range(1, 18)
+                       if 2000 < p ** e <= 10 ** 5})
+
+
+def _is_prime(p):
+    return p > 1 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+
+
+def test_factor():
+    for n in list(range(1, 3000)) + [-360, 10 ** 12, 10000019, 999983 * 1000003]:
+        f = factor(n)
+        assert prod(p ** e for p, e in f) == abs(n)
+        assert [p for p, _ in f] == sorted({p for p, _ in f})
+        assert all(e > 0 for _, e in f)
+        if abs(n) < 10 ** 6:
+            assert all(_is_prime(p) for p, _ in f)
+    assert factor(1) == ()
+    assert factor(10 ** 12) == ((2, 12), (5, 12))
+    with pytest.raises(ValueError):
+        factor(0)
+
+
+@pytest.mark.parametrize("ns", [range(1, 2001), PRIME_POWERS],
+                         ids=["n<=2000", "prime_powers"])
+def test_number_theory_matches_scans(ns):
+    for n in ns:
+        assert delta_n(n) == delta_n_scan(n), n
+        assert qr_minus_one(n) == qr_minus_one_scan(n), n
+        assert _totient_like_index(n) == totient_like_index_scan(n), n
+
+
+def test_represents_matches_scan():
+    for k in range(1, 201):
+        for kk in (k, -k):
+            for l in range(-30, 31):
+                if l == 0:
+                    continue
+                for eps in (1, -1):
+                    assert represents(kk, l, eps) == represents_scan(kk, l, eps), \
+                        (kk, l, eps)
+
+
+def _specs():
+    for v in range(1, 40):
+        for kind in ("Pi_n", "Gamma_n", "G_n"):
+            yield SubgroupSpec(kind, n=v)
+        yield SubgroupSpec("Gamma0_k", k=v)
+        yield SubgroupSpec("Gamma0_plus_l", l=v)
+    for k in range(1, 13):
+        for l in range(-6, 7):
+            if l:
+                yield SubgroupSpec("B_kl_units", k=k, l=l)
+
+
+def test_torsion_search_matches_scan():
+    specs = list(_specs())
+    assert len(specs) == 339
+    for spec in specs:
+        for bound in (0, 1, 5, 12):
+            assert torsion_search(spec, bound) == torsion_search_scan(spec, bound), \
+                (spec, bound)
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--n", "10000019"),
+                                  ("analyze", "--n", "1000000000000"),
+                                  ("congruence", "--n", "10000019")])
+def test_cli_at_large_n_within_budget(argv):
+    t0 = time.monotonic()
+    with redirect_stdout(io.StringIO()):
+        code = main([*argv, "--format", "json"])
+    assert code == 0
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_modular_invariants_hold_under_python_O():
+    # invariant checks raise AssertionError explicitly, so -O keeps them
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_modular.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))})
+    assert res.returncode == 0, res.stdout + res.stderr

@@ -126,3 +126,7 @@ def test_claim1_roundtrip():
             g = g_alpha(u, params)
             mm = mu_of_unit_conjugation(u.element, params)
             assert la.mat_mul(mm, lam) == la.mat_mul(lam, g)
+
+
+def test_gram_w_is_its_own_inverse():
+    assert la.inverse(GRAM_W) == GRAM_W

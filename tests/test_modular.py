@@ -198,13 +198,19 @@ def test_prime_power_generator_table():
         assert g.det == 1
         assert member(g, SubgroupSpec("G_n", n=n))
         assert not member(g, SubgroupSpec("Gamma_n", n=n))
-    for n in (5, 13, 17, 25, 29, 37, 41):
+    for n in (5, 13, 17, 25, 29, 37, 41, 5 ** 3, 13 ** 2, 17 ** 3):
         g = prime_power_generator(n)
         assert g.det == -1
         assert member(g, SubgroupSpec("G_n", n=n))
         assert not member(g, SubgroupSpec("Pi_n", n=n))
     with pytest.raises(ValueError):
         prime_power_generator(6)
+
+
+def test_prime_power_generator_entries_stay_small():
+    g = prime_power_generator(401)
+    assert g == ModularElement(8040, 401, 401, 20)
+    assert all(len(str(abs(x))) <= 4 for x in (g.a, g.b, g.c, g.d))
 
 
 def test_scaled_members_and_products(rng):
