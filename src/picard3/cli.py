@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .modular import (SubgroupSpec, delta_n, free_rank, index_pi_g_n,
                       torsion_search)
@@ -36,6 +37,7 @@ def _styled(text: str) -> str:
     return f"\033[1m{text}\033[0m"
 
 
+@lru_cache(maxsize=1)  # building it costs more than a small analyze run
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="picard3",
                 description="automorphism groups of rank-3 Picard lattices "

@@ -9,8 +9,9 @@ Conventions.  The lattice has Gram matrix
 on the basis (E1, E2, E3), and the algebra is generated by the Ei subject to
 v*w + w*v = <v, w> (so Ei^2 = <Ei, Ei>/2, i.e. a, b, c).  A general element
 is stored by its 8 coordinates on the monomials E_S, S a subset of {1,2,3}
-taken in ascending order; every sign in a product is produced by the
-rewriting rules, never read from a table.
+taken in ascending order.  Products run on integers through per-lattice
+structure constants, and every sign in those is produced by the rewriting
+rules, never written down by hand.
 
 The even part carries the quaternion basis
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .linalg import det, identity, inverse, mat, mat_mul, mat_scale
+from .linalg import clear_denominators, identity, inverse, mat, mat_scale
 
 # Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.
 DIM = 8
@@ -237,100 +238,86 @@ class OddCliffordElement:
         return OddCliffordElement(x.coeffs[7], x.coeffs[1], x.coeffs[2], x.coeffs[4])
 
 
-def _full_pairing(params: GramParams):
-    """<Ei, Ej> as a 1-indexed lookup."""
-    q = params.gram
-    return {(i + 1, j + 1): q[i][j] for i in range(3) for j in range(3)}
+# The generators E1, E2, E3 (as 0, 1, 2) of each monomial, in ascending order.
+_WORDS = tuple(tuple(i for i in range(3) if m >> i & 1) for m in range(DIM))
 
 
-def _mono_times_gen(mono: tuple, j: int, pair, half):
-    """E_mono * E_j as a list of (coeff, mono) terms, monos ascending."""
-    if not mono or mono[-1] < j:
-        return [(1, mono + (j,))]
-    last = mono[-1]
-    if last == j:
-        return [(half[j], mono[:-1])]
-    # last > j: E_last E_j = <E_last, E_j> - E_j E_last
-    out = [(pair[(last, j)], mono[:-1])]
-    for c, m in _mono_times_gen(mono[:-1], j, pair, half):
-        out.append((-c, m + (last,)))
-    return out
+def _rewrite(word: tuple, q, c: int, out: list):
+    """Add c times the product of the generators in word to the coordinate
+    list out, reducing to ascending monomials by the rewriting rules
+    Ei Ei = <Ei, Ei>/2 and Ei Ej = <Ei, Ej> - Ej Ei, where q is the Gram
+    matrix."""
+    for k in range(len(word) - 1):
+        i, j = word[k], word[k + 1]
+        if i == j:
+            return _rewrite(word[:k] + word[k + 2:], q, c * (q[i][i] // 2), out)
+        if i > j:
+            _rewrite(word[:k] + word[k + 2:], q, c * q[i][j], out)
+            return _rewrite(word[:k] + (j, i) + word[k + 2:], q, -c, out)
+    out[sum(1 << i for i in word)] += c
+
+
+def _nonzero_terms(prefix: tuple, word: tuple, params: GramParams):
+    """prefix + (m, c) for each monomial E_m with coefficient c != 0 in the
+    product of the generators in word."""
+    out = [0] * DIM
+    _rewrite(word, params.gram, 1, out)
+    return [prefix + (m, c) for m, c in enumerate(out) if c != 0]
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _mult_table(params: GramParams):
-    """64-entry table: product of basis monomials as coefficient 8-vectors."""
-    pair = _full_pairing(params)
-    half = {i: pair[(i, i)] // 2 for i in (1, 2, 3)}
+def _mult_table(params: GramParams) -> tuple:
+    """The structure constants as integer terms (m1, m2, m3, c), c != 0:
+    E_m1 * E_m2 is the sum of c * E_m3 over the terms for (m1, m2).  There
+    are 52 for the family lattices U(k) + <2l> and at most 112 in general."""
+    return tuple(t for m1 in range(DIM) for m2 in range(DIM)
+                 for t in _nonzero_terms((m1, m2), _WORDS[m1] + _WORDS[m2], params))
 
-    def mask_to_mono(m):
-        return tuple(i for i in (1, 2, 3) if m & (1 << (i - 1)))
 
-    def mono_to_mask(mono):
-        mk = 0
-        for i in mono:
-            mk |= 1 << (i - 1)
-        return mk
+def integer_mul(xs, ys, params: GramParams) -> list:
+    """The product of two elements given by integer coordinate lists."""
+    out = [0] * DIM
+    for m1, m2, m3, c in _mult_table(params):
+        out[m3] += c * xs[m1] * ys[m2]
+    return out
 
-    table = {}
-    for m1 in range(DIM):
-        for m2 in range(DIM):
-            terms = [(1, mask_to_mono(m1))]
-            for g in mask_to_mono(m2):
-                new = []
-                for c, mono in terms:
-                    for c2, mono2 in _mono_times_gen(mono, g, pair, half):
-                        new.append((c * c2, mono2))
-                terms = new
-            vec = [0] * DIM
-            for c, mono in terms:
-                vec[mono_to_mask(mono)] += c
-            table[(m1, m2)] = tuple(vec)
-    return table
+
+def _from_integers(w, d: int) -> CliffordElement:
+    """The element with coordinates w / d."""
+    return CliffordElement(tuple(w) if d == 1 else tuple(Fraction(x, d) for x in w))
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement,
                  params: GramParams) -> CliffordElement:
-    """Product in Cl(L), by the rewriting rules Ei Ej = <Ei,Ej> - Ej Ei."""
-    table = _mult_table(params)
-    out = [Fraction(0)] * DIM
-    for m1, c1 in enumerate(x.coeffs):
-        if c1 == 0:
-            continue
-        for m2, c2 in enumerate(y.coeffs):
-            if c2 == 0:
-                continue
-            f = c1 * c2
-            for m3, c3 in enumerate(table[(m1, m2)]):
-                if c3 != 0:
-                    out[m3] += f * c3
-    return CliffordElement(tuple(out))
+    """Product in Cl(L), by the rewriting rules Ei Ej = <Ei,Ej> - Ej Ei.
+
+    Both factors are scaled to integer coordinates, multiplied through the
+    integer structure constants, and divided once at the end."""
+    dx, xs = clear_denominators(x.coeffs)
+    dy, ys = clear_denominators(y.coeffs)
+    return _from_integers(integer_mul(xs, ys, params), dx * dy)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _reversal_table(params: GramParams):
-    """Reversal of each basis monomial, computed by multiplying in reverse."""
-    out = {}
-    for m in range(DIM):
-        gens = [i for i in (1, 2, 3) if m & (1 << (i - 1))]
-        acc = CliffordElement.scalar(1)
-        for i in reversed(gens):
-            acc = clifford_mul(acc, CliffordElement.basis(1 << (i - 1)), params)
-        out[m] = acc.coeffs
+def _reversal_table(params: GramParams) -> tuple:
+    """Integer terms (m, m2, c): the reversal of E_m is the sum of c * E_m2,
+    the product of the generators of E_m in reverse order."""
+    return tuple(t for m in range(DIM)
+                 for t in _nonzero_terms((m,), _WORDS[m][::-1], params))
+
+
+def integer_reversal(xs, params: GramParams) -> list:
+    """The reversal of an element given by an integer coordinate list."""
+    out = [0] * DIM
+    for m, m2, c in _reversal_table(params):
+        out[m2] += c * xs[m]
     return out
 
 
 def reversal(x: CliffordElement, params: GramParams) -> CliffordElement:
     """The involution * (reversal of tensor factors), an anti-automorphism."""
-    table = _reversal_table(params)
-    out = [Fraction(0)] * DIM
-    for m, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        for m2, c2 in enumerate(table[m]):
-            if c2 != 0:
-                out[m2] += c * c2
-    return CliffordElement(tuple(out))
+    d, xs = clear_denominators(x.coeffs)
+    return _from_integers(integer_reversal(xs, params), d)
 
 
 def trace(x: CliffordElement, params: GramParams):
@@ -530,7 +517,3 @@ def dual_basis_vectors(params: GramParams):
     """Columns of Q_{L0}^{-1}: the dual basis of (Ei) for the halved form."""
     return inverse(params.gram_half)
 
-
-def gram_B_det_identity(params: GramParams) -> bool:
-    """det(Q_B) == D0^2 (used as a cheap self-check)."""
-    return det(gram_B(params)) == params.disc_half ** 2

@@ -7,22 +7,30 @@ The unit-to-isometry map is h_alpha(v) = eps * alpha v alpha^{-1} with
 eps = +1 for even alpha and -1 for odd alpha; it lands in the discriminant
 kernel, has det = eps, and every kernel isometry arises this way (up to the
 sign of alpha).
+
+Both directions run in closed form.  For each lattice and grade, the
+entries of alpha E_j alpha* and the norm N(alpha) are integer quadratic
+forms in the four unit coordinates, derived once from the Clifford kernel
+and stacked into a 10 x 10 matrix M over the monomials x_p x_q.  h_alpha
+evaluates the forms and divides by N = +-1; the lift multiplies the entries
+of g by the cached adj(M) and reads the unit off a row of the resulting
+rank-1 matrix (x_p x_q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, lru_cache
+from operator import mul
 
-from .clifford import (CliffordElement, EvenCliffordElement, GramParams,
-                       OddCliffordElement, clifford_mul, norm, reversal)
+from .clifford import (PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
+                       GramParams, OddCliffordElement, clifford_mul,
+                       integer_mul, integer_reversal, norm)
 from .lattice import (Lattice, in_discriminant_kernel, is_isometry,
-                      preserves_positive_cone, signature)
-from .linalg import (identity, is_integral, kernel_basis, mat, mat_mul,
-                     mat_scale, primitive_vector, squarefree_part, to_int,
-                     transpose)
+                      preserves_positive_cone)
+from .linalg import (adjugate, identity, mat, primitive_vector, sign_normalize,
+                     squarefree_part, to_int)
 
 _GEN_MASKS = (1, 2, 4)  # E1, E2, E3
 
@@ -89,7 +97,7 @@ class CliffordUnit:
         n = norm(full, params)
         if n not in (1, -1):
             raise ValueError(f"not a unit: N = {n}")
-        coords = _normalize_sign(elem.coords)
+        coords = sign_normalize(elem.coords)
         cls = EvenCliffordElement if grade == "even" else OddCliffordElement
         return CliffordUnit(cls(*coords), grade, n)
 
@@ -104,13 +112,6 @@ class CliffordUnit:
         return out
 
 
-def _normalize_sign(coords):
-    for x in coords:
-        if x != 0:
-            return coords if x > 0 else tuple(-v for v in coords)
-    raise ValueError("zero element is not a unit")
-
-
 def unit_product(u1: CliffordUnit, u2: CliffordUnit,
                  params: GramParams) -> CliffordUnit:
     """Product of two units (grades multiply by parity)."""
@@ -122,30 +123,85 @@ def unit_product(u1: CliffordUnit, u2: CliffordUnit,
     return CliffordUnit.from_element(elem, params)
 
 
-def _conjugation_matrix(alpha: CliffordElement, eps: int,
-                        params: GramParams):
-    """Matrix of v -> eps * alpha v alpha^{-1} on (E1, E2, E3)."""
-    n = norm(alpha, params)
-    astar = reversal(alpha, params)
-    cols = []
-    for m in _GEN_MASKS:
-        img = clifford_mul(clifford_mul(alpha, CliffordElement.basis(m), params),
-                           astar, params)
-        img = img.scale(Fraction(eps, 1) / n)
-        oc = OddCliffordElement.from_full(img)
-        if oc.x4 != 0:
+# The monomials x_p x_q (p <= q) of the four unit coordinates, and the
+# position of x_p x_q in that list for either order of p and q.
+_MONOMIALS = tuple((p, q) for p in range(4) for q in range(p, 4))
+_MONO_INDEX = {pq: i for i, (p, q) in enumerate(_MONOMIALS)
+               for pq in ((p, q), (q, p))}
+
+
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def _unit_forms(params: GramParams, grade: str):
+    """(M, adj M) for the units of one grade, as 10 x 10 integer matrices.
+
+    Row 3i + j of M holds the coefficients, over the monomials x_p x_q of
+    the unit coordinates x, of the E_{i+1}-coordinate of
+    alpha E_{j+1} alpha*; the last row holds N(alpha) = alpha alpha*.  M is
+    invertible because Sym^2 of the 4-dimensional grade is End(L (x) Q) + Q.
+    """
+    if grade == "even":
+        basis = [EvenCliffordElement(*e).to_full(params) for e in identity(4)]
+    else:
+        basis = [OddCliffordElement(*e).to_full() for e in identity(4)]
+    basis = [[int(c) for c in b.coeffs] for b in basis]
+    stars = [integer_reversal(b, params) for b in basis]
+
+    def symmetrized(left):
+        """Coordinates of left[p] stars[q] + left[q] stars[p], p <= q."""
+        out = []
+        for p, q in _MONOMIALS:
+            c = integer_mul(left[p], stars[q], params)
+            if p != q:
+                c = [x + y for x, y in zip(c, integer_mul(left[q], stars[p], params))]
+            out.append(c)
+        return out
+
+    rows = [None] * 10
+    for j, m in enumerate(_GEN_MASKS):
+        gen = [int(i == m) for i in range(8)]
+        terms = symmetrized([integer_mul(b, gen, params) for b in basis])
+        if any(t[7] != 0 for t in terms):
             raise AssertionError("conjugation image left L (x) Q")
-        cols.append((oc.x1, oc.x2, oc.x3))
-    return mat(tuple(zip(*cols)))
+        for i, mi in enumerate(_GEN_MASKS):
+            rows[3 * i + j] = tuple(t[mi] for t in terms)
+    terms = symmetrized(basis)
+    if any(x != 0 for t in terms for x in t[1:]):
+        raise AssertionError("x * x^* is not scalar")
+    rows[9] = tuple(t[0] for t in terms)
+    try:
+        return rows, adjugate(rows)
+    except ValueError:
+        raise AssertionError(f"det M = 0 for the {grade} units of {params}") from None
+
+
+def _evaluate(forms, coords) -> list:
+    """[Q_11(x), Q_12(x), ..., Q_33(x), N(x)] at the unit coordinates x."""
+    x = [c.numerator if c.denominator == 1 else c for c in coords]
+    monos = [x[p] * x[q] for p, q in _MONOMIALS]
+    return [sum(map(mul, row, monos)) for row in forms]
+
+
+def _conjugation(unit: CliffordUnit, eps: int, params: GramParams):
+    """Matrix of v -> eps * alpha v alpha^{-1} on (E1, E2, E3), which is
+    eps * Q_ij(x) / N(x) entry by entry; raises if it is not integral."""
+    vals = _evaluate(_unit_forms(params, unit.grade)[0], unit.element.coords)
+    entries = [divmod(eps * v, vals[9]) for v in vals[:9]]
+    if any(r != 0 for _, r in entries):
+        raise AssertionError("conjugation matrix is not integral")
+    return tuple(tuple(q for q, _ in entries[3 * i:3 * i + 3]) for i in range(3))
 
 
 def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
-    """The kernel isometry h_alpha: v -> eps_alpha * alpha v alpha^{-1}."""
+    """The kernel isometry h_alpha: v -> eps_alpha * alpha v alpha^{-1}.
+
+    In closed form: entry (i, j) is eps * Q_ij(x) / N(x), where Q_ij is the
+    integer quadratic form in the unit coordinates x that gives the
+    E_i-coordinate of alpha E_j alpha* (Voight, GTM 288, ch. 22), derived
+    once per lattice and grade.  The image is integral, an isometry, and of
+    determinant eps, or AssertionError is raised.
+    """
     eps = 1 if unit.grade == "even" else -1
-    g = _conjugation_matrix(unit.full(params), eps, params)
-    if not is_integral(g):
-        raise AssertionError("h_alpha is not integral")
-    iso = Isometry3(to_int(g), Lattice(params.gram))
+    iso = Isometry3(_conjugation(unit, eps, params), Lattice(params.gram))
     if iso.det != eps:
         raise AssertionError("det(h_alpha) != eps_alpha")
     return iso
@@ -153,74 +209,49 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
 
 def g_alpha(unit: CliffordUnit, params: GramParams):
     """Plain conjugation v -> alpha v alpha^{-1} (determinant +1)."""
-    return to_int(_conjugation_matrix(unit.full(params), 1, params))
+    return _conjugation(unit, 1, params)
 
 
 def phi_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """phi_alpha = eps*(N alpha)*h_alpha = (v -> alpha v alpha*); det = N alpha."""
-    h = h_alpha(unit, params)
-    eps = 1 if unit.grade == "even" else -1
-    gm = to_int(mat_scale(eps * unit.norm, h.matrix))
-    iso = Isometry3(gm, h.lattice)
+    vals = _evaluate(_unit_forms(params, unit.grade)[0], unit.element.coords)
+    iso = Isometry3(tuple(tuple(vals[3 * i:3 * i + 3]) for i in range(3)),
+                    Lattice(params.gram))
     if iso.det != unit.norm:
         raise AssertionError("det(phi_alpha) != N alpha")
     return iso
 
 
 def clifford_lift(g, params: GramParams):
-    """Solve alpha * Ei = det(g) * g(Ei) * alpha for the lift of an isometry.
+    """The Clifford element alpha with alpha v alpha^{-1} = det(g) * g(v).
 
-    The solution space over the 4-dimensional even part (det g = 1) or odd
-    part (det g = -1) is one-dimensional for genuine isometries; the
-    primitive integral representative is returned (sign fixed by the first
-    nonzero coordinate), together with its norm N.  g lies in the
-    discriminant kernel iff N = +-1.
+    alpha lies in the even part when det g = 1 and in the odd part when
+    det g = -1.  Since Q_ij(x) = eps N(x) g_ij, the monomial vector
+    (x_p x_q) is proportional to adj(M) (eps g_11, ..., eps g_33, 1); the
+    row of that symmetric rank-1 matrix with the largest diagonal entry is
+    proportional to x (Shepperd's rotation-to-quaternion method, J. Guidance
+    & Control 1, 1978, over an indefinite form).  The primitive integral
+    representative is returned (sign fixed by the first nonzero
+    coordinate), together with its norm N; g lies in the discriminant
+    kernel iff N = +-1.
     """
-    lat = Lattice(params.gram)
-    iso = g if isinstance(g, Isometry3) else Isometry3(g, lat)
+    iso = g if isinstance(g, Isometry3) else Isometry3(g, Lattice(params.gram))
     eps = iso.det
-    if eps == 1:
-        basis = [EvenCliffordElement(*[int(i == j) for j in range(4)]).to_full(params)
-                 for i in range(4)]
-        from_full = lambda x: EvenCliffordElement.from_full(x, params)
-    else:
-        basis = [OddCliffordElement(*[int(i == j) for j in range(4)]).to_full()
-                 for i in range(4)]
-        from_full = OddCliffordElement.from_full
-
-    # rows of the homogeneous system over the odd (resp. even) 4-space
-    rows = []
-    for i, m in enumerate(_GEN_MASKS):
-        v = CliffordElement.basis(m)
-        gv = CliffordElement.vector(tuple(iso.matrix[r][i] for r in range(3)))
-        cols = []
-        for bj in basis:
-            term = clifford_mul(bj, v, params) - clifford_mul(gv, bj, params).scale(eps)
-            if eps == 1:
-                cols.append(OddCliffordElement.from_full(term).coords)
-            else:
-                cols.append(EvenCliffordElement.from_full(term, params).coords)
-        for r in range(4):
-            rows.append(tuple(col[r] for col in cols))
-
-    ker = kernel_basis(mat(rows))
-    if len(ker) == 0:
+    grade = "even" if eps == 1 else "odd"
+    forms, adj = _unit_forms(params, grade)
+    rhs = [eps * x for row in iso.matrix for x in row] + [1]
+    w = [sum(map(mul, row, rhs)) for row in adj]
+    p = max(range(4), key=lambda i: abs(w[_MONO_INDEX[i, i]]))
+    if w[_MONO_INDEX[p, p]] == 0:
         raise ValueError("no Clifford lift: g is not an isometry of L (x) Q")
-    if len(ker) != 1:
-        raise ValueError(f"lift space has dimension {len(ker)}")
-    coords = primitive_vector(ker[0])
-    if eps == 1:
-        elem = EvenCliffordElement(*coords)
-        full = elem.to_full(params)
-    else:
-        elem = OddCliffordElement(*coords)
-        full = elem.to_full()
-    n = norm(full, params)
-    # consistency: the lift must reproduce g
-    check = _conjugation_matrix(full, eps, params)
-    if check != mat(iso.matrix):
+    coords = primitive_vector([w[_MONO_INDEX[p, q]] for q in range(4)])
+    vals = _evaluate(forms, coords)
+    n = vals[9]
+    # consistency: the lift must reproduce g, i.e. Q_ij(x) = N(x) eps g_ij
+    if vals != [n * r for r in rhs]:
         raise AssertionError("lift does not reproduce g")
-    return elem, n
+    cls = EvenCliffordElement if eps == 1 else OddCliffordElement
+    return cls(*coords), n
 
 
 def spinor_norm(g, params: GramParams) -> int:
@@ -288,7 +319,7 @@ def unit_search_even(k: int, l: int, bound: int):
                 for c in cs:
                     if b * c in (1, -1):
                         for d in range(-(bound // kk) * kk, bound + 1, kk):
-                            found.add(_norm2x2((0, b, c, d)))
+                            found.add(sign_normalize((0, b, c, d)))
             continue
         for b in bs:
             for c in cs:
@@ -298,15 +329,8 @@ def unit_search_even(k: int, l: int, bound: int):
                         continue
                     d = num // a
                     if abs(d) <= bound and (a - d) % k == 0:
-                        found.add(_norm2x2((a, b, c, d)))
+                        found.add(sign_normalize((a, b, c, d)))
     return tuple(mat([[a, b], [c, d]]) for a, b, c, d in sorted(found))
-
-
-def _norm2x2(entries):
-    for x in entries:
-        if x != 0:
-            return entries if x > 0 else tuple(-v for v in entries)
-    raise ValueError("zero matrix")
 
 
 def _bounded_divisor_pairs(m: int, bound: int):
@@ -338,24 +362,17 @@ def v_set_search(k: int, l: int, bound: int):
                 r = eps - base
                 if r == 0:
                     for t in range(-bound, bound + 1):
-                        found.add(_norm_v((0, x2, t, x4)))
-                        found.add(_norm_v((t, x2, 0, x4)))
+                        found.add(sign_normalize((0, x2, t, x4)))
+                        found.add(sign_normalize((t, x2, 0, x4)))
                     continue
                 if r % k != 0:
                     continue
                 for x1, x3 in _bounded_divisor_pairs(r // k, bound):
-                    found.add(_norm_v((x1, x2, x3, x4)))
+                    found.add(sign_normalize((x1, x2, x3, x4)))
     out = []
     for x1, x2, x3, x4 in sorted(found):
         out.append(OddCliffordElement(x4, x1, x2, x3))
     return tuple(out)
-
-
-def _norm_v(t):
-    for x in t:
-        if x != 0:
-            return t if x > 0 else tuple(-v for v in t)
-    raise ValueError("zero solution impossible")
 
 
 def seeded_units(k: int, l: int, count: int, seed: int,
@@ -388,33 +405,3 @@ def seeded_units(k: int, l: int, count: int, seed: int,
         out.append(u)
     return out
 
-
-def isometry_scan(lat: Lattice, bound: int):
-    """All isometries of a rank-3 lattice with |entries| <= bound (brute force).
-
-    Desk-scale oracle used by tests; columns are constrained to the correct
-    diagonal Gram values before assembling candidates.
-    """
-    q = lat.gram
-    from itertools import product as _product
-
-    cols = list(_product(range(-bound, bound + 1), repeat=3))
-    by_val = {}
-    for v in cols:
-        val = sum(v[i] * q[i][j] * v[j] for i in range(3) for j in range(3))
-        by_val.setdefault(val, []).append(v)
-    out = []
-    for c1 in by_val.get(q[0][0], []):
-        for c2 in by_val.get(q[1][1], []):
-            if sum(c1[i] * q[i][j] * c2[j] for i in range(3) for j in range(3)) != q[0][1]:
-                continue
-            for c3 in by_val.get(q[2][2], []):
-                if sum(c1[i] * q[i][j] * c3[j] for i in range(3) for j in range(3)) != q[0][2]:
-                    continue
-                if sum(c2[i] * q[i][j] * c3[j] for i in range(3) for j in range(3)) != q[1][2]:
-                    continue
-                g = mat(tuple(zip(c1, c2, c3)))
-                from .linalg import det as _det
-                if _det(g) in (1, -1):
-                    out.append(Isometry3(g, lat))
-    return out

@@ -9,7 +9,8 @@ implementations favour clarity over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 Matrix = tuple  # tuple of row tuples
 Vector = tuple
@@ -79,45 +80,67 @@ def to_int(a: Matrix) -> Matrix:
     return tuple(out)
 
 
-def det(a: Matrix):
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
+def clear_denominators(v) -> tuple:
+    """(d, w): the least common denominator d of the int or Fraction
+    entries of v, and the integers w = d * v."""
+    d = lcm(*(x.denominator for x in v))
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
+def _bareiss(rows: list, n: int, jordan: bool = False):
+    """Bareiss fraction-free elimination of integer rows in place, pivoting
+    on the first n columns of the first n rows; every division is exact.
+    ``jordan`` also clears above each pivot, which leaves +-det times the
+    identity in that block.  Returns the determinant of the block."""
+    sign, prev = 1, 1
     for i in range(n):
-        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
+        piv = next((r for r in range(i, n) if rows[r][i] != 0), None)
         if piv is None:
             return 0
         if piv != i:
-            m[i], m[piv] = m[piv], m[i]
+            rows[i], rows[piv] = rows[piv], rows[i]
             sign = -sign
-        for r in range(i + 1, n):
-            f = m[r][i] / m[i][i]
-            for c in range(i, n):
-                m[r][c] -= f * m[i][c]
-    prod = sign
-    for i in range(n):
-        prod *= m[i][i]
-    return prod.numerator if prod.denominator == 1 else prod
+        p = rows[i][i]
+        for r in range(n) if jordan else range(i + 1, n):
+            if r != i:
+                f = rows[r][i]
+                rows[r] = [(x * p - f * y) // prev for x, y in zip(rows[r], rows[i])]
+        prev = p
+    return sign * prev
+
+
+def det(a: Matrix):
+    """Determinant by Bareiss elimination: each row is scaled to integers by
+    its common denominator, and their product divides once at the end."""
+    rows, scale = [], 1
+    for row in a:
+        d, w = clear_denominators(row)
+        rows.append(w)
+        scale *= d
+    val = Fraction(_bareiss(rows, len(rows)), scale)
+    return val.numerator if val.denominator == 1 else val
+
+
+def adjugate(a: Matrix) -> Matrix:
+    """adj(a) = det(a) a^{-1} of an invertible integer matrix, by
+    fraction-free Gauss-Jordan elimination of [a | I].  Raises ValueError if
+    a is singular."""
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    d = _bareiss(rows, n, jordan=True)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    s = d // rows[0][0]  # the left block is now +-d times the identity
+    return tuple(tuple(s * x for x in r[n:]) for r in rows)
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises ValueError if singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for i in range(n):
-        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[i], m[piv] = m[piv], m[i]
-        inv = 1 / m[i][i]
-        m[i] = [x * inv for x in m[i]]
-        for r in range(n):
-            if r != i and m[r][i] != 0:
-                f = m[r][i]
-                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
-    return tuple(tuple(row[n:]) for row in m)
+    """Exact inverse adj(A) D / det(A), where A = D a has integer rows and D
+    is diagonal; raises ValueError if singular."""
+    ds, rows = zip(*map(clear_denominators, a))
+    adj = adjugate(rows)
+    d = sum(x * r[0] for x, r in zip(rows[0], adj))
+    return tuple(tuple(Fraction(x * dj, d) for x, dj in zip(row, ds)) for row in adj)
 
 
 def kernel_basis(a: Matrix) -> tuple:
@@ -159,21 +182,20 @@ def primitive_vector(v: Vector) -> Vector:
     Clears denominators, divides by the content, and fixes the sign so the
     first nonzero coordinate is positive.
     """
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    _, ints = clear_denominators(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return sign_normalize([x // g for x in ints])
+
+
+def sign_normalize(v) -> Vector:
+    """The representative of v modulo +-1 whose first nonzero entry is
+    positive.  Raises ValueError for the zero vector."""
+    for x in v:
+        if x != 0:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    raise ValueError("the zero vector has no sign class")
 
 
 def smith_normal_form(a: Matrix):
@@ -323,9 +345,11 @@ def char_poly_3x3(a: Matrix):
     return (1, -tr, m01 + m02 + m12, -det(a))
 
 
+@lru_cache(maxsize=32)
 def factor(n: int) -> tuple:
     """((p, e), ...) with p ascending and |n| = prod p^e (n != 0), by trial
-    division by 2, 3 and then 6k +- 1 while p^2 <= the unfactored part."""
+    division by 2, 3 and then 6k +- 1 while p^2 <= the unfactored part.
+    Cached: one M_n report asks for the factors of n five times."""
     if n == 0:
         raise ValueError("0 has no factorisation")
     n, out, p = abs(n), [], 2

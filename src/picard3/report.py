@@ -19,7 +19,7 @@ from .isometries import (CliffordUnit, Isometry3, clifford_lift, family_unit,
                          h_alpha, p_alpha_matrix, phi_alpha, unit_search_even,
                          v_set_search)
 from .lattice import (Lattice, family_lattice, represents, signature)
-from .linalg import char_poly_3x3, mat
+from .linalg import char_poly_3x3, mat, sign_normalize
 from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
                       index_pi_g_n, is_torsion, member, prime_power_generator,
                       qr_minus_one, torsion_search)
@@ -311,18 +311,10 @@ def _verify_sample(m, k, l, params, lat, sig):
     lift, nval = clifford_lift(h, params)
     if nval not in (1, -1):
         raise AssertionError("sample lift is not a unit")
-    got = _abs_coords(lift.coords)
-    want = _abs_coords(u.element.coords)
-    if got != want:
+    if sign_normalize(lift.coords) != sign_normalize(u.element.coords):
         raise AssertionError("sample lift round trip failed")
     # salem data equals the characteristic polynomial of P_alpha
     datum = salem_poly(m)
     if char_poly_3x3(p.matrix) != datum.cubic_coeffs:
         raise AssertionError("salem coefficients disagree with char(P_alpha)")
 
-
-def _abs_coords(coords):
-    for x in coords:
-        if x != 0:
-            return coords if x > 0 else tuple(-v for v in coords)
-    return coords

@@ -27,7 +27,7 @@ from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
                          phi_alpha, seeded_units, unit_product,
                          unit_search_even)
 from .lattice import Lattice
-from .linalg import det, identity, inverse, mat, mat_mul, mat_scale, mat_vec, transpose
+from .linalg import det, mat, mat_mul, mat_scale, mat_vec, sign_normalize, transpose
 
 DEFAULT_FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
 
@@ -185,7 +185,7 @@ def roundtrip_suite(trials: int, seed: int,
             res.check(h.in_kernel, f"h_alpha kernel: {tag}")
             lift, n = clifford_lift(h, params)
             res.check(n in (1, -1), f"lift norm: {tag}")
-            res.check(_sign_class(lift.coords) == _sign_class(u.element.coords),
+            res.check(sign_normalize(lift.coords) == sign_normalize(u.element.coords),
                       f"lift = +-alpha: {tag}")
             ph = phi_alpha(u, params)
             res.check(ph.det == u.norm, f"det phi = N: {tag}")
@@ -218,13 +218,6 @@ def roundtrip_suite(trials: int, seed: int,
             res.check(mat_mul(mm, lam) == mat_mul(lam, mat(g)),
                       f"Claim 1: {tag}")
     return res
-
-
-def _sign_class(coords):
-    for x in coords:
-        if x != 0:
-            return coords if x > 0 else tuple(-v for v in coords)
-    return coords
 
 
 ALL_SUITES = {

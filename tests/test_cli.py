@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from picard3.cli import main
+from picard3.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -129,3 +135,21 @@ def test_verify_all_suites(capsys):
     assert code == 0
     for name in ("clifford", "exterior", "roundtrip"):
         assert f"suite {name}" in out
+
+
+def test_repeated_main_matches_fresh_interpreter(capsys):
+    # the parser is built once per process; later calls, with other
+    # subcommands, must print what a fresh interpreter prints
+    runs = [("congruence", "--n", "12"),
+            ("salem", "--matrix", "1,2,4,9", "--format", "json"),
+            ("analyze", "--n", "3", "--format", "json"),
+            ("congruence", "--n", "12")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "picard3.cli", *argv],
+                               cwd=ROOT, capture_output=True, text=True,
+                               timeout=60, env=env)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert build_parser() is build_parser()

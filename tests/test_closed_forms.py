@@ -20,6 +20,7 @@ from picard3.lattice import represents
 from picard3.linalg import factor
 from picard3.modular import (SubgroupSpec, _totient_like_index, delta_n,
                              qr_minus_one, torsion_search)
+from picard3.report import analyze_picard
 
 ROOT = Path(__file__).resolve().parent.parent
 PRIME_POWERS = sorted({p ** e for p in (2, 3, 5, 13) for e in range(1, 18)
@@ -42,6 +43,15 @@ def test_factor():
     assert factor(10 ** 12) == ((2, 12), (5, 12))
     with pytest.raises(ValueError):
         factor(0)
+
+
+def test_m_n_report_factors_n_once():
+    n = 99999989    # prime, used by no other test
+    assert factor.cache_info().maxsize is not None
+    misses = factor.cache_info().misses
+    report = analyze_picard(n, -n)
+    assert report.congruence["delta_n"] == 2
+    assert factor.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("ns", [range(1, 2001), PRIME_POWERS],

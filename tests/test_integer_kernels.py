@@ -1,0 +1,107 @@
+"""The integer Clifford kernel, the closed-form unit <-> isometry maps and
+the Bareiss determinant against the Fraction paths they replaced
+(tests/oracles.py)."""
+
+from fractions import Fraction
+
+import pytest
+
+from oracles import (conjugation_matrix, det_by_fractions, isometry_scan,
+                     kernel_lift, rewrite_mul, rewrite_reversal)
+from picard3 import linalg as la
+from picard3.clifford import CliffordElement, GramParams, clifford_mul, reversal
+from picard3.isometries import (_unit_forms, clifford_lift, g_alpha, h_alpha,
+                                seeded_units)
+from picard3.lattice import Lattice
+from conftest import random_gram_params
+
+FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
+
+
+def dense_gram_params(rng):
+    """Six nonzero entries in [-5, 5], non-degenerate."""
+    while True:
+        p = GramParams(*(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+                         for _ in range(6)))
+        if p.disc != 0:
+            return p
+
+
+@pytest.mark.parametrize("k,l", FAMILIES)
+def test_unit_maps_match_the_fraction_oracles(k, l):
+    params = GramParams(0, l, 0, 0, k, 0)
+    units = seeded_units(k, l, 40, seed=21)
+    assert {u.grade for u in units} == ({"even", "odd"} if (k, l) in ((1, -1), (2, 3))
+                                       else {"even"})
+    for u in units:
+        eps = 1 if u.grade == "even" else -1
+        full = u.full(params)
+        h = h_alpha(u, params)
+        assert h.matrix == conjugation_matrix(full, eps, params)
+        assert g_alpha(u, params) == conjugation_matrix(full, 1, params)
+        lift, n = clifford_lift(h, params)
+        want, want_n = kernel_lift(h, params)
+        assert lift == want and type(lift) is type(want)
+        assert n == want_n == u.norm
+
+
+def test_lift_outside_the_kernel_matches_the_oracle():
+    # the reflection of test_clifford_lift_outside_kernel, then every
+    # isometry with entries <= 2 of two lattices, kernel or not
+    refl = la.mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    u6 = ((0, 1, 0), (1, 0, 0), (0, 0, -6))
+    params = GramParams.from_gram(u6)
+    assert clifford_lift(refl, params) == kernel_lift(refl, params)
+    for gram in (u6, ((0, 0, 2), (0, -4, 0), (2, 0, 0))):
+        params = GramParams.from_gram(gram)
+        isos = isometry_scan(Lattice(gram), 2)
+        assert any(not g.in_kernel for g in isos)
+        for g in isos:
+            assert clifford_lift(g.matrix, params) == kernel_lift(g, params)
+
+
+def test_unit_form_matrix_is_invertible_on_dense_tuples(rng):
+    for _ in range(300):
+        p = dense_gram_params(rng)
+        for grade in ("even", "odd"):
+            m, adj = _unit_forms(p, grade)
+            d = la.det(m)
+            assert d != 0
+            assert la.mat_mul(m, adj) == la.mat_scale(d, la.identity(10))
+    degenerate = GramParams(1, 1, 1, 2, 2, 2)     # Gram matrix of rank 1
+    assert degenerate.disc == 0
+    for grade in ("even", "odd"):
+        with pytest.raises(AssertionError):
+            _unit_forms(degenerate, grade)
+
+
+def test_integer_kernel_matches_the_rewriting_rules(rng):
+    def half_integral():
+        return CliffordElement(tuple(Fraction(rng.randint(-6, 6), 2)
+                                     for _ in range(8)))
+
+    for _ in range(60):
+        p = random_gram_params(rng)
+        x, y = half_integral(), half_integral()
+        assert clifford_mul(x, y, p).coeffs == rewrite_mul(x, y, p)
+        assert reversal(x, p).coeffs == rewrite_reversal(x, p)
+        for m in range(8):
+            b = CliffordElement.basis(m)
+            assert clifford_mul(b, y, p).coeffs == rewrite_mul(b, y, p)
+            assert reversal(b, p).coeffs == rewrite_reversal(b, p)
+
+
+def test_bareiss_det_matches_fraction_elimination(rng):
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            a = la.mat([[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                        for _ in range(n)])
+        else:
+            a = la.mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         for _ in range(n)] for _ in range(n)])
+        d = la.det(a)
+        assert d == det_by_fractions(a)
+        assert type(d) is (int if Fraction(d).denominator == 1 else Fraction)
+        if d != 0 and all(type(x) is int for row in a for x in row):
+            assert la.mat_mul(a, la.adjugate(a)) == la.mat_scale(d, la.identity(n))

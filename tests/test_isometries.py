@@ -5,11 +5,11 @@ import pytest
 from picard3 import linalg as la
 from picard3.clifford import (EvenCliffordElement, GramParams,
                               OddCliffordElement, norm)
+from oracles import isometry_scan
 from picard3.isometries import (CliffordUnit, Isometry3, clifford_lift,
-                                family_unit, h_alpha, isometry_scan,
-                                p_alpha_matrix, phi_alpha, seeded_units,
-                                spinor_norm, unit_product, unit_search_even,
-                                v_set_search)
+                                family_unit, h_alpha, p_alpha_matrix,
+                                phi_alpha, seeded_units, spinor_norm,
+                                unit_product, unit_search_even, v_set_search)
 from picard3.lattice import Lattice, family_lattice, in_discriminant_kernel
 
 FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))

@@ -138,7 +138,7 @@ def test_in_discriminant_kernel():
 
 
 def test_kernel_matches_induced_action(rng):
-    from picard3.isometries import isometry_scan
+    from oracles import isometry_scan
     for lat in (family_lattice(1, -3), family_lattice(2, -2)):
         for g in isometry_scan(lat, 1):
             assert in_discriminant_kernel(g.matrix, lat) == \
@@ -189,7 +189,7 @@ def test_positive_cone():
 
 
 def test_cone_action_is_homomorphism(rng):
-    from picard3.isometries import isometry_scan
+    from oracles import isometry_scan
     lat = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, -6)))
     isos = isometry_scan(lat, 2)
     for _ in range(60):
