@@ -4,10 +4,18 @@
 # classes mod n inside PGL2(Z).  Indices, torsion, and free ranks are all
 # finite computations.
 
+from itertools import product
+
 from picard3 import (SubgroupSpec, analyze_picard, delta_n, free_rank,
                      index_gamma_n, index_pi_g_n, member, negative_pell,
-                     order_psl2_zn, prime_power_generator, qr_minus_one,
-                     torsion_search)
+                     prime_power_generator, qr_minus_one, torsion_search)
+
+
+def order_psl2_zn(n):
+    """|PSL2(Z/n)|: the det-1 matrices mod n, counted one by one, up to sign."""
+    count = sum((a * d - b * c) % n == 1 for a, b, c, d in product(range(n), repeat=4))
+    return count if n == 2 else count // 2
+
 
 # The classical index formula vs the exhaustive count of PSL2(Z/n):
 print("n   [Gamma:Gamma(n)]   |PSL2(Z/n)|")

@@ -15,9 +15,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .modular import (SubgroupSpec, delta_n, free_rank, index_pi_g_n,
-                      torsion_search)
-from .report import analyze_picard, salem_poly
+from .report import analyze_picard, congruence_data, salem_poly
 from .verify import ALL_SUITES, run_suites
 
 SCHEMA = "picard3-aut/1"
@@ -154,36 +152,22 @@ def cmd_congruence(args) -> int:
     if n < 1:
         print("error: n must be positive", file=sys.stderr)
         return 1
-    idx = index_pi_g_n(n)
-    found = torsion_search(SubgroupSpec("G_n", n=n), args.bound)
-    rank = None
-    if not found and idx % 12 == 0:
-        rank = free_rank(idx)
-    out = {
-        "schema": SCHEMA,
-        "subgroup": {"kind": "G_n", "n": n},
-        "index_in_Pi": idx,
-        "delta_n": delta_n(n),
-        "torsion_bounded_search": {
-            "bound": args.bound,
-            "found": [[e.a, e.b, e.c, e.d] for e in found[:10]],
-            "found_count": len(found),
-        },
-        "free_rank": rank,
-    }
+    out = {"schema": SCHEMA, "subgroup": {"kind": "G_n", "n": n},
+           **congruence_data(n, args.bound)}
     if args.format == "json":
         print(json.dumps(out, sort_keys=True))
     else:
+        found = out["torsion_bounded_search"]["found_count"]
         print(_styled(f"picard3 congruence G_{n}"))
-        print(f"[Pi : G_{n}] = {idx}, delta_{n} = {out['delta_n']}")
+        print(f"[Pi : G_{n}] = {out['index_in_Pi']}, delta_{n} = {out['delta_n']}")
         if found:
-            print(f"torsion: {len(found)} elements with entries <= {args.bound}; "
+            print(f"torsion: {found} elements with entries <= {args.bound}; "
                   f"not free")
         else:
             print(f"torsion: none with entries <= {args.bound} "
                   f"(bounded evidence only)")
-        if rank is not None:
-            print(f"free rank (if torsion-free): {rank}")
+        if out["free_rank"] is not None:
+            print(f"free rank (if torsion-free): {out['free_rank']}")
     return 0
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .linalg import clear_denominators, identity, inverse, mat, mat_scale
+from .linalg import clear_denominators, mat, mat_scale
 
 # Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.
 DIM = 8
@@ -36,6 +36,7 @@ MASK_NAMES = ("", "1", "2", "12", "3", "13", "23", "123")
 NAME_TO_MASK = {name: i for i, name in enumerate(MASK_NAMES)}
 EVEN_MASKS = (0, 3, 5, 6)
 ODD_MASKS = (1, 2, 4, 7)
+GEN_MASKS = (1, 2, 4)  # E1, E2, E3
 # Gram tuples kept per table cache: acceptance families plus a verify round.
 PARAMS_CACHE_SIZE = 32
 
@@ -187,22 +188,13 @@ class EvenCliffordElement:
         return all(x.denominator == 1 for x in self.coords)
 
     def to_full(self, params: GramParams) -> CliffordElement:
-        # e2 = E3*E1 = t - E1*E3, so the e2 coordinate feeds both the scalar
-        # and the E1E3 slots.
-        c = [Fraction(0)] * DIM
-        c[0] = self.x0 + params.t * self.x2
-        c[6] = self.x1
-        c[5] = -self.x2
-        c[3] = self.x3
-        return CliffordElement(tuple(c))
+        return CliffordElement(tuple(even_slots(self.coords, params.t)))
 
     @staticmethod
     def from_full(x: CliffordElement, params: GramParams) -> "EvenCliffordElement":
         if not x.is_even:
             raise ValueError("element is not even")
-        x2 = -x.coeffs[5]
-        return EvenCliffordElement(x.coeffs[0] - params.t * x2,
-                                   x.coeffs[6], x2, x.coeffs[3])
+        return EvenCliffordElement(*even_coords(x.coeffs, params.t))
 
 
 @dataclass(frozen=True)
@@ -227,15 +219,38 @@ class OddCliffordElement:
         return all(x.denominator == 1 for x in self.coords)
 
     def to_full(self) -> CliffordElement:
-        c = [Fraction(0)] * DIM
-        c[7], c[1], c[2], c[4] = self.x4, self.x1, self.x2, self.x3
-        return CliffordElement(tuple(c))
+        return CliffordElement(tuple(odd_slots(self.coords)))
 
     @staticmethod
     def from_full(x: CliffordElement) -> "OddCliffordElement":
         if not x.is_odd:
             raise ValueError("element is not odd")
-        return OddCliffordElement(x.coeffs[7], x.coeffs[1], x.coeffs[2], x.coeffs[4])
+        return OddCliffordElement(*odd_coords(x.coeffs))
+
+
+def even_slots(coords, t: int) -> list:
+    """The 8 coordinates of the even element with coordinates coords on
+    (e0, e1, e2, e3).  e2 = E3*E1 = t - E1*E3, so the e2 coordinate feeds
+    both the scalar and the E1E3 slots."""
+    x0, x1, x2, x3 = coords
+    return [x0 + t * x2, 0, 0, x3, 0, -x2, x1, 0]
+
+
+def even_coords(w, t: int) -> tuple:
+    """The (e0, e1, e2, e3) coordinates of an even element's 8 coordinates w."""
+    return (w[0] + t * w[5], w[6], -w[5], w[3])
+
+
+def odd_slots(coords) -> list:
+    """The 8 coordinates of the odd element with coordinates coords on
+    (E1E2E3, E1, E2, E3)."""
+    x4, x1, x2, x3 = coords
+    return [0, x1, x2, 0, x3, 0, 0, x4]
+
+
+def odd_coords(w) -> tuple:
+    """The (E1E2E3, E1, E2, E3) coordinates of an odd element's 8 coordinates w."""
+    return (w[7], w[1], w[2], w[4])
 
 
 # The generators E1, E2, E3 (as 0, 1, 2) of each monomial, in ascending order.
@@ -331,48 +346,42 @@ def trace(x: CliffordElement, params: GramParams):
     return val.numerator if val.denominator == 1 else val
 
 
+def integer_norm(xs, params: GramParams) -> int:
+    """x x^* for a pure even or pure odd element given by an integer
+    coordinate list."""
+    if any(xs[m] for m in EVEN_MASKS) and any(xs[m] for m in ODD_MASKS):
+        raise ValueError("norm requires a pure even or pure odd element")
+    p = integer_mul(xs, integer_reversal(xs, params), params)
+    if any(p[1:]):
+        raise AssertionError("x * x^* is not scalar")
+    return p[0]
+
+
 def norm(x: CliffordElement, params: GramParams):
     """N x = x * x^* for a pure even or pure odd element (a scalar)."""
-    if not (x.is_even or x.is_odd):
-        raise ValueError("norm requires a pure even or pure odd element")
-    p = clifford_mul(x, reversal(x, params), params)
-    if any(p.coeffs[m] != 0 for m in range(1, DIM)):
-        raise AssertionError("x * x^* is not scalar")
-    val = p.coeffs[0]
+    d, xs = clear_denominators(x.coeffs)
+    val = Fraction(integer_norm(xs, params), d * d)
     return val.numerator if val.denominator == 1 else val
 
 
-def _phi_generators(params: GramParams):
+def phi_rep(x: EvenCliffordElement, params: GramParams):
+    """The 4x4 matrix representation of the even part (left multiplication):
+    x0 I + x1 M1 + x2 M2 + x3 M3 for the printed matrices M_i of left
+    multiplication by e_i, written out entry by entry.  The coordinates are
+    cleared to integers first, and the result is divided once when x is not
+    integral."""
     a, b, c, s, t, u = (params.a, params.b, params.c,
                         params.s, params.t, params.u)
-    m1 = mat([[0, -b * c, c * u, -s * u],
-              [1, s, 0, u],
-              [0, 0, 0, b],
-              [0, 0, -c, s]])
-    m2 = mat([[0, -s * t, -a * c, a * s],
-              [0, t, 0, -a],
-              [1, s, t, 0],
-              [0, c, 0, 0]])
-    m3 = mat([[0, b * t, -t * u, -a * b],
-              [0, 0, a, 0],
-              [0, -b, u, 0],
-              [1, 0, t, u]])
-    return m1, m2, m3
-
-
-def phi_rep(x: EvenCliffordElement, params: GramParams):
-    """The 4x4 matrix representation of the even part (left multiplication)."""
-    m1, m2, m3 = _phi_generators(params)
-    out = [[Fraction(0)] * 4 for _ in range(4)]
-    mats = (identity(4), m1, m2, m3)
-    for coef, m in zip(x.coords, mats):
-        for i in range(4):
-            for j in range(4):
-                out[i][j] += coef * m[i][j]
-    res = mat(out)
-    if x.is_integral:
-        res = mat(tuple(tuple(int(v) for v in row) for row in res))
-    return res
+    d, (x0, x1, x2, x3) = clear_denominators(x.coords)
+    res = ((x0, -b * c * x1 - s * t * x2 + b * t * x3,
+            c * u * x1 - a * c * x2 - t * u * x3,
+            -s * u * x1 + a * s * x2 - a * b * x3),
+           (x1, x0 + s * x1 + t * x2, a * x3, u * x1 - a * x2),
+           (x2, s * x2 - b * x3, x0 + t * x2 + u * x3, b * x1),
+           (x3, c * x2, t * x3 - c * x1, x0 + s * x1 + u * x3))
+    if d == 1:
+        return res
+    return tuple(tuple(Fraction(v, d) for v in row) for row in res)
 
 
 def gram_B(params: GramParams):
@@ -459,48 +468,35 @@ def odd_norm_family(x1, x2, x3, x4, k: int, l: int):
 def alternating_E(params: GramParams):
     """E as the alternating sum over S_3, plus the dual elements E-hat.
 
-    Returns (E, (Ehat_1, Ehat_2, Ehat_3)).  Cross-checks performed here:
-    the alternating E equals the closed form of :func:`element_E`, and
-    Ei * E = sum_j <Ei, Ej>_0 Ehat_j.  Disagreement raises AssertionError.
+    Returns (E, (Ehat_1, Ehat_2, Ehat_3)), where 6 E is the alternating sum
+    of the products E_i E_j E_k and 2 Ehat_j = E_a E_b - E_b E_a for (j, a, b)
+    a cyclic shift of (1, 2, 3); both are summed in integers.  Cross-checks
+    performed here: the alternating E equals the closed form of
+    :func:`element_E`, and Ei * E = sum_j <Ei, Ej>_0 Ehat_j.  Disagreement
+    raises AssertionError.
     """
-    acc = CliffordElement.zero()
-    for perm in permutations((1, 2, 3)):
+    gens = [[int(m == g) for m in range(DIM)] for g in GEN_MASKS]
+    acc6 = [0] * DIM
+    for perm in permutations(range(3)):
         sign = _perm_sign(perm)
-        term = CliffordElement.scalar(1)
-        for i in perm:
-            term = clifford_mul(term, CliffordElement.basis(1 << (i - 1)), params)
-        acc = acc + term.scale(Fraction(sign, 6))
-    if acc.coeffs != element_E(params).coeffs:
+        term = integer_mul(integer_mul(gens[perm[0]], gens[perm[1]], params),
+                           gens[perm[2]], params)
+        acc6 = [x + sign * y for x, y in zip(acc6, term)]
+    if any(x != 6 * y for x, y in zip(acc6, element_E(params).coeffs)):
         raise AssertionError("alternating sum disagrees with the closed form of E")
 
-    hats = []
-    for j in (1, 2, 3):
-        others = [i for i in (1, 2, 3) if i != j]
-        h = CliffordElement.zero()
-        for perm in permutations(others):
-            # sign of the permutation fixing j and permuting the others
-            full = [0, 0, 0]
-            full[j - 1] = j
-            idx = iter(perm)
-            for pos in range(3):
-                if full[pos] == 0:
-                    full[pos] = next(idx)
-            sign = _perm_sign(tuple(full))
-            term = CliffordElement.scalar(1)
-            for i in perm:
-                term = clifford_mul(term, CliffordElement.basis(1 << (i - 1)), params)
-            h = h + term.scale(Fraction((-1) ** (j + 1) * sign, 2))
-        hats.append(h)
-
-    gram0 = params.gram_half
-    for i in (1, 2, 3):
-        lhs = clifford_mul(CliffordElement.basis(1 << (i - 1)), acc, params)
-        rhs = CliffordElement.zero()
-        for j in (1, 2, 3):
-            rhs = rhs + hats[j - 1].scale(gram0[i - 1][j - 1])
-        if lhs.coeffs != rhs.coeffs:
+    hats2 = [[x - y for x, y in zip(integer_mul(gens[a], gens[b], params),
+                                    integer_mul(gens[b], gens[a], params))]
+             for a, b in ((1, 2), (2, 0), (0, 1))]
+    q = params.gram
+    for i in range(3):
+        # 6 (Ei E) against 6 sum_j (q_ij / 2)(2 Ehat_j) / 4
+        lhs = integer_mul(gens[i], acc6, params)
+        rhs = [sum(q[i][j] * h[m] for j, h in enumerate(hats2)) for m in range(DIM)]
+        if any(2 * x != 3 * y for x, y in zip(lhs, rhs)):
             raise AssertionError("Ei * E != sum <Ei,Ej>_0 Ehat_j")
-    return acc, tuple(hats)
+    return (_from_integers(acc6, 6),
+            tuple(_from_integers(h, 2) for h in hats2))
 
 
 def _perm_sign(perm) -> int:
@@ -511,9 +507,4 @@ def _perm_sign(perm) -> int:
             if p[i] > p[j]:
                 sign = -sign
     return sign
-
-
-def dual_basis_vectors(params: GramParams):
-    """Columns of Q_{L0}^{-1}: the dual basis of (Ei) for the halved form."""
-    return inverse(params.gram_half)
 

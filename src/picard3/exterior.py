@@ -12,11 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .clifford import (PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
-                       GramParams, OddCliffordElement, clifford_mul, element_E,
-                       norm, pairing_E, reversal)
-from .linalg import inverse, mat, mat_mul, smith_normal_form
+from .clifford import (EVEN_MASKS, GEN_MASKS, PARAMS_CACHE_SIZE,
+                       EvenCliffordElement, GramParams, OddCliffordElement,
+                       _mult_table, even_coords, even_slots, integer_mul,
+                       integer_norm, integer_reversal, norm, odd_coords,
+                       odd_slots, reversal)
+from .linalg import (clear_denominators, identity, inverse, mat, mat_mul,
+                     smith_normal_form, transpose)
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
 WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -43,19 +47,16 @@ class WElement:
                            tuple(Fraction(x) for x in self.coords))
 
 
+def _pair_w(v, w):
+    """<v, w>_W on coordinate tuples: each coordinate pairs with the one
+    three places on (GRAM_W)."""
+    return sum(map(mul, v, w[3:] + w[:3]))
+
+
 def w_form(w1: WElement, w2: WElement):
     """<w1, w2>_W = (w1 ^ w2) / omega."""
-    total = Fraction(0)
-    for i in range(6):
-        for j in range(6):
-            if GRAM_W[i][j]:
-                total += w1.coords[i] * w2.coords[j]
+    total = Fraction(_pair_w(w1.coords, w2.coords))
     return total.numerator if total.denominator == 1 else total
-
-
-def wedge_of_even(p: tuple, q: tuple) -> WElement:
-    """x ^ y in W for even elements given by e-basis coordinates p, q."""
-    return WElement(tuple(p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS))
 
 
 @dataclass(frozen=True)
@@ -66,65 +67,76 @@ class PBasis:
     minus: tuple
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def p_bases(params: GramParams) -> PBasis:
     """Rows of the printed 6x6 matrix; certifies the defining properties.
 
     Asserts: Gram(w+) = Q_L, Gram(w-) = -Q_L, the cross block vanishes, and
     both coordinate stacks are primitive (Smith invariant factors all 1).
+    The certificates run once per lattice: the result is cached.
     """
     a, b, c, s, t, u = (params.a, params.b, params.c,
                         params.s, params.t, params.u)
-    rows = [
-        (a, u, 0, 1, 0, 0),
-        (0, b, s, 0, 1, 0),
-        (t, 0, c, 0, 0, 1),
-        (a, 0, t, -1, 0, 0),
-        (u, b, 0, 0, -1, 0),
-        (0, s, c, 0, 0, -1),
-    ]
-    plus = tuple(WElement(r) for r in rows[:3])
-    minus = tuple(WElement(r) for r in rows[3:])
+    plus = ((a, u, 0, 1, 0, 0),
+            (0, b, s, 0, 1, 0),
+            (t, 0, c, 0, 0, 1))
+    minus = ((a, 0, t, -1, 0, 0),
+             (u, b, 0, 0, -1, 0),
+             (0, s, c, 0, 0, -1))
     q = params.gram
     for i in range(3):
         for j in range(3):
-            if w_form(plus[i], plus[j]) != q[i][j]:
+            if _pair_w(plus[i], plus[j]) != q[i][j]:
                 raise AssertionError("Gram(w+) != Q_L")
-            if w_form(minus[i], minus[j]) != -q[i][j]:
+            if _pair_w(minus[i], minus[j]) != -q[i][j]:
                 raise AssertionError("Gram(w-) != -Q_L")
-            if w_form(plus[i], minus[j]) != 0:
+            if _pair_w(plus[i], minus[j]) != 0:
                 raise AssertionError("P+ and P- are not orthogonal")
-    for triple in (rows[:3], rows[3:]):
-        d, _, _ = smith_normal_form(mat(triple))
+    for triple in (plus, minus):
+        d, _, _ = smith_normal_form(triple)
         if [d[i][i] for i in range(3)] != [1, 1, 1]:
             raise AssertionError("P basis stack is not primitive")
-    return PBasis(plus, minus)
+    return PBasis(tuple(map(WElement, plus)), tuple(map(WElement, minus)))
 
 
-def _even_coords(x: CliffordElement, params: GramParams) -> tuple:
-    return EvenCliffordElement.from_full(x, params).coords
+def _wedge_square(imgs):
+    """The 6x6 matrix whose column (i, j) is imgs[i] ^ imgs[j]: entry
+    ((k, l), (i, j)) is the 2x2 minor imgs[i][k] imgs[j][l] - imgs[i][l] imgs[j][k]."""
+    return transpose(_compound_matrix(imgs))
+
+
+def _divided(m, d: int):
+    """The integer matrix m divided by d != 0, in ints when d = 1."""
+    if d == 1:
+        return m
+    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
 
 
 def mu_matrix(x: EvenCliffordElement, y: EvenCliffordElement,
               params: GramParams):
-    """Matrix of mu(x, y): h1 ^ h2 -> x h1 y ^ x h2 y on the e_ij basis."""
-    xf, yf = x.to_full(params), y.to_full(params)
-    basis = [EvenCliffordElement(*[int(i == j) for j in range(4)]).to_full(params)
-             for i in range(4)]
-    imgs = [_even_coords(clifford_mul(clifford_mul(xf, e, params), yf, params),
-                         params) for e in basis]
-    cols = [wedge_of_even(imgs[i], imgs[j]).coords for i, j in WEDGE_PAIRS]
-    return mat(tuple(zip(*cols)))
+    """Matrix of mu(x, y): h1 ^ h2 -> x h1 y ^ x h2 y on the e_ij basis.
+
+    x and y are scaled to integer coordinates (denominators dx, dy), so the
+    images x e_i y and their wedges are integers, divided by (dx dy)^2 once.
+    """
+    t = params.t
+    dx, xs = clear_denominators(x.coords)
+    dy, ys = clear_denominators(y.coords)
+    xf, yf = even_slots(xs, t), even_slots(ys, t)
+    imgs = [even_coords(integer_mul(integer_mul(xf, even_slots(e, t), params),
+                                    yf, params), t) for e in identity(4)]
+    return _divided(_wedge_square(imgs), (dx * dy) ** 2)
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _pairing_matrix(params: GramParams):
-    """T[i][j] = (e_i, F_j)_E on the bases (e_i) and (E1E2E3, E1, E2, E3)."""
-    evens = [EvenCliffordElement(*[int(i == j) for j in range(4)])
-             for i in range(4)]
-    odds = [OddCliffordElement(*[int(i == j) for j in range(4)])
-            for i in range(4)]
-    return mat(tuple(tuple(pairing_E(e, f, params) for f in odds)
-                     for e in evens))
+    """T[i][j] = (e_i, F_j)_E on the bases (e_i) and (E1E2E3, E1, E2, E3):
+    the E1E2E3-coordinate of e_i F_j*, from the structure constants that
+    land on E1E2E3."""
+    top = [(m1, m2, c) for m1, m2, m3, c in _mult_table(params) if m3 == 7]
+    evens = [even_slots(e, params.t) for e in identity(4)]
+    stars = [integer_reversal(odd_slots(f), params) for f in identity(4)]
+    return tuple(tuple(sum(c * e[m1] * f[m2] for m1, m2, c in top)
+                       for f in stars) for e in evens)
 
 
 def _compound_matrix(t):
@@ -148,70 +160,73 @@ def iota_matrix(params: GramParams):
     return mat_mul(inverse(c), GRAM_W)
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def iota_inverse_matrix(params: GramParams):
     """G_W^{-1} C, where G_W^{-1} = G_W (a permutation involution)."""
     c = _compound_matrix(_pairing_matrix(params))
     return mat_mul(GRAM_W, c)
 
 
-def _odd_coords(x: CliffordElement) -> tuple:
-    return OddCliffordElement.from_full(x).coords
+def _odd_integers(x):
+    """(d, w): an OddCliffordElement or a CliffordElement x scaled to the
+    integer coordinate list w = d x on the 8 monomials."""
+    if isinstance(x, OddCliffordElement):
+        return clear_denominators(odd_slots(x.coords))
+    return clear_denominators(x.coeffs)
 
 
 def mu_tilde_matrix(x, params: GramParams):
     """Matrix of mu~(x): h1 ^ h2 -> iota^{-1}(h1 x ^ h2 x), for odd x, Nx != 0.
 
     ``x`` may be an OddCliffordElement or an odd CliffordElement (rational
-    coordinates allowed, e.g. the central element E).
+    coordinates allowed, e.g. the central element E).  With x scaled to
+    integers d x, the images e_i x and their wedges are integers, divided by
+    d^2 once.
     """
-    xf = x.to_full() if isinstance(x, OddCliffordElement) else x
-    if not xf.is_odd:
+    d, xs = _odd_integers(x)
+    if any(xs[m] for m in EVEN_MASKS):
         raise ValueError("mu~ requires an odd element")
-    if norm(xf, params) == 0:
+    if integer_norm(xs, params) == 0:
         raise ValueError("mu~ requires N x != 0")
-    basis = [EvenCliffordElement(*[int(i == j) for j in range(4)]).to_full(params)
-             for i in range(4)]
-    imgs = [_odd_coords(clifford_mul(e, xf, params)) for e in basis]
-    ioinv = iota_inverse_matrix(params)
-    cols = []
-    for i, j in WEDGE_PAIRS:
-        xi = tuple(imgs[i][k] * imgs[j][l] - imgs[i][l] * imgs[j][k]
-                   for k, l in WEDGE_PAIRS)
-        cols.append(tuple(sum(ioinv[r][m] * xi[m] for m in range(6))
-                          for r in range(6)))
-    return mat(tuple(zip(*cols)))
+    t = params.t
+    imgs = [odd_coords(integer_mul(even_slots(e, t), xs, params))
+            for e in identity(4)]
+    return _divided(mat_mul(iota_inverse_matrix(params), _wedge_square(imgs)),
+                    d * d)
 
 
 def eta_matrix(x, params: GramParams):
-    """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0."""
-    xf = x.to_full() if isinstance(x, OddCliffordElement) else x
-    n = norm(xf, params)
+    """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0.
+
+    With x scaled to integers d x, the image of v is -(d x*) v (d x) divided
+    by d^2 N x, so the d^2 cancels."""
+    _, xs = _odd_integers(x)
+    n = integer_norm(xs, params)
     if n == 0:
         raise ValueError("eta requires N x != 0")
-    xstar = reversal(xf, params)
+    xstar = integer_reversal(xs, params)
     cols = []
-    for i in (1, 2, 4):
-        v = CliffordElement.basis(i)
-        img = clifford_mul(clifford_mul(xstar, v, params), xf, params)
-        img = img.scale(Fraction(-1, 1) / n)
-        oc = OddCliffordElement.from_full(img)
-        if oc.x4 != 0:
+    for g in GEN_MASKS:
+        img = integer_mul(integer_mul(xstar, [int(m == g) for m in range(8)],
+                                      params), xs, params)
+        if img[7] != 0:
             raise AssertionError("eta image left L (x) Q")
-        cols.append((oc.x1, oc.x2, oc.x3))
-    return mat(tuple(zip(*cols)))
+        cols.append([img[m] for m in GEN_MASKS])
+    return _divided(transpose(cols), -n)
+
+
+def _stack(ws):
+    """The 6x3 integer matrix whose columns are the coordinates of ws."""
+    return tuple(zip(*(tuple(x.numerator for x in w.coords) for w in ws)))
 
 
 def lambda_plus_matrix(params: GramParams):
     """6x3 coordinate stack of the isometry lambda+: L -> P+, Ei -> w_i^+."""
-    pb = p_bases(params)
-    return mat(tuple(tuple(pb.plus[j].coords[r] for j in range(3))
-                     for r in range(6)))
+    return _stack(p_bases(params).plus)
 
 
 def lambda_minus_matrix(params: GramParams):
-    pb = p_bases(params)
-    return mat(tuple(tuple(pb.minus[j].coords[r] for j in range(3))
-                     for r in range(6)))
+    return _stack(p_bases(params).minus)
 
 
 def mu_of_unit_conjugation(alpha: EvenCliffordElement, params: GramParams):

@@ -24,15 +24,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .clifford import (PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
-                       GramParams, OddCliffordElement, clifford_mul,
-                       integer_mul, integer_reversal, norm)
+from .clifford import (GEN_MASKS, PARAMS_CACHE_SIZE, CliffordElement,
+                       EvenCliffordElement, GramParams, OddCliffordElement,
+                       clifford_mul, integer_mul, integer_reversal, norm)
 from .lattice import (Lattice, in_discriminant_kernel, is_isometry,
                       preserves_positive_cone)
 from .linalg import (adjugate, identity, mat, primitive_vector, sign_normalize,
                      squarefree_part, to_int)
-
-_GEN_MASKS = (1, 2, 4)  # E1, E2, E3
 
 
 class Isometry3:
@@ -157,12 +155,12 @@ def _unit_forms(params: GramParams, grade: str):
         return out
 
     rows = [None] * 10
-    for j, m in enumerate(_GEN_MASKS):
+    for j, m in enumerate(GEN_MASKS):
         gen = [int(i == m) for i in range(8)]
         terms = symmetrized([integer_mul(b, gen, params) for b in basis])
         if any(t[7] != 0 for t in terms):
             raise AssertionError("conjugation image left L (x) Q")
-        for i, mi in enumerate(_GEN_MASKS):
+        for i, mi in enumerate(GEN_MASKS):
             rows[3 * i + j] = tuple(t[mi] for t in terms)
     terms = symmetrized(basis)
     if any(x != 0 for t in terms for x in t[1:]):
@@ -191,6 +189,12 @@ def _conjugation(unit: CliffordUnit, eps: int, params: GramParams):
     return tuple(tuple(q for q, _ in entries[3 * i:3 * i + 3]) for i in range(3))
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
+def _lattice(params: GramParams) -> Lattice:
+    """The lattice of params, validated once per Gram tuple."""
+    return Lattice(params.gram)
+
+
 def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """The kernel isometry h_alpha: v -> eps_alpha * alpha v alpha^{-1}.
 
@@ -201,7 +205,7 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     determinant eps, or AssertionError is raised.
     """
     eps = 1 if unit.grade == "even" else -1
-    iso = Isometry3(_conjugation(unit, eps, params), Lattice(params.gram))
+    iso = Isometry3(_conjugation(unit, eps, params), _lattice(params))
     if iso.det != eps:
         raise AssertionError("det(h_alpha) != eps_alpha")
     return iso
@@ -216,7 +220,7 @@ def phi_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """phi_alpha = eps*(N alpha)*h_alpha = (v -> alpha v alpha*); det = N alpha."""
     vals = _evaluate(_unit_forms(params, unit.grade)[0], unit.element.coords)
     iso = Isometry3(tuple(tuple(vals[3 * i:3 * i + 3]) for i in range(3)),
-                    Lattice(params.gram))
+                    _lattice(params))
     if iso.det != unit.norm:
         raise AssertionError("det(phi_alpha) != N alpha")
     return iso
@@ -235,7 +239,7 @@ def clifford_lift(g, params: GramParams):
     coordinate), together with its norm N; g lies in the discriminant
     kernel iff N = +-1.
     """
-    iso = g if isinstance(g, Isometry3) else Isometry3(g, Lattice(params.gram))
+    iso = g if isinstance(g, Isometry3) else Isometry3(g, _lattice(params))
     eps = iso.det
     grade = "even" if eps == 1 else "odd"
     forms, adj = _unit_forms(params, grade)

@@ -273,17 +273,6 @@ def in_discriminant_kernel(g, lat: Lattice) -> bool:
     return is_integral(mat_mul(diff, inverse(lat.gram)))
 
 
-def induced_action_trivial(g, lat: Lattice) -> bool:
-    """Cross-check for the kernel test: g fixes every generator lift mod L."""
-    group = discriminant_group(lat)
-    gm = mat(g)
-    for lift in group.generator_lifts:
-        diff = tuple(a - b for a, b in zip(mat_vec(gm, lift), lift))
-        if not all(Fraction(x).denominator == 1 for x in diff):
-            return False
-    return True
-
-
 def preserves_positive_cone(g, lat: Lattice) -> bool:
     """Cone test for signature (1, n) lattices; (n, 1) is handled by negation.
 

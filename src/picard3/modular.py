@@ -210,24 +210,6 @@ def index_gamma_n(n: int) -> int:
     return v // 2
 
 
-def order_psl2_zn(n: int) -> int:
-    """|PSL2(Z/n)| by exhaustive scan (the oracle for index_gamma_n)."""
-    if n == 1:
-        return 1
-    count = 0
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if (a * d - b * c) % n == 1:
-                        count += 1
-    if n == 2:
-        return count
-    if count % 2:
-        raise AssertionError("odd count of det-1 matrices mod n")
-    return count // 2
-
-
 def delta_n(n: int) -> int:
     """|{a in (Z/n)^x : a^2 = +-1 mod n} / {+-1}| = (s+ + s-)/2 for n > 2, s+-
     the CRT products of the local root counts of a^2 = +-1 mod p^e || n."""
@@ -279,16 +261,6 @@ def is_torsion(x: ModularElement):
     if t == 0:
         return True, 2
     return False, None
-
-
-def element_order(x: ModularElement, cap: int = 12):
-    """Matrix-power oracle for is_torsion (projective order, or None)."""
-    acc = x
-    for k in range(1, cap + 1):
-        if (acc.a, acc.b, acc.c, acc.d) == (1, 0, 0, 1):
-            return k
-        acc = acc * x
-    return None
 
 
 def torsion_search(spec: SubgroupSpec, bound: int):

@@ -211,6 +211,27 @@ class AutReport:
         return "\n".join(lines)
 
 
+def congruence_data(n: int, bound: int) -> dict:
+    """The congruence block of G_n shared by ``analyze`` and ``congruence``:
+    [Pi : G_n], delta_n, the torsion search with entries <= bound, and the
+    free rank when that search finds nothing and 12 divides the index."""
+    idx = index_pi_g_n(n)
+    found = torsion_search(SubgroupSpec("G_n", n=n), bound)
+    rank = None
+    if not found and idx % 12 == 0:
+        rank = free_rank(idx)
+    return {
+        "index_in_Pi": idx,
+        "delta_n": delta_n(n),
+        "torsion_bounded_search": {
+            "bound": bound,
+            "found_count": len(found),
+            "found": [[e.a, e.b, e.c, e.d] for e in found[:10]],
+        },
+        "free_rank": rank,
+    }
+
+
 def _sample_units(k: int, l: int, search_bound: int, count: int):
     """A few nontrivial searched units, Salem-bearing ones first."""
     units = [m for m in unit_search_even(k, l, search_bound)
@@ -258,22 +279,8 @@ def analyze_picard(k: int, l: int, search_bound: int = 12,
 
     congruence = None
     if is_m_n:
-        idx = index_pi_g_n(n)
-        found = torsion_search(SubgroupSpec("G_n", n=n), torsion_bound)
-        rank = None
-        if not found and idx % 12 == 0:
-            rank = free_rank(idx)
-        congruence = {
-            "index_in_Pi": idx,
-            "delta_n": delta_n(n),
-            "torsion_bounded_search": {
-                "bound": torsion_bound,
-                "found_count": len(found),
-                "found": [[e.a, e.b, e.c, e.d] for e in found[:10]],
-            },
-            "free_rank": rank,
-            "presentation": _group_presentation(n),
-        }
+        congruence = {**congruence_data(n, torsion_bound),
+                      "presentation": _group_presentation(n)}
 
     samples = []
     for m in _sample_units(k, l, search_bound, sample_count):

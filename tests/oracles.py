@@ -1,19 +1,23 @@
-"""Exhaustive scans and generic solvers kept as independent oracles for the
-closed forms.
+"""Exhaustive scans, generic solvers and Fraction paths kept as independent
+oracles for the closed forms and the integer kernels.
 
 Each function here is the definition its library counterpart replaced by a
-formula or a faster kernel; the tests check that the two agree.
+formula or a faster kernel, or a brute-force count or check of one; the
+tests check that the two agree.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
-                              OddCliffordElement)
+                              OddCliffordElement, clifford_mul, element_E,
+                              norm, reversal)
+from picard3.exterior import WEDGE_PAIRS, WElement, iota_inverse_matrix
 from picard3.isometries import Isometry3
-from picard3.lattice import Lattice
-from picard3.linalg import det, kernel_basis, mat, primitive_vector
+from picard3.lattice import Lattice, discriminant_group
+from picard3.linalg import (det, identity, inverse, kernel_basis, mat,
+                            mat_vec, primitive_vector)
 from picard3.modular import ModularElement, is_torsion, member
 
 
@@ -246,3 +250,177 @@ def det_by_fractions(a):
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+# ------------------------------------------------ brute-force counts and checks
+
+def order_psl2_zn(n: int) -> int:
+    """|PSL2(Z/n)| by exhaustive scan (the oracle for index_gamma_n)."""
+    if n == 1:
+        return 1
+    count = 0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    if (a * d - b * c) % n == 1:
+                        count += 1
+    if n == 2:
+        return count
+    if count % 2:
+        raise AssertionError("odd count of det-1 matrices mod n")
+    return count // 2
+
+
+def element_order(x: ModularElement, cap: int = 12):
+    """Matrix-power oracle for is_torsion (projective order, or None)."""
+    acc = x
+    for k in range(1, cap + 1):
+        if (acc.a, acc.b, acc.c, acc.d) == (1, 0, 0, 1):
+            return k
+        acc = acc * x
+    return None
+
+
+def induced_action_trivial(g, lat: Lattice) -> bool:
+    """Cross-check for the kernel test: g fixes every generator lift mod L."""
+    group = discriminant_group(lat)
+    gm = mat(g)
+    for lift in group.generator_lifts:
+        diff = tuple(a - b for a, b in zip(mat_vec(gm, lift), lift))
+        if not all(Fraction(x).denominator == 1 for x in diff):
+            return False
+    return True
+
+
+def dual_basis_vectors(params):
+    """Columns of Q_{L0}^{-1}: the dual basis of (Ei) for the halved form."""
+    return inverse(params.gram_half)
+
+
+# ------------------------------- the Fraction phi_rep and exterior-square actions
+
+def phi_generators(params):
+    """The printed matrices M1, M2, M3 of left multiplication by e1, e2, e3."""
+    a, b, c, s, t, u = (params.a, params.b, params.c,
+                        params.s, params.t, params.u)
+    m1 = mat([[0, -b * c, c * u, -s * u],
+              [1, s, 0, u],
+              [0, 0, 0, b],
+              [0, 0, -c, s]])
+    m2 = mat([[0, -s * t, -a * c, a * s],
+              [0, t, 0, -a],
+              [1, s, t, 0],
+              [0, c, 0, 0]])
+    m3 = mat([[0, b * t, -t * u, -a * b],
+              [0, 0, a, 0],
+              [0, -b, u, 0],
+              [1, 0, t, u]])
+    return m1, m2, m3
+
+
+def phi_rep_by_fractions(x: EvenCliffordElement, params):
+    """The 4x4 matrix x0 I + x1 M1 + x2 M2 + x3 M3, by 64 Fraction
+    multiply-adds; ints when x is integral."""
+    m1, m2, m3 = phi_generators(params)
+    out = [[Fraction(0)] * 4 for _ in range(4)]
+    for coef, m in zip(x.coords, (identity(4), m1, m2, m3)):
+        for i in range(4):
+            for j in range(4):
+                out[i][j] += coef * m[i][j]
+    res = mat(out)
+    if x.is_integral:
+        res = mat(tuple(tuple(int(v) for v in row) for row in res))
+    return res
+
+
+def _even_basis(params):
+    return [EvenCliffordElement(*[int(i == j) for j in range(4)]).to_full(params)
+            for i in range(4)]
+
+
+def wedge_of_even(p: tuple, q: tuple) -> WElement:
+    """x ^ y in W for even elements given by e-basis coordinates p, q."""
+    return WElement(tuple(p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS))
+
+
+def mu_matrix_by_fractions(x, y, params):
+    """mu(x, y) through to_full, two Clifford products and from_full per
+    basis element, wedged in Fractions."""
+    xf, yf = x.to_full(params), y.to_full(params)
+    imgs = [EvenCliffordElement.from_full(
+        clifford_mul(clifford_mul(xf, e, params), yf, params), params).coords
+        for e in _even_basis(params)]
+    cols = [wedge_of_even(imgs[i], imgs[j]).coords for i, j in WEDGE_PAIRS]
+    return mat(tuple(zip(*cols)))
+
+
+def mu_tilde_matrix_by_fractions(x, params):
+    """mu~(x) for odd x with Nx != 0: the wedges of the Fraction images e_i x,
+    mapped back by iota^{-1}."""
+    xf = x.to_full() if isinstance(x, OddCliffordElement) else x
+    if not xf.is_odd:
+        raise ValueError("mu~ requires an odd element")
+    if norm(xf, params) == 0:
+        raise ValueError("mu~ requires N x != 0")
+    imgs = [OddCliffordElement.from_full(clifford_mul(e, xf, params)).coords
+            for e in _even_basis(params)]
+    ioinv = iota_inverse_matrix(params)
+    cols = []
+    for i, j in WEDGE_PAIRS:
+        xi = tuple(imgs[i][k] * imgs[j][l] - imgs[i][l] * imgs[j][k]
+                   for k, l in WEDGE_PAIRS)
+        cols.append(tuple(sum(ioinv[r][m] * xi[m] for m in range(6))
+                          for r in range(6)))
+    return mat(tuple(zip(*cols)))
+
+
+def eta_matrix_by_fractions(x, params):
+    """eta_x: v -> -x^{-1} v x on (E1, E2, E3), in Fractions."""
+    xf = x.to_full() if isinstance(x, OddCliffordElement) else x
+    n = norm(xf, params)
+    if n == 0:
+        raise ValueError("eta requires N x != 0")
+    xstar = reversal(xf, params)
+    cols = []
+    for i in (1, 2, 4):
+        img = clifford_mul(clifford_mul(xstar, CliffordElement.basis(i), params),
+                           xf, params).scale(Fraction(-1, 1) / n)
+        oc = OddCliffordElement.from_full(img)
+        assert oc.x4 == 0, "eta image left L (x) Q"
+        cols.append((oc.x1, oc.x2, oc.x3))
+    return mat(tuple(zip(*cols)))
+
+
+def _perm_sign(perm) -> int:
+    return (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                       for j in range(i + 1, len(perm)))
+
+
+def alternating_E_by_fractions(params):
+    """(E, (Ehat_1, Ehat_2, Ehat_3)) summed in Fractions over S_3 and over
+    the permutations of the other two indices."""
+    acc = CliffordElement.zero()
+    for perm in permutations((1, 2, 3)):
+        term = CliffordElement.scalar(1)
+        for i in perm:
+            term = clifford_mul(term, CliffordElement.basis(1 << (i - 1)), params)
+        acc = acc + term.scale(Fraction(_perm_sign(perm), 6))
+    assert acc.coeffs == element_E(params).coeffs
+    hats = []
+    for j in (1, 2, 3):
+        others = [i for i in (1, 2, 3) if i != j]
+        h = CliffordElement.zero()
+        for perm in permutations(others):
+            full = [0, 0, 0]
+            full[j - 1] = j
+            idx = iter(perm)
+            for pos in range(3):
+                if full[pos] == 0:
+                    full[pos] = next(idx)
+            term = CliffordElement.scalar(1)
+            for i in perm:
+                term = clifford_mul(term, CliffordElement.basis(1 << (i - 1)), params)
+            h = h + term.scale(Fraction((-1) ** (j + 1) * _perm_sign(full), 2))
+        hats.append(h)
+    return acc, tuple(hats)

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from oracles import order_psl2_zn
 from picard3 import linalg as la
 from picard3.clifford import GramParams, OddCliffordElement, norm
 from picard3.exterior import (eta_matrix, lambda_minus_matrix,
@@ -18,7 +19,7 @@ from picard3.lattice import (Lattice, discriminant_form,
                              form_orthogonal_group, represents)
 from picard3.linalg import char_poly_3x3
 from picard3.modular import (delta_n, free_rank, index_gamma_n, index_pi_g_n,
-                             negative_pell, order_psl2_zn)
+                             negative_pell)
 from picard3.report import salem_poly
 from picard3.verify import clifford_suite, exterior_suite
 

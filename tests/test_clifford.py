@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import dual_basis_vectors
+from picard3 import exterior as ext
 from picard3 import linalg as la
 from picard3.cli import main
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               GramParams, OddCliffordElement, _mult_table,
-                              _reversal_table, alternating_E, clifford_mul,
-                              dual_basis_vectors, element_E, gram_B, norm,
-                              odd_gram, odd_norm_family, pairing_E, phi_rep,
-                              reversal, tilde_e, trace, v_dot_E)
+                              _reversal_table, alternating_E,
+                              clifford_mul, element_E, gram_B, norm, odd_gram,
+                              odd_norm_family, pairing_E, phi_rep, reversal,
+                              tilde_e, trace, v_dot_E)
+from picard3.isometries import _lattice
 from conftest import random_gram_params
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
@@ -325,12 +328,15 @@ def test_clifford_json_roundtrip():
 
 
 def test_per_tuple_caches_stay_bounded():
-    # 100 fresh Gram tuples pass through caches that hold 32
-    with redirect_stdout(io.StringIO()):
-        assert main(["verify", "--suite", "clifford", "--trials", "100",
-                     "--format", "json"]) == 0
-    for table in (_mult_table, _reversal_table):
+    # 100 fresh Gram tuples per suite pass through caches that hold 32
+    for suite in ("clifford", "exterior"):
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "--suite", suite, "--trials", "100",
+                         "--format", "json"]) == 0
+    for table in (_mult_table, _reversal_table, ext.p_bases,
+                  ext.iota_inverse_matrix, _lattice):
         info = table.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
     assert _mult_table.cache_info().currsize == _mult_table.cache_info().maxsize
+    assert ext.p_bases.cache_info().currsize == ext.p_bases.cache_info().maxsize

@@ -106,12 +106,22 @@ def test_cli_at_large_n_within_budget(argv):
     assert time.monotonic() - t0 < 1.0
 
 
-def test_modular_invariants_hold_under_python_O():
-    # invariant checks raise AssertionError explicitly, so -O keeps them
-    res = subprocess.run(
+def _pytest_under_python_O(*files):
+    return subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(ROOT / "tests" / "test_modular.py")],
+         *(str(ROOT / "tests" / f) for f in files)],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))})
+
+
+def test_modular_invariants_hold_under_python_O():
+    # invariant checks raise AssertionError explicitly, so -O keeps them
+    res = _pytest_under_python_O("test_modular.py")
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_clifford_and_exterior_certificates_hold_under_python_O():
+    # the certificates of p_bases, alternating_E and eta_matrix too
+    res = _pytest_under_python_O("test_clifford.py", "test_exterior.py")
     assert res.returncode == 0, res.stdout + res.stderr

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import induced_action_trivial
 from picard3 import linalg as la
 from picard3.lattice import (Lattice, disc, discriminant_form,
                              discriminant_group, family_lattice,
                              form_orthogonal_group, in_discriminant_kernel,
-                             induced_action_trivial, lattice_from_json,
-                             m_n_lattice, preserves_positive_cone, represents,
-                             signature)
+                             lattice_from_json, m_n_lattice,
+                             preserves_positive_cone, represents, signature)
 
 WEHLER = Lattice(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 U = Lattice(((0, 1), (1, 0)))

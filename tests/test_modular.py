@@ -2,10 +2,11 @@ import math
 
 import pytest
 
+from oracles import element_order, order_psl2_zn
 from picard3.modular import (ModularElement, ScaledModularElement,
-                             SubgroupSpec, delta_n, element_order, free_rank,
+                             SubgroupSpec, delta_n, free_rank,
                              g_n_class_witness, index_gamma_n, index_pi_g_n,
-                             is_torsion, member, negative_pell, order_psl2_zn,
+                             is_torsion, member, negative_pell,
                              prime_power_generator, qr_minus_one, scaled_mul,
                              torsion_search)
 
