@@ -24,11 +24,10 @@ print("E2 E3 + E3 E2 =", anti.coeffs[0], "(the pairing <E2, E3>)")
 # e2 = E3E1, e3 = E1E2.  Reduced trace and norm come from the reversal
 # involution; the matrix representation realizes it inside M4(Z).
 x = EvenCliffordElement(1, 2, 0, -1)
-fx = x.to_full(wehler)
 print("\nx =", x.coords)
-print("Tr(x) =", trace(fx, wehler), "  Nr(x) =", norm(fx, wehler))
+print("Tr(x) =", trace(x, wehler), "  Nr(x) =", norm(x, wehler))
 print("Phi(x) =", phi_rep(x, wehler))
-print("Nr(x)^2 == det Phi(x):", norm(fx, wehler) ** 2 == det(phi_rep(x, wehler)))
+print("Nr(x)^2 == det Phi(x):", norm(x, wehler) ** 2 == det(phi_rep(x, wehler)))
 
 # The bilinear form Tr(x y*)/2 on the even part has the closed Gram matrix
 # gram_B, whose determinant is exactly D0^2.
@@ -51,4 +50,4 @@ print("alternating-sum construction agrees with the closed form")
 p = GramParams.from_gram(((6, 0, 0), (0, -10, 0), (0, 0, -18)))
 alpha = OddCliffordElement(1, 0, 5, 1)      # 5 E2 + E3 + E1E2E3
 print("\nN(5 E2 + E3 + E1E2E3) over diag(6,-10,-18):",
-      norm(alpha.to_full(), p))
+      norm(alpha, p))

@@ -58,5 +58,6 @@ params6 = GramParams.from_gram(lat6.gram)
 refl = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
 print("\nreflection in the <-6> generator:")
 print("  in kernel:", in_discriminant_kernel(refl, lat6))
-print("  lift:", clifford_lift(refl, params6))
+lift6, n6 = clifford_lift(refl, params6)
+print("  lift:", lift6.coords, " N =", n6)
 print("  spinor norm:", spinor_norm(refl, params6))

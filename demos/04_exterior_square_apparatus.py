@@ -26,7 +26,7 @@ for i in range(3):
 # mu(x, 1) acts on P+ as the scalar Nr(x)  (and mu(1, x) likewise on P-):
 one = EvenCliffordElement(1, 0, 0, 0)
 x = EvenCliffordElement(2, 1, -1, 0)
-nx = norm(x.to_full(params), params)
+nx = norm(x, params)
 lp = lambda_plus_matrix(params)
 print("\nNr(x) =", nx)
 print("mu(x,1)|P+ == Nr(x) id:",
@@ -36,7 +36,7 @@ print("mu(x,1)|P+ == Nr(x) id:",
 # even and odd parts; on P- it is the scalar -Nx, on P+ it is (-Nx) eta_x
 # with eta_x(v) = -x^{-1} v x.
 y = OddCliffordElement(0, 1, 2, 1)
-ny = norm(y.to_full(), params)
+ny = norm(y, params)
 lm = lambda_minus_matrix(params)
 mt = mu_tilde_matrix(y, params)
 print("\nN(y) =", ny)

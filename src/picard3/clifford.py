@@ -7,18 +7,21 @@ Conventions.  The lattice has Gram matrix
            [ t,  s, 2c]]
 
 on the basis (E1, E2, E3), and the algebra is generated by the Ei subject to
-v*w + w*v = <v, w> (so Ei^2 = <Ei, Ei>/2, i.e. a, b, c).  A general element
-is stored by its 8 coordinates on the monomials E_S, S a subset of {1,2,3}
-taken in ascending order.  Products run on integers through per-lattice
-structure constants, and every sign in those is produced by the rewriting
-rules, never written down by hand.
-
-The even part carries the quaternion basis
+v*w + w*v = <v, w> (so Ei^2 = <Ei, Ei>/2, i.e. a, b, c).  The even part
+carries the quaternion basis
 
     e0 = 1,  e1 = E2*E3,  e2 = E3*E1,  e3 = E1*E2,
 
-the matrix embedding ``phi_rep``, the reduced trace/norm, and the central
-odd element E with E^2 = -D0 where D0 = disc(L)/8.
+and an element is stored by 8 coordinates on the monomials
+1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3, as integers over one common
+denominator.  Both grades are then slices of the 8 slots: EVEN_MASKS on
+(e0, e1, e2, e3) and ODD_MASKS on (E1E2E3, E1, E2, E3).  Products run on
+integers through per-lattice structure constants, and every sign in those is
+produced by the rewriting rules, never written down by hand.
+
+The module also gives the matrix embedding ``phi_rep`` of the even part, the
+reduced trace/norm, and the central odd element E with E^2 = -D0 where
+D0 = disc(L)/8.
 """
 
 from __future__ import annotations
@@ -27,15 +30,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import gcd, lcm
 
-from .linalg import clear_denominators, mat, mat_scale
+from .linalg import clear_denominators, identity, mat, mat_scale
 
-# Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.
+# Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.  Slot 5
+# holds E3*E1 rather than the ascending E1*E3, so that the even part sits on
+# the quaternion basis.
 DIM = 8
-MASK_NAMES = ("", "1", "2", "12", "3", "13", "23", "123")
+MASK_NAMES = ("", "1", "2", "12", "3", "31", "23", "123")
 NAME_TO_MASK = {name: i for i, name in enumerate(MASK_NAMES)}
-EVEN_MASKS = (0, 3, 5, 6)
-ODD_MASKS = (1, 2, 4, 7)
+# The slots of the coordinate charts: (e0, e1, e2, e3) = (1, E2E3, E3E1, E1E2)
+# of the even part, and (E1E2E3, E1, E2, E3) of the odd part.
+EVEN_MASKS = (0, 6, 5, 3)
+ODD_MASKS = (7, 1, 2, 4)
 GEN_MASKS = (1, 2, 4)  # E1, E2, E3
 # Gram tuples kept per table cache: acceptance families plus a verify round.
 PARAMS_CACHE_SIZE = 32
@@ -89,17 +97,59 @@ class GramParams:
         return Fraction(self.disc, 8)
 
 
-@dataclass(frozen=True)
 class CliffordElement:
-    """An element of Cl(L) tensor Q: 8 exact rational coordinates."""
+    """An element of Cl(L) tensor Q: 8 rational coordinates on the monomials
+    of MASK_NAMES, stored as the integers ``ints`` over the positive common
+    denominator ``den``, in lowest terms.
 
-    coeffs: tuple
+    Immutable; equal elements compare and hash equal.  ``coeffs`` and, for a
+    pure-grade element, ``coords`` give the coordinates as Fractions.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != DIM:
+    __slots__ = ("ints", "den")
+
+    def __init__(self, coeffs):
+        if len(coeffs) != DIM:
             raise ValueError("need 8 coefficients")
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(x) for x in self.coeffs))
+        den, ints = clear_denominators(
+            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs])
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CliffordElement is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, CliffordElement):
+            return NotImplemented
+        return self.ints == other.ints and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.ints, self.den))
+
+    def __repr__(self):
+        return f"CliffordElement(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return _element, (self.ints, self.den)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.ints)
+
+    @property
+    def coords(self) -> tuple:
+        """(x0, x1, x2, x3) on (e0, e1, e2, e3) for an even element, and
+        (x4, x1, x2, x3) on (E1E2E3, E1, E2, E3) for an odd one."""
+        if self.is_even:
+            masks = EVEN_MASKS
+        elif self.is_odd:
+            masks = ODD_MASKS
+        else:
+            raise ValueError("element is neither even nor odd")
+        return tuple(Fraction(self.ints[m], self.den) for m in masks)
 
     @staticmethod
     def zero() -> "CliffordElement":
@@ -121,38 +171,41 @@ class CliffordElement:
         return CliffordElement(tuple(c))
 
     def __add__(self, other):
-        return CliffordElement(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        d = lcm(self.den, other.den)
+        fx, fy = d // self.den, d // other.den
+        return _element([x * fx + y * fy for x, y in zip(self.ints, other.ints)], d)
 
     def __sub__(self, other):
-        return CliffordElement(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
-        return CliffordElement(tuple(-x for x in self.coeffs))
+        return _element([-x for x in self.ints], self.den)
 
     def scale(self, c) -> "CliffordElement":
-        return CliffordElement(tuple(c * x for x in self.coeffs))
+        c = Fraction(c)
+        return _element([c.numerator * x for x in self.ints], c.denominator * self.den)
 
     @property
     def even_part(self) -> "CliffordElement":
-        return CliffordElement(tuple(x if m in EVEN_MASKS else 0
-                                     for m, x in enumerate(self.coeffs)))
+        return _element([x if m in EVEN_MASKS else 0
+                         for m, x in enumerate(self.ints)], self.den)
 
     @property
     def odd_part(self) -> "CliffordElement":
-        return CliffordElement(tuple(x if m in ODD_MASKS else 0
-                                     for m, x in enumerate(self.coeffs)))
+        return _element([x if m in ODD_MASKS else 0
+                         for m, x in enumerate(self.ints)], self.den)
 
     @property
     def is_even(self) -> bool:
-        return all(self.coeffs[m] == 0 for m in ODD_MASKS)
+        return not any(self.ints[m] for m in ODD_MASKS)
 
     @property
     def is_odd(self) -> bool:
-        return all(self.coeffs[m] == 0 for m in EVEN_MASKS)
+        return not any(self.ints[m] for m in EVEN_MASKS)
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.coeffs)
+        return self.den == 1
 
     def to_json(self) -> dict:
         return {"coeffs": {MASK_NAMES[m]: str(x)
@@ -166,100 +219,38 @@ class CliffordElement:
         return CliffordElement(tuple(c))
 
 
-@dataclass(frozen=True)
-class EvenCliffordElement:
-    """Coordinates (x0, x1, x2, x3) on the quaternion basis (e0, e1, e2, e3)."""
-
-    x0: Fraction
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
-
-    def __post_init__(self):
-        for f in ("x0", "x1", "x2", "x3"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
-
-    @property
-    def coords(self):
-        return (self.x0, self.x1, self.x2, self.x3)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.coords)
-
-    def to_full(self, params: GramParams) -> CliffordElement:
-        return CliffordElement(tuple(even_slots(self.coords, params.t)))
-
-    @staticmethod
-    def from_full(x: CliffordElement, params: GramParams) -> "EvenCliffordElement":
-        if not x.is_even:
-            raise ValueError("element is not even")
-        return EvenCliffordElement(*even_coords(x.coeffs, params.t))
+def _element(ints, den: int) -> CliffordElement:
+    """The element with integer coordinates ints over den > 0, reduced."""
+    g = gcd(den, *ints)
+    x = object.__new__(CliffordElement)
+    object.__setattr__(x, "ints", tuple(ints) if g == 1 else tuple(v // g for v in ints))
+    object.__setattr__(x, "den", den // g)
+    return x
 
 
-@dataclass(frozen=True)
-class OddCliffordElement:
-    """Coordinates (x4, x1, x2, x3) on the basis (E1E2E3, E1, E2, E3)."""
-
-    x4: Fraction
-    x1: Fraction
-    x2: Fraction
-    x3: Fraction
-
-    def __post_init__(self):
-        for f in ("x4", "x1", "x2", "x3"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
-
-    @property
-    def coords(self):
-        return (self.x4, self.x1, self.x2, self.x3)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.coords)
-
-    def to_full(self) -> CliffordElement:
-        return CliffordElement(tuple(odd_slots(self.coords)))
-
-    @staticmethod
-    def from_full(x: CliffordElement) -> "OddCliffordElement":
-        if not x.is_odd:
-            raise ValueError("element is not odd")
-        return OddCliffordElement(*odd_coords(x.coeffs))
+def _scalar(n: int, d: int):
+    """n / d as an int when it is integral, else as a Fraction."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
 
 
-def even_slots(coords, t: int) -> list:
-    """The 8 coordinates of the even element with coordinates coords on
-    (e0, e1, e2, e3).  e2 = E3*E1 = t - E1*E3, so the e2 coordinate feeds
-    both the scalar and the E1E3 slots."""
-    x0, x1, x2, x3 = coords
-    return [x0 + t * x2, 0, 0, x3, 0, -x2, x1, 0]
+def EvenCliffordElement(x0, x1, x2, x3) -> CliffordElement:  # noqa: N802
+    """The even element x0 e0 + x1 e1 + x2 e2 + x3 e3."""
+    return CliffordElement((x0, 0, 0, x3, 0, x2, x1, 0))
 
 
-def even_coords(w, t: int) -> tuple:
-    """The (e0, e1, e2, e3) coordinates of an even element's 8 coordinates w."""
-    return (w[0] + t * w[5], w[6], -w[5], w[3])
+def OddCliffordElement(x4, x1, x2, x3) -> CliffordElement:  # noqa: N802
+    """The odd element x4 E1E2E3 + x1 E1 + x2 E2 + x3 E3."""
+    return CliffordElement((0, x1, x2, 0, x3, 0, 0, x4))
 
 
-def odd_slots(coords) -> list:
-    """The 8 coordinates of the odd element with coordinates coords on
-    (E1E2E3, E1, E2, E3)."""
-    x4, x1, x2, x3 = coords
-    return [0, x1, x2, 0, x3, 0, 0, x4]
-
-
-def odd_coords(w) -> tuple:
-    """The (E1E2E3, E1, E2, E3) coordinates of an odd element's 8 coordinates w."""
-    return (w[7], w[1], w[2], w[4])
-
-
-# The generators E1, E2, E3 (as 0, 1, 2) of each monomial, in ascending order.
-_WORDS = tuple(tuple(i for i in range(3) if m >> i & 1) for m in range(DIM))
+# The generators E1, E2, E3 (as 0, 1, 2) of each monomial; E3E1 in slot 5.
+_WORDS = ((), (0,), (1,), (0, 1), (2,), (2, 0), (1, 2), (0, 1, 2))
 
 
 def _rewrite(word: tuple, q, c: int, out: list):
     """Add c times the product of the generators in word to the coordinate
-    list out, reducing to ascending monomials by the rewriting rules
+    list out, reducing to the monomials of _WORDS by the rewriting rules
     Ei Ei = <Ei, Ei>/2 and Ei Ej = <Ei, Ej> - Ej Ei, where q is the Gram
     matrix."""
     for k in range(len(word) - 1):
@@ -269,6 +260,9 @@ def _rewrite(word: tuple, q, c: int, out: list):
         if i > j:
             _rewrite(word[:k] + word[k + 2:], q, c * q[i][j], out)
             return _rewrite(word[:k] + (j, i) + word[k + 2:], q, -c, out)
+    if word == (0, 2):  # E1E3 = <E1, E3> - E3E1
+        out[0] += c * q[0][2]
+        c = -c
     out[sum(1 << i for i in word)] += c
 
 
@@ -284,7 +278,7 @@ def _nonzero_terms(prefix: tuple, word: tuple, params: GramParams):
 def _mult_table(params: GramParams) -> tuple:
     """The structure constants as integer terms (m1, m2, m3, c), c != 0:
     E_m1 * E_m2 is the sum of c * E_m3 over the terms for (m1, m2).  There
-    are 52 for the family lattices U(k) + <2l> and at most 112 in general."""
+    are 55 for the family lattices U(k) + <2l> and at most 119 in general."""
     return tuple(t for m1 in range(DIM) for m2 in range(DIM)
                  for t in _nonzero_terms((m1, m2), _WORDS[m1] + _WORDS[m2], params))
 
@@ -297,20 +291,12 @@ def integer_mul(xs, ys, params: GramParams) -> list:
     return out
 
 
-def _from_integers(w, d: int) -> CliffordElement:
-    """The element with coordinates w / d."""
-    return CliffordElement(tuple(w) if d == 1 else tuple(Fraction(x, d) for x in w))
-
-
 def clifford_mul(x: CliffordElement, y: CliffordElement,
                  params: GramParams) -> CliffordElement:
-    """Product in Cl(L), by the rewriting rules Ei Ej = <Ei,Ej> - Ej Ei.
-
-    Both factors are scaled to integer coordinates, multiplied through the
-    integer structure constants, and divided once at the end."""
-    dx, xs = clear_denominators(x.coeffs)
-    dy, ys = clear_denominators(y.coeffs)
-    return _from_integers(integer_mul(xs, ys, params), dx * dy)
+    """Product in Cl(L), by the rewriting rules Ei Ej = <Ei,Ej> - Ej Ei:
+    the integer coordinates multiply through the integer structure
+    constants, over the product of the denominators."""
+    return _element(integer_mul(x.ints, y.ints, params), x.den * y.den)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -331,19 +317,17 @@ def integer_reversal(xs, params: GramParams) -> list:
 
 def reversal(x: CliffordElement, params: GramParams) -> CliffordElement:
     """The involution * (reversal of tensor factors), an anti-automorphism."""
-    d, xs = clear_denominators(x.coeffs)
-    return _from_integers(integer_reversal(xs, params), d)
+    return _element(integer_reversal(x.ints, params), x.den)
 
 
 def trace(x: CliffordElement, params: GramParams):
     """Reduced trace Tr(x) = x + x* of an even element (a scalar)."""
     if not x.is_even:
         raise ValueError("reduced trace is defined on the even part")
-    s = x + reversal(x, params)
-    if any(s.coeffs[m] != 0 for m in range(1, DIM)):
+    s = [a + b for a, b in zip(x.ints, integer_reversal(x.ints, params))]
+    if any(s[1:]):
         raise AssertionError("x + x* is not scalar")
-    val = s.coeffs[0]
-    return val.numerator if val.denominator == 1 else val
+    return _scalar(s[0], x.den)
 
 
 def integer_norm(xs, params: GramParams) -> int:
@@ -359,29 +343,28 @@ def integer_norm(xs, params: GramParams) -> int:
 
 def norm(x: CliffordElement, params: GramParams):
     """N x = x * x^* for a pure even or pure odd element (a scalar)."""
-    d, xs = clear_denominators(x.coeffs)
-    val = Fraction(integer_norm(xs, params), d * d)
-    return val.numerator if val.denominator == 1 else val
+    return _scalar(integer_norm(x.ints, params), x.den * x.den)
 
 
-def phi_rep(x: EvenCliffordElement, params: GramParams):
+def phi_rep(x: CliffordElement, params: GramParams):
     """The 4x4 matrix representation of the even part (left multiplication):
     x0 I + x1 M1 + x2 M2 + x3 M3 for the printed matrices M_i of left
-    multiplication by e_i, written out entry by entry.  The coordinates are
-    cleared to integers first, and the result is divided once when x is not
-    integral."""
+    multiplication by e_i, written out entry by entry in the integer
+    coordinates, and divided once when x is not integral."""
+    if not x.is_even:
+        raise ValueError("phi_rep requires an even element")
     a, b, c, s, t, u = (params.a, params.b, params.c,
                         params.s, params.t, params.u)
-    d, (x0, x1, x2, x3) = clear_denominators(x.coords)
+    x0, x1, x2, x3 = (x.ints[m] for m in EVEN_MASKS)
     res = ((x0, -b * c * x1 - s * t * x2 + b * t * x3,
             c * u * x1 - a * c * x2 - t * u * x3,
             -s * u * x1 + a * s * x2 - a * b * x3),
            (x1, x0 + s * x1 + t * x2, a * x3, u * x1 - a * x2),
            (x2, s * x2 - b * x3, x0 + t * x2 + u * x3, b * x1),
            (x3, c * x2, t * x3 - c * x1, x0 + s * x1 + u * x3))
-    if d == 1:
+    if x.den == 1:
         return res
-    return tuple(tuple(Fraction(v, d) for v in row) for row in res)
+    return tuple(tuple(Fraction(v, x.den) for v in row) for row in res)
 
 
 def gram_B(params: GramParams):
@@ -401,19 +384,14 @@ def element_E(params: GramParams) -> CliffordElement:
     Satisfies Ex = xE for all x, E* = -E and E^2 = -D0.  The sign of E is a
     global convention; this closed form fixes it.
     """
-    c = [Fraction(0)] * DIM
-    c[7] = Fraction(1)
-    c[1] = Fraction(-params.s, 2)
-    c[2] = Fraction(params.t, 2)
-    c[4] = Fraction(-params.u, 2)
-    return CliffordElement(tuple(c))
+    return _element([0, -params.s, params.t, 0, -params.u, 0, 0, 2], 2)
 
 
-def tilde_e(i: int, params: GramParams) -> EvenCliffordElement:
+def tilde_e(i: int, params: GramParams) -> CliffordElement:
     """The trace-zero projection e_i - Tr(e_i)/2 for i in {1, 2, 3}."""
     tr = {1: params.s, 2: params.t, 3: params.u}[i]
     coords = [Fraction(-tr, 2), 0, 0, 0]
-    coords[i] = Fraction(1)
+    coords[i] = 1
     return EvenCliffordElement(*coords)
 
 
@@ -422,13 +400,12 @@ def v_dot_E(v, params: GramParams) -> CliffordElement:
     return clifford_mul(CliffordElement.vector(v), element_E(params), params)
 
 
-def pairing_E(x: EvenCliffordElement, y: OddCliffordElement,
-              params: GramParams):
-    """(x, y)_E: the E1E2E3-coefficient of x * y*."""
-    prod = clifford_mul(x.to_full(params),
-                        reversal(y.to_full(), params), params)
-    val = prod.coeffs[7]
-    return val.numerator if val.denominator == 1 else val
+def pairing_E(x: CliffordElement, y: CliffordElement, params: GramParams):
+    """(x, y)_E for even x and odd y: the E1E2E3-coefficient of x * y*."""
+    if not (x.is_even and y.is_odd):
+        raise ValueError("pairing_E pairs an even with an odd element")
+    prod = integer_mul(x.ints, integer_reversal(y.ints, params), params)
+    return _scalar(prod[7], x.den * y.den)
 
 
 def odd_gram(params: GramParams, basis_choice: str = "standard"):
@@ -438,17 +415,10 @@ def odd_gram(params: GramParams, basis_choice: str = "standard"):
     ``dual``: basis (-E1E2E3 - t E2, E1, E2, E3), dual to (e_i) under the
     pairing (,)_E; its Gram equals D0 * Q_B^{-1}.
     """
-    if basis_choice == "standard":
-        basis = [OddCliffordElement(1, 0, 0, 0).to_full(),
-                 OddCliffordElement(0, 1, 0, 0).to_full(),
-                 OddCliffordElement(0, 0, 1, 0).to_full(),
-                 OddCliffordElement(0, 0, 0, 1).to_full()]
-    elif basis_choice == "dual":
-        basis = [OddCliffordElement(-1, 0, -params.t, 0).to_full(),
-                 OddCliffordElement(0, 1, 0, 0).to_full(),
-                 OddCliffordElement(0, 0, 1, 0).to_full(),
-                 OddCliffordElement(0, 0, 0, 1).to_full()]
-    else:
+    basis = [OddCliffordElement(*e) for e in identity(4)]
+    if basis_choice == "dual":
+        basis[0] = OddCliffordElement(-1, 0, -params.t, 0)
+    elif basis_choice != "standard":
         raise ValueError("basis_choice must be 'standard' or 'dual'")
     out = []
     for x in basis:
@@ -482,7 +452,8 @@ def alternating_E(params: GramParams):
         term = integer_mul(integer_mul(gens[perm[0]], gens[perm[1]], params),
                            gens[perm[2]], params)
         acc6 = [x + sign * y for x, y in zip(acc6, term)]
-    if any(x != 6 * y for x, y in zip(acc6, element_E(params).coeffs)):
+    E = _element(acc6, 6)
+    if E != element_E(params):
         raise AssertionError("alternating sum disagrees with the closed form of E")
 
     hats2 = [[x - y for x, y in zip(integer_mul(gens[a], gens[b], params),
@@ -495,8 +466,7 @@ def alternating_E(params: GramParams):
         rhs = [sum(q[i][j] * h[m] for j, h in enumerate(hats2)) for m in range(DIM)]
         if any(2 * x != 3 * y for x, y in zip(lhs, rhs)):
             raise AssertionError("Ei * E != sum <Ei,Ej>_0 Ehat_j")
-    return (_from_integers(acc6, 6),
-            tuple(_from_integers(h, 2) for h in hats2))
+    return E, tuple(_element(h, 2) for h in hats2)
 
 
 def _perm_sign(perm) -> int:

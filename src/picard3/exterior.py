@@ -14,16 +14,18 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .clifford import (EVEN_MASKS, GEN_MASKS, PARAMS_CACHE_SIZE,
-                       EvenCliffordElement, GramParams, OddCliffordElement,
-                       _mult_table, even_coords, even_slots, integer_mul,
-                       integer_norm, integer_reversal, norm, odd_coords,
-                       odd_slots, reversal)
-from .linalg import (clear_denominators, identity, inverse, mat, mat_mul,
-                     smith_normal_form, transpose)
+from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
+                       PARAMS_CACHE_SIZE, CliffordElement, GramParams,
+                       _mult_table, integer_mul, integer_norm,
+                       integer_reversal, norm, reversal)
+from .linalg import inverse, mat, mat_mul, smith_normal_form, transpose
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
 WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+
+# The bases (e0, e1, e2, e3) and (E1E2E3, E1, E2, E3) as integer coordinates.
+_EVEN_BASIS = tuple(tuple(int(m == s) for m in range(DIM)) for s in EVEN_MASKS)
+_ODD_BASIS = tuple(tuple(int(m == s) for m in range(DIM)) for s in ODD_MASKS)
 
 # Gram matrix of <,>_W: dual pairs (e01,e23), (e02,e31), (e03,e12)
 GRAM_W = mat([[0, 0, 0, 1, 0, 0],
@@ -112,20 +114,20 @@ def _divided(m, d: int):
     return tuple(tuple(Fraction(x, d) for x in row) for row in m)
 
 
-def mu_matrix(x: EvenCliffordElement, y: EvenCliffordElement,
-              params: GramParams):
-    """Matrix of mu(x, y): h1 ^ h2 -> x h1 y ^ x h2 y on the e_ij basis.
+def mu_matrix(x: CliffordElement, y: CliffordElement, params: GramParams):
+    """Matrix of mu(x, y): h1 ^ h2 -> x h1 y ^ x h2 y on the e_ij basis, for
+    even x and y.
 
-    x and y are scaled to integer coordinates (denominators dx, dy), so the
-    images x e_i y and their wedges are integers, divided by (dx dy)^2 once.
+    The images of the e_i under the integer coordinates of x and y, and
+    their wedges, are integers, divided by (dx dy)^2 once for the
+    denominators dx, dy.
     """
-    t = params.t
-    dx, xs = clear_denominators(x.coords)
-    dy, ys = clear_denominators(y.coords)
-    xf, yf = even_slots(xs, t), even_slots(ys, t)
-    imgs = [even_coords(integer_mul(integer_mul(xf, even_slots(e, t), params),
-                                    yf, params), t) for e in identity(4)]
-    return _divided(_wedge_square(imgs), (dx * dy) ** 2)
+    if not (x.is_even and y.is_even):
+        raise ValueError("mu requires even elements")
+    imgs = [integer_mul(integer_mul(x.ints, e, params), y.ints, params)
+            for e in _EVEN_BASIS]
+    return _divided(_wedge_square([[w[m] for m in EVEN_MASKS] for w in imgs]),
+                    (x.den * y.den) ** 2)
 
 
 def _pairing_matrix(params: GramParams):
@@ -133,10 +135,9 @@ def _pairing_matrix(params: GramParams):
     the E1E2E3-coordinate of e_i F_j*, from the structure constants that
     land on E1E2E3."""
     top = [(m1, m2, c) for m1, m2, m3, c in _mult_table(params) if m3 == 7]
-    evens = [even_slots(e, params.t) for e in identity(4)]
-    stars = [integer_reversal(odd_slots(f), params) for f in identity(4)]
+    stars = [integer_reversal(f, params) for f in _ODD_BASIS]
     return tuple(tuple(sum(c * e[m1] * f[m2] for m1, m2, c in top)
-                       for f in stars) for e in evens)
+                       for f in stars) for e in _EVEN_BASIS)
 
 
 def _compound_matrix(t):
@@ -167,47 +168,36 @@ def iota_inverse_matrix(params: GramParams):
     return mat_mul(GRAM_W, c)
 
 
-def _odd_integers(x):
-    """(d, w): an OddCliffordElement or a CliffordElement x scaled to the
-    integer coordinate list w = d x on the 8 monomials."""
-    if isinstance(x, OddCliffordElement):
-        return clear_denominators(odd_slots(x.coords))
-    return clear_denominators(x.coeffs)
-
-
-def mu_tilde_matrix(x, params: GramParams):
+def mu_tilde_matrix(x: CliffordElement, params: GramParams):
     """Matrix of mu~(x): h1 ^ h2 -> iota^{-1}(h1 x ^ h2 x), for odd x, Nx != 0.
 
-    ``x`` may be an OddCliffordElement or an odd CliffordElement (rational
-    coordinates allowed, e.g. the central element E).  With x scaled to
-    integers d x, the images e_i x and their wedges are integers, divided by
-    d^2 once.
+    x may have rational coordinates (e.g. the central element E).  The
+    images e_i x under its integer coordinates, and their wedges, are
+    integers, divided by d^2 once for its denominator d.
     """
-    d, xs = _odd_integers(x)
-    if any(xs[m] for m in EVEN_MASKS):
+    if not x.is_odd:
         raise ValueError("mu~ requires an odd element")
-    if integer_norm(xs, params) == 0:
+    if integer_norm(x.ints, params) == 0:
         raise ValueError("mu~ requires N x != 0")
-    t = params.t
-    imgs = [odd_coords(integer_mul(even_slots(e, t), xs, params))
-            for e in identity(4)]
-    return _divided(mat_mul(iota_inverse_matrix(params), _wedge_square(imgs)),
-                    d * d)
+    imgs = [integer_mul(e, x.ints, params) for e in _EVEN_BASIS]
+    return _divided(mat_mul(iota_inverse_matrix(params),
+                            _wedge_square([[w[m] for m in ODD_MASKS] for w in imgs])),
+                    x.den ** 2)
 
 
-def eta_matrix(x, params: GramParams):
+def eta_matrix(x: CliffordElement, params: GramParams):
     """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0.
 
-    With x scaled to integers d x, the image of v is -(d x*) v (d x) divided
-    by d^2 N x, so the d^2 cancels."""
-    _, xs = _odd_integers(x)
+    With x scaled to its integer coordinates d x, the image of v is
+    -(d x*) v (d x) divided by d^2 N x, so the d^2 cancels."""
+    xs = x.ints
     n = integer_norm(xs, params)
     if n == 0:
         raise ValueError("eta requires N x != 0")
     xstar = integer_reversal(xs, params)
     cols = []
     for g in GEN_MASKS:
-        img = integer_mul(integer_mul(xstar, [int(m == g) for m in range(8)],
+        img = integer_mul(integer_mul(xstar, [int(m == g) for m in range(DIM)],
                                       params), xs, params)
         if img[7] != 0:
             raise AssertionError("eta image left L (x) Q")
@@ -229,11 +219,8 @@ def lambda_minus_matrix(params: GramParams):
     return _stack(p_bases(params).minus)
 
 
-def mu_of_unit_conjugation(alpha: EvenCliffordElement, params: GramParams):
-    """mu(alpha, alpha^{-1}) for a unit alpha: equals mu(alpha, alpha*)."""
-    af = alpha.to_full(params)
-    n = norm(af, params)
-    if n not in (1, -1):
+def mu_of_unit_conjugation(alpha: CliffordElement, params: GramParams):
+    """mu(alpha, alpha^{-1}) for an even unit alpha: equals mu(alpha, alpha*)."""
+    if norm(alpha, params) not in (1, -1):
         raise ValueError("alpha must be a unit")
-    astar = EvenCliffordElement.from_full(reversal(af, params), params)
-    return mu_matrix(alpha, astar, params)
+    return mu_matrix(alpha, reversal(alpha, params), params)

@@ -20,17 +20,19 @@ rank-1 matrix (x_p x_q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .clifford import (GEN_MASKS, PARAMS_CACHE_SIZE, CliffordElement,
-                       EvenCliffordElement, GramParams, OddCliffordElement,
-                       clifford_mul, integer_mul, integer_reversal, norm)
+from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
+                       PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
+                       GramParams, OddCliffordElement, clifford_mul,
+                       integer_mul, integer_reversal, norm)
 from .lattice import (Lattice, in_discriminant_kernel, is_isometry,
                       preserves_positive_cone)
-from .linalg import (adjugate, identity, mat, primitive_vector, sign_normalize,
-                     squarefree_part, to_int)
+from .linalg import adjugate, mat, primitive_vector, sign_normalize, squarefree_part
+
+# The slots of the unit coordinates of each grade.
+_CHARTS = {"even": EVEN_MASKS, "odd": ODD_MASKS}
 
 
 class Isometry3:
@@ -78,34 +80,29 @@ class CliffordUnit:
     coordinate is positive.
     """
 
-    element: object  # EvenCliffordElement | OddCliffordElement
+    element: CliffordElement
     grade: str       # "even" | "odd"
     norm: int
 
     @staticmethod
-    def from_element(elem, params: GramParams) -> "CliffordUnit":
-        if isinstance(elem, EvenCliffordElement):
-            grade, full = "even", elem.to_full(params)
-        elif isinstance(elem, OddCliffordElement):
-            grade, full = "odd", elem.to_full()
+    def from_element(elem: CliffordElement, params: GramParams) -> "CliffordUnit":
+        if elem.is_even:
+            grade = "even"
+        elif elem.is_odd:
+            grade = "odd"
         else:
-            raise TypeError("need an even or odd Clifford element")
+            raise ValueError("a unit is even or odd")
         if not elem.is_integral:
             raise ValueError("unit must have integral coordinates")
-        n = norm(full, params)
+        n = norm(elem, params)
         if n not in (1, -1):
             raise ValueError(f"not a unit: N = {n}")
-        coords = sign_normalize(elem.coords)
-        cls = EvenCliffordElement if grade == "even" else OddCliffordElement
-        return CliffordUnit(cls(*coords), grade, n)
+        coords = elem.coords
+        return CliffordUnit(elem if sign_normalize(coords) == coords else -elem,
+                            grade, n)
 
-    def full(self, params: GramParams) -> CliffordElement:
-        if self.grade == "even":
-            return self.element.to_full(params)
-        return self.element.to_full()
-
-    def to_json(self, params: GramParams) -> dict:
-        out = self.full(params).to_json()
+    def to_json(self) -> dict:
+        out = self.element.to_json()
         out["grade"] = self.grade
         return out
 
@@ -113,12 +110,8 @@ class CliffordUnit:
 def unit_product(u1: CliffordUnit, u2: CliffordUnit,
                  params: GramParams) -> CliffordUnit:
     """Product of two units (grades multiply by parity)."""
-    full = clifford_mul(u1.full(params), u2.full(params), params)
-    if full.is_even:
-        elem = EvenCliffordElement.from_full(full, params)
-    else:
-        elem = OddCliffordElement.from_full(full)
-    return CliffordUnit.from_element(elem, params)
+    return CliffordUnit.from_element(clifford_mul(u1.element, u2.element, params),
+                                     params)
 
 
 # The monomials x_p x_q (p <= q) of the four unit coordinates, and the
@@ -137,11 +130,7 @@ def _unit_forms(params: GramParams, grade: str):
     alpha E_{j+1} alpha*; the last row holds N(alpha) = alpha alpha*.  M is
     invertible because Sym^2 of the 4-dimensional grade is End(L (x) Q) + Q.
     """
-    if grade == "even":
-        basis = [EvenCliffordElement(*e).to_full(params) for e in identity(4)]
-    else:
-        basis = [OddCliffordElement(*e).to_full() for e in identity(4)]
-    basis = [[int(c) for c in b.coeffs] for b in basis]
+    basis = [[int(m == s) for m in range(DIM)] for s in _CHARTS[grade]]
     stars = [integer_reversal(b, params) for b in basis]
 
     def symmetrized(left):
@@ -156,7 +145,7 @@ def _unit_forms(params: GramParams, grade: str):
 
     rows = [None] * 10
     for j, m in enumerate(GEN_MASKS):
-        gen = [int(i == m) for i in range(8)]
+        gen = [int(i == m) for i in range(DIM)]
         terms = symmetrized([integer_mul(b, gen, params) for b in basis])
         if any(t[7] != 0 for t in terms):
             raise AssertionError("conjugation image left L (x) Q")
@@ -172,9 +161,13 @@ def _unit_forms(params: GramParams, grade: str):
         raise AssertionError(f"det M = 0 for the {grade} units of {params}") from None
 
 
-def _evaluate(forms, coords) -> list:
-    """[Q_11(x), Q_12(x), ..., Q_33(x), N(x)] at the unit coordinates x."""
-    x = [c.numerator if c.denominator == 1 else c for c in coords]
+def _unit_coords(unit: CliffordUnit) -> list:
+    """The integer coordinates of a unit on the chart of its grade."""
+    return [unit.element.ints[m] for m in _CHARTS[unit.grade]]
+
+
+def _evaluate(forms, x) -> list:
+    """[Q_11(x), Q_12(x), ..., Q_33(x), N(x)] at the integer unit coordinates x."""
     monos = [x[p] * x[q] for p, q in _MONOMIALS]
     return [sum(map(mul, row, monos)) for row in forms]
 
@@ -182,7 +175,7 @@ def _evaluate(forms, coords) -> list:
 def _conjugation(unit: CliffordUnit, eps: int, params: GramParams):
     """Matrix of v -> eps * alpha v alpha^{-1} on (E1, E2, E3), which is
     eps * Q_ij(x) / N(x) entry by entry; raises if it is not integral."""
-    vals = _evaluate(_unit_forms(params, unit.grade)[0], unit.element.coords)
+    vals = _evaluate(_unit_forms(params, unit.grade)[0], _unit_coords(unit))
     entries = [divmod(eps * v, vals[9]) for v in vals[:9]]
     if any(r != 0 for _, r in entries):
         raise AssertionError("conjugation matrix is not integral")
@@ -218,7 +211,7 @@ def g_alpha(unit: CliffordUnit, params: GramParams):
 
 def phi_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """phi_alpha = eps*(N alpha)*h_alpha = (v -> alpha v alpha*); det = N alpha."""
-    vals = _evaluate(_unit_forms(params, unit.grade)[0], unit.element.coords)
+    vals = _evaluate(_unit_forms(params, unit.grade)[0], _unit_coords(unit))
     iso = Isometry3(tuple(tuple(vals[3 * i:3 * i + 3]) for i in range(3)),
                     _lattice(params))
     if iso.det != unit.norm:
@@ -263,8 +256,7 @@ def spinor_norm(g, params: GramParams) -> int:
     _, n = clifford_lift(g, params)
     if n == 0:
         raise ValueError("lift has norm 0")
-    num = Fraction(n)
-    return squarefree_part(num.numerator * num.denominator)
+    return squarefree_part(n)
 
 
 def p_alpha_matrix(alpha, k: int, l: int) -> Isometry3:
@@ -280,14 +272,11 @@ def p_alpha_matrix(alpha, k: int, l: int) -> Isometry3:
     dt = a * d - b * c
     if dt not in (1, -1):
         raise ValueError("det(alpha) must be +-1")
-    rows = [
-        [a * a, 2 * a * b, Fraction(-k, l) * b * b],
-        [a * c, a * d + b * c, Fraction(-k, l) * b * d],
-        [Fraction(-l, k) * c * c, Fraction(-l, k) * 2 * c * d, d * d],
-    ]
-    p = to_int(mat(rows))
-    lat = Lattice(((0, 0, k), (0, 2 * l, 0), (k, 0, 0)))
-    return Isometry3(p, lat)
+    b_l, c_k = b // l, c // k
+    rows = ((a * a, 2 * a * b, -k * b_l * b),
+            (a * c, a * d + b * c, -k * b_l * d),
+            (-l * c_k * c, -2 * l * c_k * d, d * d))
+    return Isometry3(rows, _lattice(GramParams(0, l, 0, 0, k, 0)))
 
 
 def family_unit(alpha, k: int, l: int) -> CliffordUnit:
@@ -300,9 +289,8 @@ def family_unit(alpha, k: int, l: int) -> CliffordUnit:
     if (a - d) % k != 0 or c % k != 0 or b % l != 0:
         raise ValueError("alpha is not in B_{k,l}")
     params = GramParams(0, l, 0, 0, k, 0)
-    elem = EvenCliffordElement(d, Fraction(b, l), Fraction(a - d, k),
-                               Fraction(c, k))
-    return CliffordUnit.from_element(elem, params)
+    return CliffordUnit.from_element(
+        EvenCliffordElement(d, b // l, (a - d) // k, c // k), params)
 
 
 def unit_search_even(k: int, l: int, bound: int):

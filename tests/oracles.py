@@ -122,6 +122,18 @@ def isometry_scan(lat: Lattice, bound: int):
 
 
 # ------------------------------------------------ the Fraction Clifford kernel
+#
+# These oracles work on the ascending monomials, where slot 5 holds E1E3; the
+# library's slot 5 holds E3E1.  ascending() converts in either direction.
+
+def ascending(x: CliffordElement, params) -> CliffordElement:
+    """x with slot 5 re-expressed between E3E1 and E1E3.  E3E1 = t - E1E3
+    (t = <E1, E3>) and E1E3 = t - E3E1, so the map is its own inverse."""
+    c = list(x.coeffs)
+    c[0] += params.t * c[5]
+    c[5] = -c[5]
+    return CliffordElement(tuple(c))
+
 
 def _mono_times_gen(mono: tuple, j: int, pair, half):
     """E_mono * E_j as a list of (coeff, mono) terms, monos ascending."""
@@ -153,7 +165,8 @@ def _monomial_product(m1: int, m2: int, params) -> list:
 
 
 def rewrite_mul(x: CliffordElement, y: CliffordElement, params) -> tuple:
-    """The coordinates of x * y, multiplied monomial by monomial in Fractions."""
+    """The coordinates of x * y, multiplied monomial by monomial in Fractions
+    (ascending monomials)."""
     out = [Fraction(0)] * 8
     for m1, c1 in enumerate(x.coeffs):
         for m2, c2 in enumerate(y.coeffs):
@@ -164,7 +177,8 @@ def rewrite_mul(x: CliffordElement, y: CliffordElement, params) -> tuple:
 
 
 def rewrite_reversal(x: CliffordElement, params) -> tuple:
-    """The coordinates of x*, each monomial's generators multiplied in reverse."""
+    """The coordinates of x*, each monomial's generators multiplied in reverse
+    (ascending monomials)."""
     out = [Fraction(0)] * 8
     for m, c in enumerate(x.coeffs):
         acc = CliffordElement.scalar(c)
@@ -187,16 +201,17 @@ def _norm(x, params):
 
 def conjugation_matrix(alpha: CliffordElement, eps: int, params):
     """Matrix of v -> eps * alpha v alpha^{-1} on (E1, E2, E3), by
-    conjugating each generator in the Fraction kernel."""
+    conjugating each generator in the Fraction kernel (alpha on the
+    ascending monomials)."""
     n = _norm(alpha, params)
     astar = CliffordElement(rewrite_reversal(alpha, params))
     cols = []
     for m in (1, 2, 4):
         img = _mul(_mul(alpha, CliffordElement.basis(m), params), astar, params)
         img = img.scale(Fraction(eps) / n)
-        oc = OddCliffordElement.from_full(img)
-        assert oc.x4 == 0, "conjugation image left L (x) Q"
-        cols.append((oc.x1, oc.x2, oc.x3))
+        x4, x1, x2, x3 = img.coords
+        assert x4 == 0, "conjugation image left L (x) Q"
+        cols.append((x1, x2, x3))
     return mat(tuple(zip(*cols)))
 
 
@@ -208,7 +223,7 @@ def kernel_lift(g, params):
     eps = iso.det
     cls = EvenCliffordElement if eps == 1 else OddCliffordElement
     unit = [cls(*[int(i == j) for j in range(4)]) for i in range(4)]
-    basis = [b.to_full(params) if eps == 1 else b.to_full() for b in unit]
+    basis = [ascending(b, params) for b in unit]
     rows = []
     for i, m in enumerate((1, 2, 4)):
         v = CliffordElement.basis(m)
@@ -216,16 +231,13 @@ def kernel_lift(g, params):
         cols = []
         for bj in basis:
             term = _mul(bj, v, params) - _mul(gv, bj, params).scale(eps)
-            if eps == 1:
-                cols.append(OddCliffordElement.from_full(term).coords)
-            else:
-                cols.append(EvenCliffordElement.from_full(term, params).coords)
+            cols.append(ascending(term, params).coords)
         for r in range(4):
             rows.append(tuple(col[r] for col in cols))
     ker = kernel_basis(mat(rows))
     assert len(ker) == 1, f"lift space has dimension {len(ker)}"
     elem = cls(*primitive_vector(ker[0]))
-    full = elem.to_full(params) if eps == 1 else elem.to_full()
+    full = ascending(elem, params)
     assert conjugation_matrix(full, eps, params) == iso.matrix, "lift does not reproduce g"
     return elem, _norm(full, params)
 
@@ -319,7 +331,7 @@ def phi_generators(params):
     return m1, m2, m3
 
 
-def phi_rep_by_fractions(x: EvenCliffordElement, params):
+def phi_rep_by_fractions(x: CliffordElement, params):
     """The 4x4 matrix x0 I + x1 M1 + x2 M2 + x3 M3, by 64 Fraction
     multiply-adds; ints when x is integral."""
     m1, m2, m3 = phi_generators(params)
@@ -334,9 +346,8 @@ def phi_rep_by_fractions(x: EvenCliffordElement, params):
     return res
 
 
-def _even_basis(params):
-    return [EvenCliffordElement(*[int(i == j) for j in range(4)]).to_full(params)
-            for i in range(4)]
+def _even_basis():
+    return [EvenCliffordElement(*[int(i == j) for j in range(4)]) for i in range(4)]
 
 
 def wedge_of_even(p: tuple, q: tuple) -> WElement:
@@ -345,12 +356,10 @@ def wedge_of_even(p: tuple, q: tuple) -> WElement:
 
 
 def mu_matrix_by_fractions(x, y, params):
-    """mu(x, y) through to_full, two Clifford products and from_full per
-    basis element, wedged in Fractions."""
-    xf, yf = x.to_full(params), y.to_full(params)
-    imgs = [EvenCliffordElement.from_full(
-        clifford_mul(clifford_mul(xf, e, params), yf, params), params).coords
-        for e in _even_basis(params)]
+    """mu(x, y) through two Clifford products per basis element, wedged in
+    Fractions."""
+    imgs = [clifford_mul(clifford_mul(x, e, params), y, params).coords
+            for e in _even_basis()]
     cols = [wedge_of_even(imgs[i], imgs[j]).coords for i, j in WEDGE_PAIRS]
     return mat(tuple(zip(*cols)))
 
@@ -358,13 +367,11 @@ def mu_matrix_by_fractions(x, y, params):
 def mu_tilde_matrix_by_fractions(x, params):
     """mu~(x) for odd x with Nx != 0: the wedges of the Fraction images e_i x,
     mapped back by iota^{-1}."""
-    xf = x.to_full() if isinstance(x, OddCliffordElement) else x
-    if not xf.is_odd:
+    if not x.is_odd:
         raise ValueError("mu~ requires an odd element")
-    if norm(xf, params) == 0:
+    if norm(x, params) == 0:
         raise ValueError("mu~ requires N x != 0")
-    imgs = [OddCliffordElement.from_full(clifford_mul(e, xf, params)).coords
-            for e in _even_basis(params)]
+    imgs = [clifford_mul(e, x, params).coords for e in _even_basis()]
     ioinv = iota_inverse_matrix(params)
     cols = []
     for i, j in WEDGE_PAIRS:
@@ -377,18 +384,17 @@ def mu_tilde_matrix_by_fractions(x, params):
 
 def eta_matrix_by_fractions(x, params):
     """eta_x: v -> -x^{-1} v x on (E1, E2, E3), in Fractions."""
-    xf = x.to_full() if isinstance(x, OddCliffordElement) else x
-    n = norm(xf, params)
+    n = norm(x, params)
     if n == 0:
         raise ValueError("eta requires N x != 0")
-    xstar = reversal(xf, params)
+    xstar = reversal(x, params)
     cols = []
     for i in (1, 2, 4):
         img = clifford_mul(clifford_mul(xstar, CliffordElement.basis(i), params),
-                           xf, params).scale(Fraction(-1, 1) / n)
-        oc = OddCliffordElement.from_full(img)
-        assert oc.x4 == 0, "eta image left L (x) Q"
-        cols.append((oc.x1, oc.x2, oc.x3))
+                           x, params).scale(Fraction(-1, 1) / n)
+        x4, x1, x2, x3 = img.coords
+        assert x4 == 0, "eta image left L (x) Q"
+        cols.append((x1, x2, x3))
     return mat(tuple(zip(*cols)))
 
 

@@ -139,7 +139,7 @@ def test_criterion_8_appendix_fixtures():
     with budget(1):
         params = GramParams.from_gram(((6, 0, 0), (0, -10, 0), (0, 0, -18)))
         alpha = OddCliffordElement(1, 0, 5, 1)      # 5 E2 + E3 + E1E2E3
-        assert norm(alpha.to_full(), params) == 1
+        assert norm(alpha, params) == 1
         assert negative_pell(5) == (1, 1)
         assert negative_pell(3) is None
 

@@ -1,4 +1,5 @@
 import io
+import pickle
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -8,13 +9,14 @@ from oracles import dual_basis_vectors
 from picard3 import exterior as ext
 from picard3 import linalg as la
 from picard3.cli import main
-from picard3.clifford import (CliffordElement, EvenCliffordElement,
-                              GramParams, OddCliffordElement, _mult_table,
+from picard3.clifford import (MASK_NAMES, CliffordElement,
+                              EvenCliffordElement, GramParams,
+                              OddCliffordElement, _mult_table,
                               _reversal_table, alternating_E,
                               clifford_mul, element_E, gram_B, norm, odd_gram,
                               odd_norm_family, pairing_E, phi_rep, reversal,
                               tilde_e, trace, v_dot_E)
-from picard3.isometries import _lattice
+from picard3.isometries import CliffordUnit, _lattice
 from conftest import random_gram_params
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
@@ -76,13 +78,12 @@ def test_norm_examples():
     # appendix fixture: N(5 E2 + E3 + E1E2E3) = 1 over diag(6,-10,-18)
     p = GramParams.from_gram(((6, 0, 0), (0, -10, 0), (0, 0, -18)))
     alpha = OddCliffordElement(1, 0, 5, 1)
-    assert norm(alpha.to_full(), p) == 1
-    assert norm(OddCliffordElement(-1, 0, -5, -1).to_full(), p) == 1
+    assert norm(alpha, p) == 1
+    assert norm(OddCliffordElement(-1, 0, -5, -1), p) == 1
     # Nr(e1) on Wehler by the multiplication oracle
     e1 = EvenCliffordElement(0, 1, 0, 0)
-    prod = clifford_mul(e1.to_full(WEHLER),
-                        reversal(e1.to_full(WEHLER), WEHLER), WEHLER)
-    assert norm(e1.to_full(WEHLER), WEHLER) == prod.coeffs[0]
+    prod = clifford_mul(e1, reversal(e1, WEHLER), WEHLER)
+    assert norm(e1, WEHLER) == prod.coeffs[0]
 
 
 def test_norm_rejects_mixed_grade():
@@ -96,10 +97,10 @@ def test_norm_rejects_mixed_grade():
 def test_norm_multiplicative_pure_grades(rng):
     for _ in range(30):
         p = random_gram_params(rng)
-        fx = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4))).to_full(p)
-        fy = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4))).to_full(p)
-        ox = OddCliffordElement(*(rng.randint(-4, 4) for _ in range(4))).to_full()
-        oy = OddCliffordElement(*(rng.randint(-4, 4) for _ in range(4))).to_full()
+        fx = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
+        fy = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
+        ox = OddCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
+        oy = OddCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
         assert norm(clifford_mul(fx, fy, p), p) == norm(fx, p) * norm(fy, p)
         assert norm(clifford_mul(ox, oy, p), p) == norm(ox, p) * norm(oy, p)
         assert norm(clifford_mul(fx, ox, p), p) == norm(fx, p) * norm(ox, p)
@@ -123,13 +124,11 @@ def test_phi_is_ring_homomorphism(rng):
         p = random_gram_params(rng)
         x = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
         y = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
-        xy = EvenCliffordElement.from_full(
-            clifford_mul(x.to_full(p), y.to_full(p), p), p)
+        xy = clifford_mul(x, y, p)
         assert la.mat_mul(phi_rep(x, p), phi_rep(y, p)) == phi_rep(xy, p)
         # e1 * e2 expanded in the e-basis against the matrix product
         e1, e2 = EvenCliffordElement(0, 1, 0, 0), EvenCliffordElement(0, 0, 1, 0)
-        e12 = EvenCliffordElement.from_full(
-            clifford_mul(e1.to_full(p), e2.to_full(p), p), p)
+        e12 = clifford_mul(e1, e2, p)
         assert phi_rep(e12, p) == la.mat_mul(phi_rep(e1, p), phi_rep(e2, p))
 
 
@@ -137,10 +136,9 @@ def test_phi_trace_and_norm_identities(rng):
     for _ in range(25):
         p = random_gram_params(rng)
         x = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
-        fx = x.to_full(p)
         m = phi_rep(x, p)
-        assert 2 * trace(fx, p) == sum(m[i][i] for i in range(4))
-        assert norm(fx, p) ** 2 == la.det(m)
+        assert 2 * trace(x, p) == sum(m[i][i] for i in range(4))
+        assert norm(x, p) ** 2 == la.det(m)
 
 
 def test_gram_B(rng):
@@ -153,7 +151,7 @@ def test_gram_B(rng):
     # bilinear trace form reproduces gram_B on the basis
     for _ in range(10):
         p = random_gram_params(rng)
-        basis = [EvenCliffordElement(*[int(i == j) for j in range(4)]).to_full(p)
+        basis = [EvenCliffordElement(*[int(i == j) for j in range(4)])
                  for i in range(4)]
         qb = gram_B(p)
         for i in range(4):
@@ -190,8 +188,8 @@ def test_element_E_examples():
 def test_tilde_e_and_v_dot_E(rng):
     for _ in range(25):
         p = random_gram_params(rng)
-        tes = [tilde_e(i, p).to_full(p) for i in (1, 2, 3)]
-        assert tilde_e(1, p).x0 == -Fraction(p.s, 2)
+        tes = [tilde_e(i, p) for i in (1, 2, 3)]
+        assert tilde_e(1, p).coords[0] == -Fraction(p.s, 2)
         # (E1 E, E2 E, E3 E) = (te1, te2, te3) Q_L0
         for i in range(3):
             ei = [0, 0, 0]
@@ -235,7 +233,7 @@ def test_pairing_E_printed_matrix(rng):
             for j in range(1, 4):
                 assert pairing_E(evens[i], odds[j], p) == int(i == j)
         # (te_i, E_j)_E = delta_ij including index 0 with E_0 = -E, te_0 = e_0
-        e0 = OddCliffordElement.from_full(-element_E(p))
+        e0 = -element_E(p)
         tes = [EvenCliffordElement(1, 0, 0, 0)] + [tilde_e(i, p) for i in (1, 2, 3)]
         fs = [e0] + odds[1:]
         for i in range(4):
@@ -280,7 +278,7 @@ def test_odd_norm_family(rng):
         l = rng.choice([1, -1, 2, -3, -7])
         p = family_params(k, l)
         x1, x2, x3, x4 = (rng.randint(-4, 4) for _ in range(4))
-        beta = OddCliffordElement(x4, x1, x2, x3).to_full()
+        beta = OddCliffordElement(x4, x1, x2, x3)
         assert norm(beta, p) == odd_norm_family(x1, x2, x3, x4, k, l)
 
 
@@ -325,6 +323,69 @@ def test_clifford_json_roundtrip():
     x = CliffordElement((1, Fraction(3, 2), 0, 0, -2, 0, 0, Fraction(-1, 4)))
     assert CliffordElement.from_json(x.to_json()).coeffs == x.coeffs
     assert x.to_json()["coeffs"]["1"] == "3/2"
+
+
+def test_charts_are_slices_and_round_trip(rng):
+    assert EvenCliffordElement(1, 2, 3, 4).coeffs == (1, 0, 0, 4, 0, 3, 2, 0)
+    assert OddCliffordElement(1, 2, 3, 4).coeffs == (0, 2, 3, 0, 4, 0, 0, 1)
+    for _ in range(50):
+        ints = tuple(rng.randint(-9, 9) for _ in range(4))
+        fracs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4))
+        for xs in (ints, fracs):
+            even, odd = EvenCliffordElement(*xs), OddCliffordElement(*xs)
+            assert even.is_even and odd.is_odd
+            assert even.coords == xs and odd.coords == xs
+            assert all(type(x) is Fraction for x in even.coords + odd.coords)
+            integral = all(Fraction(x).denominator == 1 for x in xs)
+            assert even.is_integral == odd.is_integral == integral
+    with pytest.raises(ValueError):
+        (EvenCliffordElement(1, 0, 0, 0) + OddCliffordElement(1, 0, 0, 0)).coords
+
+
+def test_slot_5_holds_E3E1(rng):
+    assert MASK_NAMES[5] == "31"
+    assert CliffordElement.basis(5).to_json() == {"coeffs": {"31": "1"}}
+    e1, e3 = CliffordElement.basis(1), CliffordElement.basis(4)
+    for _ in range(20):
+        p = random_gram_params(rng)
+        assert clifford_mul(e3, e1, p) == CliffordElement.basis(5)
+        assert clifford_mul(e1, e3, p) == \
+            CliffordElement.scalar(p.t) - CliffordElement.basis(5)
+        assert EvenCliffordElement(0, 0, 1, 0) == clifford_mul(e3, e1, p)
+
+
+def test_equal_rationals_give_equal_elements():
+    x = CliffordElement((Fraction(2, 4), 1, 0, 0, 0, Fraction(-3, 6), 0, 2))
+    y = CliffordElement((Fraction(1, 2), Fraction(4, 4), 0, 0, 0, Fraction(-1, 2), 0, 2))
+    assert x == y and hash(x) == hash(y)
+    assert (x.ints, x.den) == ((1, 2, 0, 0, 0, -1, 0, 4), 2)
+    half = CliffordElement.scalar(Fraction(1, 2))
+    one = CliffordElement.scalar(1)
+    assert half + half == one and hash(half + half) == hash(one)
+    assert (half + half).den == 1 and half.scale(2).den == 1
+    assert clifford_mul(CliffordElement.scalar(2), half, WEHLER) == one
+    assert len({x, y, one, half + half, half}) == 3
+    assert x != x.scale(2) and x != (1, 0, 0, 0, 0, 0, 0, 0)
+    assert pickle.loads(pickle.dumps(x)) == x
+    with pytest.raises(AttributeError):
+        x.den = 3
+
+
+def test_wrong_grade_inputs_raise():
+    even, odd = EvenCliffordElement(1, 2, 0, 1), OddCliffordElement(1, 0, 0, 1)
+    for bad in (odd, even + odd):
+        with pytest.raises(ValueError):
+            phi_rep(bad, WEHLER)
+        with pytest.raises(ValueError):
+            ext.mu_matrix(bad, even, WEHLER)
+        with pytest.raises(ValueError):
+            ext.mu_matrix(even, bad, WEHLER)
+        with pytest.raises(ValueError):
+            pairing_E(bad, odd, WEHLER)
+    with pytest.raises(ValueError):
+        pairing_E(even, even, WEHLER)
+    with pytest.raises(ValueError):
+        CliffordUnit.from_element(even + odd, WEHLER)
 
 
 def test_per_tuple_caches_stay_bounded():

@@ -125,3 +125,9 @@ def test_clifford_and_exterior_certificates_hold_under_python_O():
     # the certificates of p_bases, alternating_E and eta_matrix too
     res = _pytest_under_python_O("test_clifford.py", "test_exterior.py")
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+def test_acceptance_checks_hold_under_python_O():
+    # and the unit/lift checks of the acceptance criteria
+    res = _pytest_under_python_O("test_acceptance.py")
+    assert res.returncode == 0, res.stdout + res.stderr

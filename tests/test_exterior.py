@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from picard3 import linalg as la
-from picard3.clifford import (CliffordElement, EvenCliffordElement,
-                              GramParams, OddCliffordElement, clifford_mul,
-                              element_E, norm)
+from picard3.clifford import (EvenCliffordElement, GramParams,
+                              OddCliffordElement, clifford_mul, element_E, norm)
 from picard3.exterior import (GRAM_W, WElement, eta_matrix, iota_matrix,
                               lambda_minus_matrix, lambda_plus_matrix,
                               mu_matrix, mu_of_unit_conjugation,
@@ -48,7 +47,7 @@ def test_mu_identities(rng):
         lp, lm = lambda_plus_matrix(p), lambda_minus_matrix(p)
         for _ in range(5):
             x = EvenCliffordElement(*(rng.randint(-3, 3) for _ in range(4)))
-            nx = norm(x.to_full(p), p)
+            nx = norm(x, p)
             assert la.mat_mul(mu_matrix(x, ONE, p), lp) == la.mat_scale(nx, lp)
             assert la.mat_mul(mu_matrix(ONE, x, p), lm) == la.mat_scale(nx, lm)
 
@@ -59,14 +58,12 @@ def test_mu_functoriality_and_scaling(rng):
         xs = [EvenCliffordElement(*(rng.randint(-2, 2) for _ in range(4)))
               for _ in range(4)]
         x1, x2, y1, y2 = xs
-        x12 = EvenCliffordElement.from_full(
-            clifford_mul(x1.to_full(p), x2.to_full(p), p), p)
-        y21 = EvenCliffordElement.from_full(
-            clifford_mul(y2.to_full(p), y1.to_full(p), p), p)
+        x12 = clifford_mul(x1, x2, p)
+        y21 = clifford_mul(y2, y1, p)
         assert mu_matrix(x12, y21, p) == \
             la.mat_mul(mu_matrix(x1, y1, p), mu_matrix(x2, y2, p))
         mm = mu_matrix(x1, y1, p)
-        n1, n2 = norm(x1.to_full(p), p), norm(y1.to_full(p), p)
+        n1, n2 = norm(x1, p), norm(y1, p)
         w1 = WElement(tuple(rng.randint(-3, 3) for _ in range(6)))
         w2 = WElement(tuple(rng.randint(-3, 3) for _ in range(6)))
         assert w_form(WElement(la.mat_vec(mm, w1.coords)),
@@ -88,7 +85,7 @@ def test_mu_tilde_identities(rng):
         lp, lm = lambda_plus_matrix(p), lambda_minus_matrix(p)
         while True:
             x = OddCliffordElement(*(rng.randint(-3, 3) for _ in range(4)))
-            nx = norm(x.to_full(), p)
+            nx = norm(x, p)
             if nx != 0:
                 break
         mt = mu_tilde_matrix(x, p)
@@ -99,7 +96,7 @@ def test_mu_tilde_identities(rng):
 
 def test_mu_tilde_rejects_norm_zero():
     x = OddCliffordElement(0, 1, 0, 0)      # N(E1) = a = 0 on Wehler
-    assert norm(x.to_full(), WEHLER) == 0
+    assert norm(x, WEHLER) == 0
     with pytest.raises(ValueError):
         mu_tilde_matrix(x, WEHLER)
     with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ def test_family_unit_norm_is_det():
         for m in unit_search_even(k, l, 6)[:15]:
             u = family_unit(m, k, l)
             assert u.norm == m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            assert norm(u.full(params), params) == u.norm
+            assert norm(u.element, params) == u.norm
 
 
 def test_h_alpha_even_units():
@@ -263,6 +263,6 @@ def test_isometry_and_unit_json():
     assert iso.to_json() == {"g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
     params = family_params(2, -2)
     u = family_unit(((1, 2), (2, 5)), 2, -2)
-    j = u.to_json(params)
+    j = u.to_json()
     assert j["grade"] == "even"
     assert "coeffs" in j
