@@ -29,7 +29,8 @@ from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        integer_mul, integer_reversal, norm)
 from .lattice import (Lattice, in_discriminant_kernel, is_isometry,
                       preserves_positive_cone)
-from .linalg import adjugate, mat, primitive_vector, sign_normalize, squarefree_part
+from .linalg import (adjugate, factor_pairs, mat, primitive_vector,
+                     sign_normalize, squarefree_part)
 
 # The slots of the unit coordinates of each grade.
 _CHARTS = {"even": EVEN_MASKS, "odd": ODD_MASKS}
@@ -293,78 +294,53 @@ def family_unit(alpha, k: int, l: int) -> CliffordUnit:
         EvenCliffordElement(d, b // l, (a - d) // k, c // k), params)
 
 
+def _check_search(k: int, l: int, bound: int):
+    if k == 0 or l == 0:
+        raise ValueError("k and l must be nonzero")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+
+
 def unit_search_even(k: int, l: int, bound: int):
     """All alpha in B_{k,l} with |entries| <= bound and det = +-1, mod +-1.
 
-    Returned as 2x2 integer matrices sorted lexicographically by (a, b, c, d),
-    each normalized so its first nonzero entry is positive.
+    A box scan over b in lZ and c in kZ: for each eps = +-1, the pairs (a, d)
+    with ad = eps + bc come from linalg.factor_pairs and are kept when
+    a = d (mod k).  Returned as 2x2 integer matrices sorted lexicographically
+    by (a, b, c, d), each normalized so its first nonzero entry is positive.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    found = {(1, 0, 0, 1)}  # the identity class is a unit of every order
+    _check_search(k, l, bound)
+    found = {(1, 0, 0, 1)}  # the identity class; at bound 0 it is the only unit
     kk, ll = abs(k), abs(l)
-    bs = range(-(bound // ll) * ll, bound + 1, ll)
-    cs = range(-(bound // kk) * kk, bound + 1, kk)
-    for a in range(-bound, bound + 1):
-        if a == 0:
-            for b in bs:
-                for c in cs:
-                    if b * c in (1, -1):
-                        for d in range(-(bound // kk) * kk, bound + 1, kk):
-                            found.add(sign_normalize((0, b, c, d)))
-            continue
-        for b in bs:
-            for c in cs:
-                for eps in (1, -1):
-                    num = eps + b * c
-                    if num % a != 0:
-                        continue
-                    d = num // a
-                    if abs(d) <= bound and (a - d) % k == 0:
+    for b in range(-(bound // ll) * ll, bound + 1, ll):
+        for c in range(-(bound // kk) * kk, bound + 1, kk):
+            for eps in (1, -1):
+                for a, d in factor_pairs(eps + b * c, bound):
+                    if (a - d) % k == 0:
                         found.add(sign_normalize((a, b, c, d)))
     return tuple(mat([[a, b], [c, d]]) for a, b, c, d in sorted(found))
-
-
-def _bounded_divisor_pairs(m: int, bound: int):
-    """All (x, y) with x*y = m and |x|, |y| <= bound (m != 0)."""
-    am = abs(m)
-    for x in range(1, bound + 1):
-        if am % x == 0:
-            y = am // x
-            if y <= bound:
-                s = 1 if m > 0 else -1
-                yield (x, s * y)
-                yield (-x, -s * y)
 
 
 def v_set_search(k: int, l: int, bound: int):
     """All odd elements with |coords| <= bound solving k x1 x3 + l x2 (x2 - k x4) = +-1.
 
+    For each (x2, x4) in the box, the pairs (x1, x3) with
+    x1 x3 = (eps - l x2 (x2 - k x4)) / k come from linalg.factor_pairs.
     Deduplicated mod +-1 and sorted by (x1, x2, x3, x4).  Empty exactly when
     the halved family lattice represents neither +1 nor -1 (for bounds large
     enough to witness a solution).
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    _check_search(k, l, bound)
     found = set()
     for x2 in range(-bound, bound + 1):
         for x4 in range(-bound, bound + 1):
             base = l * x2 * (x2 - k * x4)
             for eps in (1, -1):
-                r = eps - base
-                if r == 0:
-                    for t in range(-bound, bound + 1):
-                        found.add(sign_normalize((0, x2, t, x4)))
-                        found.add(sign_normalize((t, x2, 0, x4)))
-                    continue
-                if r % k != 0:
-                    continue
-                for x1, x3 in _bounded_divisor_pairs(r // k, bound):
-                    found.add(sign_normalize((x1, x2, x3, x4)))
-    out = []
-    for x1, x2, x3, x4 in sorted(found):
-        out.append(OddCliffordElement(x4, x1, x2, x3))
-    return tuple(out)
+                if (eps - base) % k == 0:
+                    for x1, x3 in factor_pairs((eps - base) // k, bound):
+                        found.add(sign_normalize((x1, x2, x3, x4)))
+    return tuple(OddCliffordElement(x4, x1, x2, x3)
+                 for x1, x2, x3, x4 in sorted(found))
 
 
 def seeded_units(k: int, l: int, count: int, seed: int,

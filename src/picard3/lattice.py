@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .linalg import (det, factor, identity, inverse, is_integral, mat,
-                     mat_mul, mat_vec, positive_vector, signature_of,
-                     transpose, vec_dot)
+from .linalg import (det, factor, inverse, is_integral, mat, mat_mul,
+                     mat_vec, positive_vector, signature_of, transpose,
+                     vec_dot)
 
 
 @dataclass(frozen=True)

@@ -62,20 +62,6 @@ def is_integral(a) -> bool:
     return all(Fraction(x).denominator == 1 for row in rows for x in row)
 
 
-def to_int(a: Matrix) -> Matrix:
-    """Cast an integral matrix to plain ints (raises if any entry is not)."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"entry {x} is not an integer")
-            r.append(f.numerator)
-        out.append(tuple(r))
-    return tuple(out)
-
-
 def clear_denominators(v) -> tuple:
     """(d, w): the least common denominator d of the int or Fraction
     entries of v, and the integers w = d * v."""
@@ -360,6 +346,25 @@ def factor(n: int) -> tuple:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def factor_pairs(m: int, bound: int, mx: int = 1, my: int = 1) -> list:
+    """Every (x, y) with x*y = m, |x|, |y| <= bound, mx | x and my | y, for
+    nonzero strides mx and my; when m = 0 these are the pairs with x = 0 or
+    y = 0.  The bounded box searches list their solutions of x*y = m through
+    this one place."""
+    mx, my = abs(mx), abs(my)
+    if m == 0:
+        return ([(0, y) for y in range(-(bound // my) * my, bound + 1, my)]
+                + [(x, 0) for x in range(-(bound // mx) * mx, bound + 1, mx) if x])
+    am = abs(m)
+    if am > bound * bound or bound < 0:
+        return []
+    out = []  # x starts at |m| / bound, so |y| <= bound holds
+    for x in range(-(-am // (bound * mx)) * mx, min(bound, am) + 1, mx):
+        if m % x == 0 and m // x % my == 0:
+            out += ((x, m // x), (-x, -(m // x)))
+    return out
 
 
 def squarefree_part(n: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from .linalg import factor, mat
+from .linalg import factor, factor_pairs, mat, sign_normalize
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,8 @@ class ModularElement:
     def __post_init__(self):
         if self.det not in (1, -1):
             raise ValueError("determinant must be +-1")
-        for x in (self.a, self.b, self.c, self.d):
-            if x != 0:
-                if x < 0:
-                    object.__setattr__(self, "a", -self.a)
-                    object.__setattr__(self, "b", -self.b)
-                    object.__setattr__(self, "c", -self.c)
-                    object.__setattr__(self, "d", -self.d)
-                break
+        for name, x in zip("abcd", sign_normalize((self.a, self.b, self.c, self.d))):
+            object.__setattr__(self, name, x)
 
     @property
     def det(self) -> int:
@@ -272,7 +266,8 @@ def torsion_search(spec: SubgroupSpec, bound: int):
     divisor enumeration, which is exactly the bounded box scan.  Each such
     candidate is torsion and none is the identity (trace 2), so only
     membership is tested, and only for b, c in the multiples of the fixed
-    moduli (mb, mc) that every member's b and c obey.
+    moduli (mb, mc) that every member's b and c obey; linalg.factor_pairs
+    lists those pairs.
     """
     if spec.kind in ("Pi_n", "Gamma_n", "G_n"):
         mb = mc = abs(spec.n)
@@ -281,30 +276,17 @@ def torsion_search(spec: SubgroupSpec, bound: int):
     else:
         mb, mc = 1, abs(spec.k if spec.kind == "Gamma0_k" else spec.l)
     found = set()
-
-    def consider(a, b, c, d):
-        el = ModularElement(a, b, c, d)
-        if member(el, spec):
-            found.add(el)
-
     for det_val, traces in ((1, (0, 1, -1)), (-1, (0,))):
         for t in traces:
             for a in range(-bound, bound + 1):
                 d = t - a
-                if abs(d) > bound:
-                    continue
                 m = a * d - det_val  # need bc = m
-                if m == 0:
-                    for b in range(-(bound // mb) * mb, bound + 1, mb):
-                        consider(a, b, 0, d)
-                    for c in range(-(bound // mc) * mc, bound + 1, mc):
-                        consider(a, 0, c, d)
-                elif m % (mb * mc) == 0:
-                    for b in range(mb, bound + 1, mb):
-                        c, rem = divmod(m, b)
-                        if not rem and abs(c) <= bound and c % mc == 0:
-                            consider(a, b, c, d)
-                            consider(a, -b, -c, d)
+                if abs(d) > bound or m % (mb * mc) != 0:
+                    continue
+                for b, c in factor_pairs(m, bound, mb, mc):
+                    el = ModularElement(a, b, c, d)
+                    if member(el, spec):
+                        found.add(el)
     return tuple(sorted(found, key=lambda e: (e.a, e.b, e.c, e.d)))
 
 

@@ -11,19 +11,15 @@ never as theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 
 from .clifford import GramParams
-from .isometries import (CliffordUnit, Isometry3, clifford_lift, family_unit,
-                         h_alpha, p_alpha_matrix, phi_alpha, unit_search_even,
-                         v_set_search)
-from .lattice import (Lattice, family_lattice, represents, signature)
+from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
+                         phi_alpha, unit_search_even)
+from .lattice import family_lattice, represents, signature
 from .linalg import char_poly_3x3, mat, sign_normalize
 from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
-                      index_pi_g_n, is_torsion, member, prime_power_generator,
-                      qr_minus_one, torsion_search)
-
+                      index_pi_g_n, qr_minus_one, torsion_search)
 
 @dataclass(frozen=True)
 class SalemDatum:
@@ -85,7 +81,7 @@ def salem_poly(alpha) -> SalemDatum:
     )
 
 
-def symplectic_split(alpha, context=None) -> bool:
+def symplectic_split(alpha) -> bool:
     """Symplectic <=> det(alpha) = 1, for units acting on a family lattice."""
     el = alpha if isinstance(alpha, ModularElement) else ModularElement.from_matrix(alpha)
     return el.det == 1

@@ -9,6 +9,7 @@ tests check that the two agree.
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
+from operator import mul
 
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               OddCliffordElement, clifford_mul, element_E,
@@ -119,6 +120,54 @@ def isometry_scan(lat: Lattice, bound: int):
                 if det(g) in (1, -1):
                     out.append(Isometry3(g, lat))
     return out
+
+
+def _by_value(pairs, f) -> dict:
+    """The pairs grouped by the value of f on them."""
+    table = {}
+    for p in pairs:
+        table.setdefault(f(*p), []).append(p)
+    return table
+
+
+def _sign_class(v: tuple) -> tuple:
+    """The representative of v mod +-1 whose first nonzero entry is positive."""
+    return max(v, tuple(-x for x in v))
+
+
+def unit_search_scan(k: int, l: int, bound: int):
+    """Every B_{k,l} matrix [[a, b], [c, d]] with |entries| <= bound and
+    det = +-1, mod +-1, sorted like unit_search_even.  Scans the (a, d) and
+    (b, c) planes of the box, tabulates each by its product and matches
+    ad - bc = +-1.  The identity class is included at every bound, as the
+    search includes it."""
+    box = range(-bound, bound + 1)
+    ad = _by_value(((a, d) for a in box for d in box if (a - d) % k == 0), mul)
+    bc = _by_value(((b, c) for b in box for c in box
+                    if b % l == 0 and c % k == 0), mul)
+    found = {(1, 0, 0, 1)}
+    for p, ads in ad.items():
+        for eps in (1, -1):
+            for (a, d), (b, c) in product(ads, bc.get(p - eps, ())):
+                found.add(_sign_class((a, b, c, d)))
+    return tuple(mat([[a, b], [c, d]]) for a, b, c, d in sorted(found))
+
+
+def v_set_scan(k: int, l: int, bound: int):
+    """Every odd element with |coords| <= bound and
+    k x1 x3 + l x2 (x2 - k x4) = +-1, mod +-1, sorted like v_set_search.
+    Scans the (x1, x3) and (x2, x4) planes of the box, tabulates each by its
+    term of the equation and matches the sums +-1."""
+    box = range(-bound, bound + 1)
+    left = _by_value(product(box, box), lambda x1, x3: k * x1 * x3)
+    right = _by_value(product(box, box), lambda x2, x4: l * x2 * (x2 - k * x4))
+    found = set()
+    for v, pairs in left.items():
+        for eps in (1, -1):
+            for (x1, x3), (x2, x4) in product(pairs, right.get(eps - v, ())):
+                found.add(_sign_class((x1, x2, x3, x4)))
+    return tuple(OddCliffordElement(x4, x1, x2, x3)
+                 for x1, x2, x3, x4 in sorted(found))
 
 
 # ------------------------------------------------ the Fraction Clifford kernel

@@ -5,7 +5,7 @@ import pytest
 from picard3 import linalg as la
 from picard3.clifford import (EvenCliffordElement, GramParams,
                               OddCliffordElement, norm)
-from oracles import isometry_scan
+from oracles import isometry_scan, unit_search_scan, v_set_scan
 from picard3.isometries import (CliffordUnit, Isometry3, clifford_lift,
                                 family_unit, h_alpha, p_alpha_matrix,
                                 phi_alpha, seeded_units, spinor_norm,
@@ -196,7 +196,7 @@ def test_spinor_norm():
     for m in unit_search_even(1, -3, 4)[:15]:
         u = family_unit(m, 1, -3)
         g = la.mat_scale(u.norm, phi_alpha(u, params).matrix)   # g_alpha
-        assert spinor_norm(la.to_int(g), params) == la.squarefree_part(u.norm)
+        assert spinor_norm(g, params) == la.squarefree_part(u.norm)
     # reflection with r^2 = -3: class of -3
     lat = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, -6)))
     params6 = GramParams.from_gram(lat.gram)
@@ -255,6 +255,26 @@ def test_v_set_search():
         assert 1 * x1 * x3 + (-1) * x2 * (x2 - 1 * x4) in (1, -1)
     assert v_set_search(5, 1, 3)                        # -1 = 2^2 mod 5
     assert v_set_search(1, -1, 0) == ()
+
+
+def test_searches_match_box_scans():
+    ks = [v for v in range(-7, 8) if v] + [12, -30, 65003]
+    for k in ks:
+        for l in ks:
+            for bound in range(10):
+                assert unit_search_even(k, l, bound) == unit_search_scan(k, l, bound), \
+                    (k, l, bound)
+                assert v_set_search(k, l, bound) == v_set_scan(k, l, bound), \
+                    (k, l, bound)
+
+
+@pytest.mark.parametrize("search", [unit_search_even, v_set_search])
+def test_searches_reject_degenerate_input(search):
+    for k, l in ((0, 1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="k and l must be nonzero"):
+            search(k, l, 3)
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        search(1, -1, -1)
 
 
 def test_isometry_and_unit_json():

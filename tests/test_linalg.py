@@ -96,3 +96,17 @@ def test_squarefree_part():
     assert la.squarefree_part(49) == 1
     assert la.squarefree_part(18) == 2
     assert la.squarefree_part(1) == 1
+
+
+def test_factor_pairs_matches_box_scan():
+    # strides 9, 10 and 12 exceed every bound here
+    strides = ((1, 1), (2, 3), (-3, 1), (10, 1), (1, 12), (9, 9))
+    for bound in range(-2, 9):
+        box = range(-bound, bound + 1)
+        for mx, my in strides:
+            for m in range(-70, 71):
+                scan = [(x, y) for x in box for y in box
+                        if x * y == m and x % mx == 0 and y % my == 0]
+                got = la.factor_pairs(m, bound, mx, my)
+                assert sorted(got) == scan and len(set(got)) == len(got), \
+                    (m, bound, mx, my)
