@@ -56,6 +56,6 @@ for n in (2, 4, 8, 5, 13, 7):
 print("\n-1 QR mod n:", [(n, qr_minus_one(n)) for n in (2, 3, 5, 8, 13)])
 print("negative Pell, D=5:", negative_pell(5), " D=3:", negative_pell(3))
 
-# Everything assembled into one report:
+# Everything assembled into one report, with units searched to bound 12:
 print()
-print(analyze_picard(8, -8).render_text())
+print(analyze_picard(8, -8, search_bound=12).render_text())

@@ -33,6 +33,6 @@ print("matches char(P_alpha):", char_poly_3x3(p.matrix) == datum.cubic_coeffs)
 # An anti-symplectic example (n = 1): A = 18, the smallest in its family.
 print("\nanti-symplectic n=1:", salem_poly(((1, 2), (2, 3))).to_json())
 
-# The full Wehler report:
+# The full Wehler report, with units searched to bound 12:
 print()
-print(analyze_picard(2, -2).render_text())
+print(analyze_picard(2, -2, search_bound=12).render_text())

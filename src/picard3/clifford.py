@@ -111,8 +111,11 @@ class CliffordElement:
     def __init__(self, coeffs):
         if len(coeffs) != DIM:
             raise ValueError("need 8 coefficients")
-        den, ints = clear_denominators(
-            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs])
+        if all(type(x) is int for x in coeffs):
+            den, ints = 1, coeffs
+        else:
+            den, ints = clear_denominators(
+                [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs])
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "den", den)
 
@@ -266,28 +269,52 @@ def _rewrite(word: tuple, q, c: int, out: list):
     out[sum(1 << i for i in word)] += c
 
 
-def _nonzero_terms(prefix: tuple, word: tuple, params: GramParams):
+def _nonzero_terms(prefix: tuple, word: tuple, q):
     """prefix + (m, c) for each monomial E_m with coefficient c != 0 in the
-    product of the generators in word."""
+    product of the generators in word, for the Gram matrix q."""
     out = [0] * DIM
-    _rewrite(word, params.gram, 1, out)
+    _rewrite(word, q, 1, out)
     return [prefix + (m, c) for m, c in enumerate(out) if c != 0]
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _mult_table(params: GramParams) -> tuple:
-    """The structure constants as integer terms (m1, m2, m3, c), c != 0:
-    E_m1 * E_m2 is the sum of c * E_m3 over the terms for (m1, m2).  There
-    are 55 for the family lattices U(k) + <2l> and at most 119 in general."""
-    return tuple(t for m1 in range(DIM) for m2 in range(DIM)
-                 for t in _nonzero_terms((m1, m2), _WORDS[m1] + _WORDS[m2], params))
+    """The structure constants: slot 8 m1 + m2 holds the integer terms
+    (m3, c), c != 0, with E_m1 * E_m2 the sum of c * E_m3.  There are 55
+    terms for the family lattices U(k) + <2l> and at most 119 in general.
+
+    The products E_m * Ei come from the rewriting rules; a longer E_m2,
+    whose word is that of E_p followed by Ei, multiplies as (E_m1 E_p) Ei."""
+    q = params.gram
+    by_gen = [[_nonzero_terms((), _WORDS[m] + (i,), q) for i in range(3)]
+              for m in range(DIM)]
+    table, terms = [], {}   # one object per distinct term keeps the table small
+    for m1 in range(DIM):
+        row = [((m1, 1),)]
+        for word in _WORDS[1:]:
+            out = [0] * DIM
+            for m, c in row[_WORDS.index(word[:-1])]:
+                for m3, c3 in by_gen[m][word[-1]]:
+                    out[m3] += c * c3
+            row.append(tuple(terms.setdefault((m3, c), (m3, c))
+                             for m3, c in enumerate(out) if c))
+        table += row
+    return tuple(table)
 
 
 def integer_mul(xs, ys, params: GramParams) -> list:
-    """The product of two elements given by integer coordinate lists."""
+    """The product of two elements given by integer coordinate lists; zero
+    coordinates on either side are skipped."""
+    table = _mult_table(params)
     out = [0] * DIM
-    for m1, m2, m3, c in _mult_table(params):
-        out[m3] += c * xs[m1] * ys[m2]
+    right = [(m2, y) for m2, y in enumerate(ys) if y]
+    for m1, x in enumerate(xs):
+        if x:
+            row = DIM * m1
+            for m2, y in right:
+                xy = x * y
+                for m3, c in table[row + m2]:
+                    out[m3] += c * xy
     return out
 
 
@@ -304,7 +331,7 @@ def _reversal_table(params: GramParams) -> tuple:
     """Integer terms (m, m2, c): the reversal of E_m is the sum of c * E_m2,
     the product of the generators of E_m in reverse order."""
     return tuple(t for m in range(DIM)
-                 for t in _nonzero_terms((m,), _WORDS[m][::-1], params))
+                 for t in _nonzero_terms((m,), _WORDS[m][::-1], params.gram))
 
 
 def integer_reversal(xs, params: GramParams) -> list:

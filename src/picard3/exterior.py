@@ -16,8 +16,8 @@ from operator import mul
 
 from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, GramParams,
-                       _mult_table, integer_mul, integer_norm,
-                       integer_reversal, norm, reversal)
+                       integer_mul, integer_norm, integer_reversal, norm,
+                       reversal)
 from .linalg import inverse, mat, mat_mul, smith_normal_form, transpose
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
@@ -49,7 +49,7 @@ class WElement:
                            tuple(Fraction(x) for x in self.coords))
 
 
-def _pair_w(v, w):
+def pair_w(v, w):
     """<v, w>_W on coordinate tuples: each coordinate pairs with the one
     three places on (GRAM_W)."""
     return sum(map(mul, v, w[3:] + w[:3]))
@@ -57,7 +57,7 @@ def _pair_w(v, w):
 
 def w_form(w1: WElement, w2: WElement):
     """<w1, w2>_W = (w1 ^ w2) / omega."""
-    total = Fraction(_pair_w(w1.coords, w2.coords))
+    total = Fraction(pair_w(w1.coords, w2.coords))
     return total.numerator if total.denominator == 1 else total
 
 
@@ -88,11 +88,11 @@ def p_bases(params: GramParams) -> PBasis:
     q = params.gram
     for i in range(3):
         for j in range(3):
-            if _pair_w(plus[i], plus[j]) != q[i][j]:
+            if pair_w(plus[i], plus[j]) != q[i][j]:
                 raise AssertionError("Gram(w+) != Q_L")
-            if _pair_w(minus[i], minus[j]) != -q[i][j]:
+            if pair_w(minus[i], minus[j]) != -q[i][j]:
                 raise AssertionError("Gram(w-) != -Q_L")
-            if _pair_w(plus[i], minus[j]) != 0:
+            if pair_w(plus[i], minus[j]) != 0:
                 raise AssertionError("P+ and P- are not orthogonal")
     for triple in (plus, minus):
         d, _, _ = smith_normal_form(triple)
@@ -132,12 +132,10 @@ def mu_matrix(x: CliffordElement, y: CliffordElement, params: GramParams):
 
 def _pairing_matrix(params: GramParams):
     """T[i][j] = (e_i, F_j)_E on the bases (e_i) and (E1E2E3, E1, E2, E3):
-    the E1E2E3-coordinate of e_i F_j*, from the structure constants that
-    land on E1E2E3."""
-    top = [(m1, m2, c) for m1, m2, m3, c in _mult_table(params) if m3 == 7]
+    the E1E2E3-coordinate of e_i F_j*."""
     stars = [integer_reversal(f, params) for f in _ODD_BASIS]
-    return tuple(tuple(sum(c * e[m1] * f[m2] for m1, m2, c in top)
-                       for f in stars) for e in _EVEN_BASIS)
+    return tuple(tuple(integer_mul(e, f, params)[7] for f in stars)
+                 for e in _EVEN_BASIS)
 
 
 def _compound_matrix(t):
@@ -168,41 +166,47 @@ def iota_inverse_matrix(params: GramParams):
     return mat_mul(GRAM_W, c)
 
 
-def mu_tilde_matrix(x: CliffordElement, params: GramParams):
-    """Matrix of mu~(x): h1 ^ h2 -> iota^{-1}(h1 x ^ h2 x), for odd x, Nx != 0.
+def integer_odd_actions(x: CliffordElement, params: GramParams):
+    """The integer cores of mu~(x) and eta_x for odd x with N x != 0:
+    ((M, d^2), (T, -n)), where mu~(x) = M / d^2 and eta_x = T / (-n).
 
-    x may have rational coordinates (e.g. the central element E).  The
-    images e_i x under its integer coordinates, and their wedges, are
-    integers, divided by d^2 once for its denominator d.
+    Here d is the denominator of x and n = d^2 N x the norm of its integer
+    coordinates.  M holds the wedges of the integer images e_i (d x), mapped
+    back by iota^{-1}; T has the columns -(d x)* v (d x) for v = E1, E2, E3,
+    so the image -x^{-1} v x is T v / (-n).
     """
     if not x.is_odd:
-        raise ValueError("mu~ requires an odd element")
-    if integer_norm(x.ints, params) == 0:
-        raise ValueError("mu~ requires N x != 0")
-    imgs = [integer_mul(e, x.ints, params) for e in _EVEN_BASIS]
-    return _divided(mat_mul(iota_inverse_matrix(params),
-                            _wedge_square([[w[m] for m in ODD_MASKS] for w in imgs])),
-                    x.den ** 2)
-
-
-def eta_matrix(x: CliffordElement, params: GramParams):
-    """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0.
-
-    With x scaled to its integer coordinates d x, the image of v is
-    -(d x*) v (d x) divided by d^2 N x, so the d^2 cancels."""
+        raise ValueError("mu~ and eta require an odd element")
     xs = x.ints
     n = integer_norm(xs, params)
     if n == 0:
-        raise ValueError("eta requires N x != 0")
+        raise ValueError("mu~ and eta require N x != 0")
+    imgs = [integer_mul(e, xs, params) for e in _EVEN_BASIS]
+    m = mat_mul(iota_inverse_matrix(params),
+                _wedge_square([[w[k] for k in ODD_MASKS] for w in imgs]))
     xstar = integer_reversal(xs, params)
     cols = []
     for g in GEN_MASKS:
-        img = integer_mul(integer_mul(xstar, [int(m == g) for m in range(DIM)],
+        img = integer_mul(integer_mul(xstar, [int(k == g) for k in range(DIM)],
                                       params), xs, params)
         if img[7] != 0:
             raise AssertionError("eta image left L (x) Q")
-        cols.append([img[m] for m in GEN_MASKS])
-    return _divided(transpose(cols), -n)
+        cols.append([img[k] for k in GEN_MASKS])
+    return (m, x.den ** 2), (transpose(cols), -n)
+
+
+def mu_tilde_matrix(x: CliffordElement, params: GramParams):
+    """Matrix of mu~(x): h1 ^ h2 -> iota^{-1}(h1 x ^ h2 x), for odd x, Nx != 0.
+
+    x may have rational coordinates (e.g. the central element E); the
+    integer core of :func:`integer_odd_actions` is divided once."""
+    return _divided(*integer_odd_actions(x, params)[0])
+
+
+def eta_matrix(x: CliffordElement, params: GramParams):
+    """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0:
+    the integer core of :func:`integer_odd_actions`, divided once."""
+    return _divided(*integer_odd_actions(x, params)[1])
 
 
 def _stack(ws):

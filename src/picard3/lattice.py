@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .linalg import (det, factor, inverse, is_integral, mat, mat_mul,
-                     mat_vec, positive_vector, signature_of, transpose,
-                     vec_dot)
+from .linalg import (adjugate, det, factor, inverse, is_integral, mat,
+                     mat_mul, mat_vec, positive_vector, signature_of,
+                     transpose, vec_dot)
 
 
 @dataclass(frozen=True)
@@ -258,19 +258,21 @@ def form_orthogonal_group(form: FiniteQuadraticForm, cap: int = 1000):
 
 def is_isometry(g, lat: Lattice) -> bool:
     gm = mat(g)
-    return (is_integral(gm)
+    return ((all(type(x) is int for row in gm for x in row) or is_integral(gm))
             and mat_mul(mat_mul(transpose(gm), lat.gram), gm) == lat.gram)
 
 
 def in_discriminant_kernel(g, lat: Lattice) -> bool:
-    """g acts trivially on A(L)  <=>  (g - I) Q_L^{-1} is an integer matrix."""
+    """g acts trivially on A(L)  <=>  (g - I) Q_L^{-1} is an integer matrix
+    <=>  (g - I) adj(Q_L) = 0 mod det Q_L."""
     gm = mat(g)
     if not is_isometry(gm, lat):
         raise ValueError("g is not an isometry of L")
-    n = lat.rank
-    diff = mat(tuple(tuple(gm[i][j] - int(i == j) for j in range(n))
-                     for i in range(n)))
-    return is_integral(mat_mul(diff, inverse(lat.gram)))
+    diff = tuple(tuple(x - int(i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(gm))
+    adj = adjugate(lat.gram)
+    d = vec_dot(lat.gram[0], [r[0] for r in adj])   # det Q_L, along row 0
+    return all(x % d == 0 for row in mat_mul(diff, adj) for x in row)
 
 
 def preserves_positive_cone(g, lat: Lattice) -> bool:

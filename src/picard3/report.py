@@ -240,7 +240,7 @@ def _sample_units(k: int, l: int, search_bound: int, count: int):
     return sorted(units, key=key)[:count]
 
 
-def analyze_picard(k: int, l: int, search_bound: int = 12,
+def analyze_picard(k: int, l: int, search_bound: int = 20,
                    torsion_bound: int = 30, sample_count: int = 3) -> AutReport:
     """Assemble the automorphism-group report for U(k) + <2l>.
 

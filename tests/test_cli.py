@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from picard3.cli import build_parser, main
+from picard3.report import analyze_picard
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +61,13 @@ def test_analyze_text_and_json_agree(capsys):
     assert f"[Pi : G_8] = {c['index_in_Pi']}" in out_t
     assert f"delta = {c['delta_n']}" in out_t
     assert f"free rank (if torsion-free): {c['free_rank']}" in out_t
+
+
+def test_analyze_defaults_match_the_library():
+    params = inspect.signature(analyze_picard).parameters
+    args = build_parser().parse_args(["analyze", "--n", "2"])
+    assert args.search_bound == params["search_bound"].default == 20
+    assert args.torsion_bound == params["torsion_bound"].default
 
 
 def test_usage_error_exits_1(capsys):

@@ -18,8 +18,10 @@ from oracles import (alternating_E_by_fractions, eta_matrix_by_fractions,
 from picard3.cli import main
 from picard3.clifford import (EvenCliffordElement, OddCliffordElement,
                               alternating_E, element_E, norm, phi_rep)
-from picard3.exterior import (eta_matrix, lambda_minus_matrix,
-                              lambda_plus_matrix, mu_matrix, mu_tilde_matrix)
+from picard3.exterior import (WElement, eta_matrix, integer_odd_actions,
+                              lambda_minus_matrix, lambda_plus_matrix,
+                              mu_matrix, mu_tilde_matrix, pair_w, w_form)
+from picard3.linalg import mat_mul, mat_scale, mat_vec
 from conftest import random_gram_params
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_trials3.json"
@@ -73,6 +75,63 @@ def test_integer_paths_keep_their_errors():
         mu_tilde_matrix(even, p)
     with pytest.raises(ValueError):
         eta_matrix(even + OddCliffordElement(1, 0, 0, 0), p)
+
+
+def _params_with_den_E(rng, den):
+    """A random Gram tuple whose central element E has denominator den:
+    1 when s, t, u are all even, else 2."""
+    while True:
+        p = random_gram_params(rng)
+        if (p.s % 2 or p.t % 2 or p.u % 2) == (den == 2):
+            return p
+
+
+@pytest.mark.parametrize("den_E", [1, 2])
+def test_integer_exterior_checks_match_the_fraction_forms(den_E):
+    """Each check of the exterior suite in its integer form (as verify runs
+    it) and in its Fraction form on the oracle matrices: both hold on the
+    true values, and both fail on a wrong scalar or a wrong eta entry."""
+    rng = random.Random(20261018 + den_E)
+    for _ in range(40):
+        p = _params_with_den_E(rng, den_E)
+        lp, lm = lambda_plus_matrix(p), lambda_minus_matrix(p)
+        for ox in (_odd_unit_norm(rng, p, 1), _odd_unit_norm(rng, p, 2)):
+            (mt, dt), (eta_t, de) = integer_odd_actions(ox, p)
+            mt_f = mu_tilde_matrix_by_fractions(ox, p)
+            eta_f = eta_matrix_by_fractions(ox, p)
+            nx = norm(ox, p)
+            for wrong in (0, 1):        # claimed norm Nx + wrong
+                int_ok = mat_mul(mt, lm) == mat_scale(de - wrong * dt, lm)
+                frac_ok = mat_mul(mt_f, lm) == mat_scale(-(nx + wrong), lm)
+                assert int_ok == frac_ok == (wrong == 0), (p, ox, wrong)
+            for bump in (0, 1):         # eta with one entry off by bump
+                eta_b = ((eta_t[0][0] + bump,) + eta_t[0][1:],) + eta_t[1:]
+                int_ok = mat_mul(mt, lp) == mat_mul(lp, eta_b)
+                eta_bf = tuple(tuple(Fraction(v, de) for v in row) for row in eta_b)
+                assert bump or eta_bf == eta_f
+                frac_ok = mat_mul(mt_f, lp) == mat_mul(mat_scale(-nx, lp), eta_bf)
+                assert int_ok == frac_ok == (bump == 0), (p, ox, bump)
+        E = element_E(p)
+        (mt, dt), _ = integer_odd_actions(E, p)
+        assert E.den == den_E and dt == den_E ** 2
+        mt_f = mu_tilde_matrix_by_fractions(E, p)
+        for wrong in (0, 1):            # claimed D0 + wrong
+            for sign, lam in ((1, lp), (-1, lm)):
+                int_ok = (mat_scale(8, mat_mul(mt, lam))
+                          == mat_scale(sign * dt * (p.disc + 8 * wrong), lam))
+                frac_ok = (mat_mul(mt_f, lam)
+                           == mat_scale(sign * (p.disc_half + wrong), lam))
+                assert int_ok == frac_ok == (wrong == 0), (p, sign, wrong)
+        x, y = _even(rng, 1), _even(rng, 1)
+        mm = mu_matrix(x, y, p)
+        w1, w2 = (tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(2))
+        n4 = norm(x, p) ** 2 * norm(y, p) ** 2
+        for wrong in (0, 1):            # scaling law with N^2 N^2 + wrong
+            pw = pair_w(w1, w2)
+            int_ok = pair_w(mat_vec(mm, w1), mat_vec(mm, w2)) == (n4 + wrong) * pw
+            frac_ok = (w_form(WElement(mat_vec(mm, w1)), WElement(mat_vec(mm, w2)))
+                       == (n4 + wrong) * w_form(WElement(w1), WElement(w2)))
+            assert int_ok == frac_ok == (wrong == 0 or pw == 0), (p, wrong)
 
 
 @pytest.mark.parametrize("suite", ["clifford", "exterior"])

@@ -9,7 +9,9 @@ import pytest
 from oracles import (ascending, conjugation_matrix, det_by_fractions,
                      isometry_scan, kernel_lift, rewrite_mul, rewrite_reversal)
 from picard3 import linalg as la
-from picard3.clifford import CliffordElement, GramParams, clifford_mul, reversal
+from picard3.clifford import (EVEN_MASKS, ODD_MASKS, CliffordElement,
+                              GramParams, clifford_mul, reversal)
+from picard3.exterior import _pairing_matrix
 from picard3.isometries import (_unit_forms, clifford_lift, g_alpha, h_alpha,
                                 seeded_units)
 from picard3.lattice import Lattice
@@ -82,7 +84,9 @@ def test_integer_kernel_matches_the_rewriting_rules(rng):
         c[5] = Fraction(rng.choice((-5, -3, -1, 1, 3, 5)), 2)
         return CliffordElement(tuple(c))
 
-    for _ in range(60):
+    zero = CliffordElement.zero()
+    basis = [CliffordElement.basis(m) for m in range(8)]
+    for trial in range(60):
         p = random_gram_params(rng)
 
         def asc(z):
@@ -97,10 +101,24 @@ def test_integer_kernel_matches_the_rewriting_rules(rng):
         x, y = half_integral(), half_integral()
         assert clifford_mul(x, y, p) == oracle_mul(x, y)
         assert reversal(x, p) == oracle_reversal(x)
-        for m in range(8):
-            b = CliffordElement.basis(m)
+        stars = [oracle_reversal(b) for b in basis]
+        for b, star in zip(basis, stars):
             assert clifford_mul(b, y, p) == oracle_mul(b, y)
-            assert reversal(b, p) == oracle_reversal(b)
+            assert clifford_mul(y, b, p) == oracle_mul(y, b)
+            assert reversal(b, p) == star
+        if trial < 10:      # all 64 structure-constant slots
+            for b in basis:
+                for b2 in basis:
+                    assert clifford_mul(b, b2, p) == oracle_mul(b, b2)
+        # the sparse product skips zero coordinates on either side
+        assert clifford_mul(zero, y, p) == clifford_mul(y, zero, p) == zero
+        for u in (x.even_part, x.odd_part):
+            for v in (y.even_part, y.odd_part):
+                assert clifford_mul(u, v, p) == oracle_mul(u, v)
+        # (e_i, F_j)_E: the E1E2E3-coordinate of e_i F_j*
+        assert _pairing_matrix(p) == tuple(
+            tuple(oracle_mul(basis[m], stars[j]).coeffs[7] for j in ODD_MASKS)
+            for m in EVEN_MASKS)
 
 
 def test_bareiss_det_matches_fraction_elimination(rng):
