@@ -6,22 +6,23 @@
 # of the even part is scalar on one side of each.
 
 from picard3 import (EvenCliffordElement, GramParams, OddCliffordElement,
-                     element_E, mu_matrix, mu_tilde_matrix, norm, p_bases,
-                     w_form)
+                     element_E, mu_matrix, mu_tilde_matrix, norm, p_bases)
 from picard3.exterior import (eta_matrix, lambda_minus_matrix,
-                              lambda_plus_matrix, mu_of_unit_conjugation)
+                              lambda_plus_matrix, mu_of_unit_conjugation,
+                              pair_w)
 from picard3.isometries import family_unit, g_alpha, unit_search_even
 from picard3.linalg import mat_mul, mat_scale
 
 params = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 
-# The printed bases of P+ and P-; construction re-certifies Gram(w+) = Q_L,
-# Gram(w-) = -Q_L, orthogonality, and primitivity via Smith normal form.
+# The printed bases of P+ and P-, as integer 6-tuples on (e01, e02, e03,
+# e23, e31, e12); construction re-certifies Gram(w+) = Q_L, Gram(w-) = -Q_L,
+# orthogonality, and primitivity via Smith normal form.
 pb = p_bases(params)
-print("w_1^+ =", pb.plus[0].coords)
+print("w_1^+ =", pb.plus[0])
 print("Gram(w+):")
 for i in range(3):
-    print("  ", [w_form(pb.plus[i], pb.plus[j]) for j in range(3)])
+    print("  ", [pair_w(pb.plus[i], pb.plus[j]) for j in range(3)])
 
 # mu(x, 1) acts on P+ as the scalar Nr(x)  (and mu(1, x) likewise on P-):
 one = EvenCliffordElement(1, 0, 0, 0)

@@ -16,9 +16,8 @@ from .clifford import (CliffordElement, EvenCliffordElement, GramParams,
                        OddCliffordElement, alternating_E, clifford_mul,
                        element_E, gram_B, norm, odd_gram, odd_norm_family,
                        pairing_E, phi_rep, reversal, tilde_e, trace, v_dot_E)
-from .exterior import (PBasis, WElement, eta_matrix, iota_matrix,
-                       lambda_minus_matrix, lambda_plus_matrix, mu_matrix,
-                       mu_tilde_matrix, p_bases, w_form)
+from .exterior import (PBasis, eta_matrix, iota_matrix, lambda_minus_matrix,
+                       lambda_plus_matrix, mu_matrix, mu_tilde_matrix, p_bases)
 from .isometries import (CliffordUnit, Isometry3, clifford_lift, family_unit,
                          g_alpha, h_alpha, p_alpha_matrix, phi_alpha,
                          seeded_units, spinor_norm, unit_product,

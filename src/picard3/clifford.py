@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm
 
-from .linalg import clear_denominators, identity, mat, mat_scale
+from .linalg import clear_denominators, identity, mat, mat_div, mat_scale
 
 # Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.  Slot 5
 # holds E3*E1 rather than the ascending E1*E3, so that the even part sits on
@@ -389,9 +389,7 @@ def phi_rep(x: CliffordElement, params: GramParams):
            (x1, x0 + s * x1 + t * x2, a * x3, u * x1 - a * x2),
            (x2, s * x2 - b * x3, x0 + t * x2 + u * x3, b * x1),
            (x3, c * x2, t * x3 - c * x1, x0 + s * x1 + u * x3))
-    if x.den == 1:
-        return res
-    return tuple(tuple(Fraction(v, x.den) for v in row) for row in res)
+    return mat_div(res, x.den)
 
 
 def gram_B(params: GramParams):

@@ -5,12 +5,12 @@ duality iota.
 
 W has basis (e01, e02, e03, e23, e31, e12) with e_ij = e_i ^ e_j; the form
 <w, w>_W = 2(p01 p23 + p02 p31 + p03 p12) makes W isomorphic to U + U + U.
+Vectors of W are integer 6-tuples on this basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -18,7 +18,8 @@ from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, GramParams,
                        integer_mul, integer_norm, integer_reversal, norm,
                        reversal)
-from .linalg import inverse, mat, mat_mul, smith_normal_form, transpose
+from .linalg import (inverse, mat, mat_div, mat_mul, smith_normal_form,
+                     transpose)
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
 WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -36,36 +37,17 @@ GRAM_W = mat([[0, 0, 0, 1, 0, 0],
               [0, 0, 1, 0, 0, 0]])
 
 
-@dataclass(frozen=True)
-class WElement:
-    """6 exact coordinates on (e01, e02, e03, e23, e31, e12)."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != 6:
-            raise ValueError("need 6 coordinates")
-        object.__setattr__(self, "coords",
-                           tuple(Fraction(x) for x in self.coords))
-
-
 def pair_w(v, w):
     """<v, w>_W on coordinate tuples: each coordinate pairs with the one
     three places on (GRAM_W)."""
     return sum(map(mul, v, w[3:] + w[:3]))
 
 
-def w_form(w1: WElement, w2: WElement):
-    """<w1, w2>_W = (w1 ^ w2) / omega."""
-    total = Fraction(pair_w(w1.coords, w2.coords))
-    return total.numerator if total.denominator == 1 else total
-
-
 @dataclass(frozen=True)
 class PBasis:
     """The printed integral bases w_i^+ and w_i^- of P+ and P-."""
 
-    plus: tuple   # three WElements
+    plus: tuple   # three integer 6-tuples
     minus: tuple
 
 
@@ -98,20 +80,7 @@ def p_bases(params: GramParams) -> PBasis:
         d, _, _ = smith_normal_form(triple)
         if [d[i][i] for i in range(3)] != [1, 1, 1]:
             raise AssertionError("P basis stack is not primitive")
-    return PBasis(tuple(map(WElement, plus)), tuple(map(WElement, minus)))
-
-
-def _wedge_square(imgs):
-    """The 6x6 matrix whose column (i, j) is imgs[i] ^ imgs[j]: entry
-    ((k, l), (i, j)) is the 2x2 minor imgs[i][k] imgs[j][l] - imgs[i][l] imgs[j][k]."""
-    return transpose(_compound_matrix(imgs))
-
-
-def _divided(m, d: int):
-    """The integer matrix m divided by d != 0, in ints when d = 1."""
-    if d == 1:
-        return m
-    return tuple(tuple(Fraction(x, d) for x in row) for row in m)
+    return PBasis(plus, minus)
 
 
 def mu_matrix(x: CliffordElement, y: CliffordElement, params: GramParams):
@@ -126,8 +95,8 @@ def mu_matrix(x: CliffordElement, y: CliffordElement, params: GramParams):
         raise ValueError("mu requires even elements")
     imgs = [integer_mul(integer_mul(x.ints, e, params), y.ints, params)
             for e in _EVEN_BASIS]
-    return _divided(_wedge_square([[w[m] for m in EVEN_MASKS] for w in imgs]),
-                    (x.den * y.den) ** 2)
+    return mat_div(_compound_matrix([[w[m] for w in imgs] for m in EVEN_MASKS]),
+                   (x.den * y.den) ** 2)
 
 
 def _pairing_matrix(params: GramParams):
@@ -139,7 +108,8 @@ def _pairing_matrix(params: GramParams):
 
 
 def _compound_matrix(t):
-    """Second compound: entry ((i,j),(k,l)) = t[i][k] t[j][l] - t[i][l] t[j][k]."""
+    """Second compound: entry ((i,j),(k,l)) = t[i][k] t[j][l] - t[i][l] t[j][k],
+    so column (k, l) holds the wedge of columns k and l of t."""
     rows = []
     for i, j in WEDGE_PAIRS:
         row = []
@@ -149,21 +119,21 @@ def _compound_matrix(t):
     return mat(rows)
 
 
-def iota_matrix(params: GramParams):
-    """Matrix of iota: W -> W' = wedge^2 Cl^- in the wedge bases.
-
-    iota(w) is the unique xi with (v, xi) = <v, w>_W for all v, where (,) is
-    the wedge-square of the duality pairing; in coordinates C^{-1} G_W.
-    """
-    c = _compound_matrix(_pairing_matrix(params))
-    return mat_mul(inverse(c), GRAM_W)
-
-
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def iota_inverse_matrix(params: GramParams):
     """G_W^{-1} C, where G_W^{-1} = G_W (a permutation involution)."""
     c = _compound_matrix(_pairing_matrix(params))
     return mat_mul(GRAM_W, c)
+
+
+def iota_matrix(params: GramParams):
+    """Matrix of iota: W -> W' = wedge^2 Cl^- in the wedge bases.
+
+    iota(w) is the unique xi with (v, xi) = <v, w>_W for all v, where (,) is
+    the wedge-square of the duality pairing C; in coordinates C^{-1} G_W,
+    the inverse of :func:`iota_inverse_matrix`.
+    """
+    return inverse(iota_inverse_matrix(params))
 
 
 def integer_odd_actions(x: CliffordElement, params: GramParams):
@@ -183,7 +153,7 @@ def integer_odd_actions(x: CliffordElement, params: GramParams):
         raise ValueError("mu~ and eta require N x != 0")
     imgs = [integer_mul(e, xs, params) for e in _EVEN_BASIS]
     m = mat_mul(iota_inverse_matrix(params),
-                _wedge_square([[w[k] for k in ODD_MASKS] for w in imgs]))
+                _compound_matrix([[w[k] for w in imgs] for k in ODD_MASKS]))
     xstar = integer_reversal(xs, params)
     cols = []
     for g in GEN_MASKS:
@@ -200,27 +170,22 @@ def mu_tilde_matrix(x: CliffordElement, params: GramParams):
 
     x may have rational coordinates (e.g. the central element E); the
     integer core of :func:`integer_odd_actions` is divided once."""
-    return _divided(*integer_odd_actions(x, params)[0])
+    return mat_div(*integer_odd_actions(x, params)[0])
 
 
 def eta_matrix(x: CliffordElement, params: GramParams):
     """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0:
     the integer core of :func:`integer_odd_actions`, divided once."""
-    return _divided(*integer_odd_actions(x, params)[1])
-
-
-def _stack(ws):
-    """The 6x3 integer matrix whose columns are the coordinates of ws."""
-    return tuple(zip(*(tuple(x.numerator for x in w.coords) for w in ws)))
+    return mat_div(*integer_odd_actions(x, params)[1])
 
 
 def lambda_plus_matrix(params: GramParams):
     """6x3 coordinate stack of the isometry lambda+: L -> P+, Ei -> w_i^+."""
-    return _stack(p_bases(params).plus)
+    return transpose(p_bases(params).plus)
 
 
 def lambda_minus_matrix(params: GramParams):
-    return _stack(p_bases(params).minus)
+    return transpose(p_bases(params).minus)
 
 
 def mu_of_unit_conjugation(alpha: CliffordElement, params: GramParams):

@@ -19,6 +19,7 @@ rank-1 matrix (x_p x_q).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
@@ -29,7 +30,7 @@ from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        integer_mul, integer_reversal, norm)
 from .lattice import (Lattice, in_discriminant_kernel, is_isometry,
                       preserves_positive_cone)
-from .linalg import (adjugate, factor_pairs, mat, primitive_vector,
+from .linalg import (adjugate, det, factor_pairs, mat, primitive_vector,
                      sign_normalize, squarefree_part)
 
 # The slots of the unit coordinates of each grade.
@@ -58,7 +59,6 @@ class Isometry3:
 
     @cached_property
     def det(self) -> int:
-        from .linalg import det
         return int(det(self.matrix))
 
     @cached_property
@@ -343,17 +343,16 @@ def v_set_search(k: int, l: int, bound: int):
                  for x1, x2, x3, x4 in sorted(found))
 
 
-def seeded_units(k: int, l: int, count: int, seed: int,
-                 gen_bound: int = 3, word_length: int = 5):
+def seeded_units(k: int, l: int, count: int, seed: int):
     """Deterministic pseudo-random units of Cl+-(U(k)+<2l>), for test suites.
 
-    Generators come from the bounded searches; units are random words in
-    them.  Both grades occur whenever the odd coset is nonempty.
+    Generators come from the bounded searches (the even one from bound 3,
+    doubled until it finds a nontrivial unit); units are random words of
+    length 1 to 5 in them.  Both grades occur whenever the odd coset is
+    nonempty.
     """
-    import random as _random
-
     params = GramParams(0, l, 0, 0, k, 0)
-    b = gen_bound
+    b = 3
     while True:
         gens = [family_unit(m, k, l) for m in unit_search_even(k, l, b)]
         gens = [u for u in gens if u.element.coords != (1, 0, 0, 0)]
@@ -363,12 +362,12 @@ def seeded_units(k: int, l: int, count: int, seed: int,
     for odd in v_set_search(k, l, 2)[:6]:
         gens.append(CliffordUnit.from_element(odd, params))
     if not gens:
-        raise ValueError("no nontrivial generators found; raise gen_bound")
-    rng = _random.Random(seed)
+        raise ValueError("no nontrivial generators found")
+    rng = random.Random(seed)
     out = []
     for _ in range(count):
         u = CliffordUnit.from_element(EvenCliffordElement(1, 0, 0, 0), params)
-        for _ in range(rng.randint(1, word_length)):
+        for _ in range(rng.randint(1, 5)):
             u = unit_product(u, rng.choice(gens), params)
         out.append(u)
     return out

@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .linalg import (adjugate, det, factor, inverse, is_integral, mat,
-                     mat_mul, mat_vec, positive_vector, signature_of,
+from .linalg import (adjugate, det, factor, is_integral, mat, mat_mul,
+                     mat_vec, positive_vector, signature_of, smith_normal_form,
                      transpose, vec_dot)
 
 
@@ -116,24 +116,14 @@ class DiscriminantGroup:
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """Invariant factors of coker(Q_L) via Smith normal form.
 
-    The lifts are the columns of Q_L^{-1} U^{-1} for the row transform U of
-    the SNF (U Q V = D): the class of column i has order d_i.
+    The lifts are the columns of Q_L^{-1} U^{-1} = V D^{-1} for the Smith
+    transforms U Q V = D: lift i is column i of V over d_i, of order d_i.
     """
-    from .linalg import smith_normal_form
-
-    q = lat.gram
-    d, u, _ = smith_normal_form(q)
-    qinv = inverse(q)
-    uinv = inverse(u)
-    lifts_mat = mat_mul(qinv, uinv)
-    factors = []
-    lifts = []
-    for i in range(lat.rank):
-        di = d[i][i]
-        if di > 1:
-            factors.append(di)
-            lifts.append(tuple(lifts_mat[r][i] for r in range(lat.rank)))
-    return DiscriminantGroup(tuple(factors), tuple(lifts))
+    d, _, v = smith_normal_form(lat.gram)
+    kept = [i for i in range(lat.rank) if d[i][i] > 1]
+    return DiscriminantGroup(
+        tuple(d[i][i] for i in kept),
+        tuple(tuple(Fraction(row[i], d[i][i]) for row in v) for i in kept))
 
 
 def _mod(x, modulus):

@@ -42,6 +42,13 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def mat_div(a: Matrix, d: int) -> Matrix:
+    """The integer matrix a divided by d != 0, left in ints when d = 1."""
+    if d == 1:
+        return a
+    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])

@@ -18,8 +18,8 @@ from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
                          phi_alpha, unit_search_even)
 from .lattice import family_lattice, represents, signature
 from .linalg import char_poly_3x3, mat, sign_normalize
-from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
-                      index_pi_g_n, qr_minus_one, torsion_search)
+from .modular import (ModularElement, SubgroupSpec, _prime_power, delta_n,
+                      free_rank, index_pi_g_n, qr_minus_one, torsion_search)
 
 @dataclass(frozen=True)
 class SalemDatum:
@@ -36,11 +36,6 @@ class SalemDatum:
     a_value: int
     is_salem: bool
     symplectic: bool
-
-    @property
-    def quadratic_factor(self):
-        """(1, -A, 1): coefficients of t^2 - A t + 1."""
-        return (1, -self.a_value, 1)
 
     @property
     def cubic_coeffs(self):
@@ -87,14 +82,15 @@ def symplectic_split(alpha) -> bool:
     return el.det == 1
 
 
-def wehler_trace_classes(n_max: int, search_bound: int = 9):
-    """Verify the mod-4 trace law on searched Pi(2) units and tabulate A.
+def wehler_trace_classes(n_max: int):
+    """Verify the mod-4 trace law on the Pi(2) units of entries at most 9 and
+    tabulate A.
 
     Returns (units_checked, table) where table[n] = (A_symplectic,
     A_antisymplectic) = ((4n+2)^2 - 2, (4n)^2 + 2) for 1 <= n <= n_max.
     Raises AssertionError if any searched unit violates the trace law.
     """
-    units = unit_search_even(2, -2, search_bound)
+    units = unit_search_even(2, -2, 9)
     checked = 0
     for m in units:
         el = ModularElement.from_matrix(m)
@@ -115,7 +111,6 @@ def _group_presentation(n: int) -> str:
     """Human-readable model of G_n from the prime-power table (n >= 2)."""
     if n == 2:
         return "Pi(2) = <Gamma(2), diag(1,-1)> (isomorphic to C2 * C2 * C2)"
-    from .modular import _prime_power
     p, e = _prime_power(n)
     if p is None:
         return f"G_{n} (scalar congruence classes mod {n})"
@@ -228,8 +223,8 @@ def congruence_data(n: int, bound: int) -> dict:
     }
 
 
-def _sample_units(k: int, l: int, search_bound: int, count: int):
-    """A few nontrivial searched units, Salem-bearing ones first."""
+def _sample_units(k: int, l: int, search_bound: int):
+    """Three nontrivial searched units, Salem-bearing ones first."""
     units = [m for m in unit_search_even(k, l, search_bound)
              if m != mat([[1, 0], [0, 1]])]
 
@@ -237,11 +232,11 @@ def _sample_units(k: int, l: int, search_bound: int, count: int):
         s = salem_poly(m)
         return (not s.is_salem, s.trace_abs, m)
 
-    return sorted(units, key=key)[:count]
+    return sorted(units, key=key)[:3]
 
 
 def analyze_picard(k: int, l: int, search_bound: int = 20,
-                   torsion_bound: int = 30, sample_count: int = 3) -> AutReport:
+                   torsion_bound: int = 30) -> AutReport:
     """Assemble the automorphism-group report for U(k) + <2l>.
 
     Hypothesis violations (signature not (1,2), i.e. l > 0, or a (-2)-vector)
@@ -279,7 +274,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20,
                       "presentation": _group_presentation(n)}
 
     samples = []
-    for m in _sample_units(k, l, search_bound, sample_count):
+    for m in _sample_units(k, l, search_bound):
         _verify_sample(m, k, l, params, lat, sig)
         samples.append(salem_poly(m))
 

@@ -28,7 +28,7 @@ from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
 from .lattice import Lattice
 from .linalg import det, mat, mat_mul, mat_scale, mat_vec, sign_normalize, transpose
 
-DEFAULT_FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
+FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
 
 
 @dataclass
@@ -159,11 +159,10 @@ def exterior_suite(trials: int, seed: int, gram_bound: int = 5,
     return res
 
 
-def roundtrip_suite(trials: int, seed: int,
-                    families=DEFAULT_FAMILIES) -> SuiteResult:
+def roundtrip_suite(trials: int, seed: int) -> SuiteResult:
     """Main-Theorem round trips: ``trials`` seeded units per family."""
     res = SuiteResult("roundtrip")
-    for k, l in families:
+    for k, l in FAMILIES:
         params = GramParams(0, l, 0, 0, k, 0)
         lat = Lattice(params.gram)
         sig12 = l < 0

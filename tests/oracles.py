@@ -14,11 +14,12 @@ from operator import mul
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               OddCliffordElement, clifford_mul, element_E,
                               norm, reversal)
-from picard3.exterior import WEDGE_PAIRS, WElement, iota_inverse_matrix
+from picard3.exterior import GRAM_W, WEDGE_PAIRS, iota_inverse_matrix
 from picard3.isometries import Isometry3
 from picard3.lattice import Lattice, discriminant_group
 from picard3.linalg import (det, identity, inverse, kernel_basis, mat,
-                            mat_vec, primitive_vector)
+                            mat_mul, mat_vec, primitive_vector,
+                            smith_normal_form)
 from picard3.modular import ModularElement, is_torsion, member
 
 
@@ -343,6 +344,15 @@ def element_order(x: ModularElement, cap: int = 12):
     return None
 
 
+def generator_lifts_by_inverse(lat: Lattice) -> tuple:
+    """The discriminant-group lifts as the columns of Q^{-1} U^{-1}, for the
+    Smith row transform U (U Q V = D), by two Fraction inverses."""
+    d, u, _ = smith_normal_form(lat.gram)
+    lifts = mat_mul(inverse(lat.gram), inverse(u))
+    return tuple(tuple(row[i] for row in lifts)
+                 for i in range(lat.rank) if d[i][i] > 1)
+
+
 def induced_action_trivial(g, lat: Lattice) -> bool:
     """Cross-check for the kernel test: g fixes every generator lift mod L."""
     group = discriminant_group(lat)
@@ -399,9 +409,15 @@ def _even_basis():
     return [EvenCliffordElement(*[int(i == j) for j in range(4)]) for i in range(4)]
 
 
-def wedge_of_even(p: tuple, q: tuple) -> WElement:
+def wedge_of_even(p: tuple, q: tuple) -> tuple:
     """x ^ y in W for even elements given by e-basis coordinates p, q."""
-    return WElement(tuple(p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS))
+    return tuple(p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS)
+
+
+def w_form_by_fractions(v: tuple, w: tuple):
+    """<v, w>_W = v^T G_W w, summed in Fractions over the Gram matrix."""
+    return sum(Fraction(v[i]) * GRAM_W[i][j] * Fraction(w[j])
+               for i in range(6) for j in range(6))
 
 
 def mu_matrix_by_fractions(x, y, params):
@@ -409,7 +425,7 @@ def mu_matrix_by_fractions(x, y, params):
     Fractions."""
     imgs = [clifford_mul(clifford_mul(x, e, params), y, params).coords
             for e in _even_basis()]
-    cols = [wedge_of_even(imgs[i], imgs[j]).coords for i, j in WEDGE_PAIRS]
+    cols = [wedge_of_even(imgs[i], imgs[j]) for i, j in WEDGE_PAIRS]
     return mat(tuple(zip(*cols)))
 
 

@@ -1,14 +1,13 @@
-from fractions import Fraction
-
 import pytest
 
 from picard3 import linalg as la
 from picard3.clifford import (EvenCliffordElement, GramParams,
                               OddCliffordElement, clifford_mul, element_E, norm)
-from picard3.exterior import (GRAM_W, WElement, eta_matrix, iota_matrix,
-                              lambda_minus_matrix, lambda_plus_matrix,
-                              mu_matrix, mu_of_unit_conjugation,
-                              mu_tilde_matrix, p_bases, w_form)
+from picard3.exterior import (GRAM_W, eta_matrix, iota_inverse_matrix,
+                              iota_matrix, lambda_minus_matrix,
+                              lambda_plus_matrix, mu_matrix,
+                              mu_of_unit_conjugation, mu_tilde_matrix, p_bases,
+                              pair_w)
 from conftest import random_gram_params
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
@@ -16,28 +15,34 @@ ONE = EvenCliffordElement(1, 0, 0, 0)
 
 
 def test_w_form_values():
-    e01 = WElement((1, 0, 0, 0, 0, 0))
-    e02 = WElement((0, 1, 0, 0, 0, 0))
-    e23 = WElement((0, 0, 0, 1, 0, 0))
-    assert w_form(e01, e23) == 1
-    assert w_form(e01, e02) == 0
-    basis = [WElement(tuple(int(i == j) for j in range(6))) for i in range(6)]
-    assert la.mat([[w_form(basis[i], basis[j]) for j in range(6)]
+    e01, e02, e23 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)
+    assert pair_w(e01, e23) == 1
+    assert pair_w(e01, e02) == 0
+    basis = la.identity(6)
+    assert la.mat([[pair_w(basis[i], basis[j]) for j in range(6)]
                    for i in range(6)]) == GRAM_W
-    w = WElement((1, 2, 3, 4, 5, 6))
-    assert w_form(w, w) == 2 * (1 * 4 + 2 * 5 + 3 * 6)
+    w = (1, 2, 3, 4, 5, 6)
+    assert pair_w(w, w) == 2 * (1 * 4 + 2 * 5 + 3 * 6)
+    assert type(pair_w(w, w)) is int
 
 
 def test_p_bases_rows_and_certificates(rng):
     pb = p_bases(WEHLER)
-    # w1+ = a e01 + u e02 + e23
-    assert pb.plus[0].coords == tuple(map(Fraction, (0, 2, 0, 1, 0, 0)))
+    # w1+ = a e01 + u e02 + e23, as an integer 6-tuple
+    assert pb.plus[0] == (0, 2, 0, 1, 0, 0)
     # Gram(w+) = the Wehler matrix exactly
     for i in range(3):
         for j in range(3):
-            assert w_form(pb.plus[i], pb.plus[j]) == WEHLER.gram[i][j]
+            assert pair_w(pb.plus[i], pb.plus[j]) == WEHLER.gram[i][j]
     for _ in range(50):
-        p_bases(random_gram_params(rng))   # certificates built in
+        p = random_gram_params(rng)
+        pb = p_bases(p)   # certificates built in
+        for rows in (pb.plus, pb.minus):
+            assert len(rows) == 3
+            assert all(len(w) == 6 and all(type(x) is int for x in w)
+                       for w in rows)
+        assert lambda_plus_matrix(p) == la.transpose(pb.plus)
+        assert lambda_minus_matrix(p) == la.transpose(pb.minus)
 
 
 def test_mu_identities(rng):
@@ -64,11 +69,10 @@ def test_mu_functoriality_and_scaling(rng):
             la.mat_mul(mu_matrix(x1, y1, p), mu_matrix(x2, y2, p))
         mm = mu_matrix(x1, y1, p)
         n1, n2 = norm(x1, p), norm(y1, p)
-        w1 = WElement(tuple(rng.randint(-3, 3) for _ in range(6)))
-        w2 = WElement(tuple(rng.randint(-3, 3) for _ in range(6)))
-        assert w_form(WElement(la.mat_vec(mm, w1.coords)),
-                      WElement(la.mat_vec(mm, w2.coords))) == \
-            n1 * n1 * n2 * n2 * w_form(w1, w2)
+        w1 = tuple(rng.randint(-3, 3) for _ in range(6))
+        w2 = tuple(rng.randint(-3, 3) for _ in range(6))
+        assert pair_w(la.mat_vec(mm, w1), la.mat_vec(mm, w2)) == \
+            n1 * n1 * n2 * n2 * pair_w(w1, w2)
 
 
 def test_iota_sample(rng):
@@ -77,6 +81,13 @@ def test_iota_sample(rng):
         p = random_gram_params(rng)
         img = la.mat_vec(iota_matrix(p), (1, 0, 0, 0, 0, 0))
         assert list(img) == [0, 0, 0, 1, 0, 0]
+
+
+def test_iota_inverts_iota_inverse(rng):
+    for _ in range(30):
+        p = random_gram_params(rng)
+        assert la.mat_mul(iota_matrix(p), iota_inverse_matrix(p)) == la.identity(6)
+        assert la.mat_mul(iota_inverse_matrix(p), iota_matrix(p)) == la.identity(6)
 
 
 def test_mu_tilde_identities(rng):

@@ -14,13 +14,13 @@ import pytest
 
 from oracles import (alternating_E_by_fractions, eta_matrix_by_fractions,
                      mu_matrix_by_fractions, mu_tilde_matrix_by_fractions,
-                     phi_rep_by_fractions)
+                     phi_rep_by_fractions, w_form_by_fractions)
 from picard3.cli import main
 from picard3.clifford import (EvenCliffordElement, OddCliffordElement,
                               alternating_E, element_E, norm, phi_rep)
-from picard3.exterior import (WElement, eta_matrix, integer_odd_actions,
+from picard3.exterior import (eta_matrix, integer_odd_actions,
                               lambda_minus_matrix, lambda_plus_matrix,
-                              mu_matrix, mu_tilde_matrix, pair_w, w_form)
+                              mu_matrix, mu_tilde_matrix, pair_w)
 from picard3.linalg import mat_mul, mat_scale, mat_vec
 from conftest import random_gram_params
 
@@ -126,11 +126,12 @@ def test_integer_exterior_checks_match_the_fraction_forms(den_E):
         mm = mu_matrix(x, y, p)
         w1, w2 = (tuple(rng.randint(-3, 3) for _ in range(6)) for _ in range(2))
         n4 = norm(x, p) ** 2 * norm(y, p) ** 2
+        pw = pair_w(w1, w2)
+        assert pw == w_form_by_fractions(w1, w2)
         for wrong in (0, 1):            # scaling law with N^2 N^2 + wrong
-            pw = pair_w(w1, w2)
             int_ok = pair_w(mat_vec(mm, w1), mat_vec(mm, w2)) == (n4 + wrong) * pw
-            frac_ok = (w_form(WElement(mat_vec(mm, w1)), WElement(mat_vec(mm, w2)))
-                       == (n4 + wrong) * w_form(WElement(w1), WElement(w2)))
+            frac_ok = (w_form_by_fractions(mat_vec(mm, w1), mat_vec(mm, w2))
+                       == (n4 + wrong) * w_form_by_fractions(w1, w2))
             assert int_ok == frac_ok == (wrong == 0 or pw == 0), (p, wrong)
 
 

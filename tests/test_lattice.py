@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import induced_action_trivial
+from oracles import generator_lifts_by_inverse, induced_action_trivial
 from picard3 import linalg as la
 from picard3.lattice import (Lattice, disc, discriminant_form,
                              discriminant_group, family_lattice,
@@ -54,17 +54,39 @@ def test_generator_lift_orders():
                 assert integral == (mult == d)
 
 
-def test_group_order_equals_disc(rng):
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 3)
+def _random_even_lattice(rng, n):
+    while True:
         b = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(n)]
-        q = tuple(tuple(b[i][j] + b[j][i] for j in range(n)) for i in range(n))
         try:
-            lat = Lattice(q)
+            return Lattice(tuple(tuple(b[i][j] + b[j][i] for j in range(n))
+                                 for i in range(n)))
         except ValueError:
             continue
-        done += 1
+
+
+def test_generator_lifts_match_the_inverse_formula(rng):
+    """Lifts read off the Smith column transform equal Q^{-1} U^{-1}, entry
+    for entry and as Fractions, and so give the same discriminant form."""
+    lats = [U, WEHLER, Lattice(((2,),)), Lattice(((-10,),))]
+    lats += [m_n_lattice(n) for n in range(2, 7)]
+    lats += [family_lattice(k, l) for k, l in ((1, -1), (2, 3), (5, -7), (12, -30))]
+    lats += [_random_even_lattice(rng, n) for n in (1, 2, 3, 4) for _ in range(60)]
+    for lat in lats:
+        group = discriminant_group(lat)
+        assert group.generator_lifts == generator_lifts_by_inverse(lat), lat
+        assert all(type(x) is Fraction for lift in group.generator_lifts
+                   for x in lift)
+        values = tuple(tuple(lat.pairing(a, b) for b in group.generator_lifts)
+                       for a in group.generator_lifts)
+        form = discriminant_form(lat)
+        for i, row in enumerate(values):
+            for j, v in enumerate(row):
+                assert form.values[i][j] == v % (2 if i == j else 1)
+
+
+def test_group_order_equals_disc(rng):
+    for _ in range(40):
+        lat = _random_even_lattice(rng, rng.randint(1, 3))
         assert discriminant_group(lat).order == abs(disc(lat))
 
 
