@@ -30,8 +30,8 @@ from .lattice import (DiscriminantGroup, FiniteQuadraticForm, Lattice,
 from .modular import (ModularElement, ScaledModularElement, SubgroupSpec,
                       delta_n, free_rank, g_n_class_witness, index_gamma_n,
                       index_pi_g_n, is_torsion, member, negative_pell,
-                      prime_power_generator, qr_minus_one, scaled_mul,
-                      torsion_search)
+                      prime_power_generator, provably_torsion_free,
+                      qr_minus_one, scaled_mul, torsion_search)
 from .report import (AutReport, SalemDatum, analyze_picard, salem_poly,
                      symplectic_split, wehler_trace_classes)
 from .verify import (clifford_suite, exterior_suite, roundtrip_suite,

@@ -98,8 +98,14 @@ def _bareiss(rows: list, n: int, jordan: bool = False):
 
 
 def det(a: Matrix):
-    """Determinant by Bareiss elimination: each row is scaled to integers by
-    its common denominator, and their product divides once at the end."""
+    """Determinant.  An all-int 3x3 matrix is expanded by cofactors along its
+    first row; anything else goes through Bareiss elimination, with each row
+    scaled to integers by its common denominator and their product divided
+    out once at the end."""
+    if len(a) == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        if all(type(y) is int for y in (p, q, r, s, t, u, v, w, x)):
+            return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
     rows, scale = [], 1
     for row in a:
         d, w = clear_denominators(row)

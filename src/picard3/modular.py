@@ -257,6 +257,24 @@ def is_torsion(x: ModularElement):
     return False, None
 
 
+def provably_torsion_free(spec: SubgroupSpec) -> bool:
+    """True when the subgroup is proved to hold no torsion besides the
+    identity; False means "not proved", not "has torsion".
+
+    A member [[a, b], [c, d]] of B_{k,l}^x has tr^2 - 4 det = (a - d)^2 + 4bc
+    divisible by k^2 and by 4kl, so by m = |k| gcd(k, 4l), while a torsion
+    element has tr^2 - 4 det in {-4, -3, 4} (see is_torsion).  So no m
+    outside {1, 2, 3, 4} admits torsion (Minkowski's lemma; Newman, Integral
+    Matrices, ch. IX).  Pi_n and Gamma_n lie in G_n = B_{n,n}^x, where
+    m = n^2, so all three are torsion-free for |n| >= 3.
+    """
+    if spec.kind in ("Pi_n", "Gamma_n", "G_n"):
+        return abs(spec.n) >= 3
+    if spec.kind == "B_kl_units":
+        return abs(spec.k) * gcd(spec.k, 4 * spec.l) not in (1, 2, 3, 4)
+    return False
+
+
 def torsion_search(spec: SubgroupSpec, bound: int):
     """All torsion elements of the subgroup with |entries| <= bound.
 

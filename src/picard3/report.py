@@ -4,9 +4,11 @@ isomorphism, the symplectic/anti-symplectic split, and Salem polynomials.
 
 The subject of a report is always the lattice-theoretic group; the K3
 surface itself is never modeled (its existence for signature (1,2) forms is
-classical).  Infinite-group statements (torsion-freeness for n >= 3, the
-abstract structure of the unit group) are reported as bounded evidence,
-never as theorems.
+classical).  Torsion-freeness of G_n for n >= 3 is proved, not searched for
+(modular.provably_torsion_free); the bounded torsion search runs only where
+no proof applies, and the report text keeps its "bounded evidence" wording.
+The abstract structure of the unit group is reported as bounded evidence,
+never as a theorem.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 from .clifford import GramParams
 from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
                          phi_alpha, unit_search_even)
-from .lattice import family_lattice, represents, signature
+from .lattice import family_lattice, represents
 from .linalg import char_poly_3x3, mat, sign_normalize
 from .modular import (ModularElement, SubgroupSpec, _prime_power, delta_n,
-                      free_rank, index_pi_g_n, qr_minus_one, torsion_search)
+                      free_rank, index_pi_g_n, provably_torsion_free,
+                      qr_minus_one, torsion_search)
 
 @dataclass(frozen=True)
 class SalemDatum:
@@ -204,10 +207,16 @@ class AutReport:
 
 def congruence_data(n: int, bound: int) -> dict:
     """The congruence block of G_n shared by ``analyze`` and ``congruence``:
-    [Pi : G_n], delta_n, the torsion search with entries <= bound, and the
-    free rank when that search finds nothing and 12 divides the index."""
+    [Pi : G_n], delta_n, the torsion elements with entries <= bound, and the
+    free rank when there are none and 12 divides the index.
+
+    For n >= 3, G_n is proved torsion-free (provably_torsion_free), so the
+    bounded search runs only for n = 1, 2, which have torsion.  The block
+    keeps its "torsion_bounded_search" key and bound either way.
+    """
     idx = index_pi_g_n(n)
-    found = torsion_search(SubgroupSpec("G_n", n=n), bound)
+    spec = SubgroupSpec("G_n", n=n)
+    found = () if provably_torsion_free(spec) else torsion_search(spec, bound)
     rank = None
     if not found and idx % 12 == 0:
         rank = free_rank(idx)
@@ -249,7 +258,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20,
         raise ValueError("k and l must be nonzero")
     lat = family_lattice(k, l)
     params = GramParams.from_gram(lat.gram)
-    sig = signature(lat)
+    sig = (2, 1) if l > 0 else (1, 2)   # U(k) is (1, 1); <2l> adds sign(l)
     failures = []
     if sig != (1, 2):
         failures.append(f"signature is {sig}, not (1,2) (need l < 0)")

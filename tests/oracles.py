@@ -95,6 +95,20 @@ def torsion_search_scan(spec, bound: int):
     return tuple(sorted(found, key=lambda e: (e.a, e.b, e.c, e.d)))
 
 
+def g_n_torsion_residues(n: int):
+    """The residues mod n^2 a torsion element of G_n would need, by scan.
+
+    A member [[a, b], [c, d]] of G_n has b = c = 0 and a = d (mod n), so for
+    trace t and det e: 2a = t (mod n) and a (t - a) = ad = e (mod n^2).
+    Returns every (t, e, a) with 0 <= a < n^2 that solves both, for the
+    torsion classes (t, e) = (0, 1), (+-1, 1), (0, -1).
+    """
+    nn = n * n
+    return [(t, e, a) for e, traces in ((1, (0, 1, -1)), (-1, (0,)))
+            for t in traces for a in range(nn)
+            if (2 * a - t) % n == 0 and (a * (t - a) - e) % nn == 0]
+
+
 def isometry_scan(lat: Lattice, bound: int):
     """All isometries of a rank-3 lattice with |entries| <= bound (brute force).
 

@@ -1,8 +1,10 @@
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,9 @@ from picard3.cli import build_parser, main
 from picard3.report import analyze_picard
 
 ROOT = Path(__file__).resolve().parent.parent
+# exit codes and stdout recorded before torsion-freeness was decided exactly
+# and before the closed-form family signature and 3x3 determinant
+GOLDEN = ROOT / "tests" / "golden" / "analyze_congruence.json"
 
 
 def run_cli(capsys, *argv):
@@ -162,3 +167,19 @@ def test_repeated_main_matches_fresh_interpreter(capsys):
                                timeout=60, env=env)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert build_parser() is build_parser()
+
+
+def test_analyze_and_congruence_match_golden_outputs():
+    golden = json.loads(GOLDEN.read_text())
+    nonzero = [v for v in range(-6, 7) if v]
+    keys = {f"{cmd} --n {n} --format {fmt}"
+            for n in [*range(1, 41), 65003, 65537, 65536, 99991]
+            for cmd in ("analyze", "congruence") for fmt in ("json", "text")}
+    keys |= {f"analyze --k {k} --l {l} --format json"
+             for k in nonzero for l in nonzero}
+    assert set(golden) == keys
+    for key, (code, out) in golden.items():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(key.split()) == code, key
+        assert buf.getvalue() == out, key

@@ -1,6 +1,6 @@
-"""The factorisation-based number theory and the pruned torsion search
-against the exhaustive scans they replaced (tests/oracles.py), plus time
-budgets for the CLI at large n."""
+"""The factorisation-based number theory, the pruned torsion search and the
+exact torsion-freeness criterion against the exhaustive scans they replaced
+(tests/oracles.py), plus time budgets for the CLI at large n."""
 
 import io
 import os
@@ -13,13 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (delta_n_scan, qr_minus_one_scan, represents_scan,
-                     torsion_search_scan, totient_like_index_scan)
+from oracles import (delta_n_scan, g_n_torsion_residues, qr_minus_one_scan,
+                     represents_scan, torsion_search_scan,
+                     totient_like_index_scan)
 from picard3.cli import main
 from picard3.lattice import represents
 from picard3.linalg import factor
 from picard3.modular import (SubgroupSpec, _totient_like_index, delta_n,
-                             qr_minus_one, torsion_search)
+                             provably_torsion_free, qr_minus_one,
+                             torsion_search)
 from picard3.report import analyze_picard
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +95,33 @@ def test_torsion_search_matches_scan():
         for bound in (0, 1, 5, 12):
             assert torsion_search(spec, bound) == torsion_search_scan(spec, bound), \
                 (spec, bound)
+
+
+def test_proved_torsion_free_subgroups_have_no_torsion_in_the_box():
+    nonzero = [v for v in range(-12, 13) if v]
+    specs = [SubgroupSpec(kind, n=n) for n in range(1, 121)
+             for kind in ("Pi_n", "Gamma_n", "G_n")]
+    specs += [SubgroupSpec(kind, k=v, l=v) for v in nonzero
+              for kind in ("Gamma0_k", "Gamma0_plus_l")]
+    specs += [SubgroupSpec("B_kl_units", k=k, l=l) for k in nonzero for l in nonzero]
+    proved = [spec for spec in specs if provably_torsion_free(spec)]
+    assert {spec.kind for spec in proved} == {"Pi_n", "Gamma_n", "G_n", "B_kl_units"}
+    # B_{k,l}: every pair but |k| <= 2, and |k| = 3 with 3 not dividing l
+    assert len(proved) == 3 * 118 + 448
+    for spec in proved:
+        for bound in range(31):
+            assert torsion_search(spec, bound) == (), (spec, bound)
+    for n in (1, 2):
+        spec = SubgroupSpec("G_n", n=n)
+        assert not provably_torsion_free(spec)
+        assert torsion_search(spec, 30)
+
+
+def test_g_n_torsion_residues_vanish_exactly_when_proved():
+    for n in range(1, 101):
+        residues = g_n_torsion_residues(n)
+        assert provably_torsion_free(SubgroupSpec("G_n", n=n)) == (not residues), n
+        assert bool(residues) == (n <= 2), n
 
 
 @pytest.mark.parametrize("argv", [("analyze", "--n", "10000019"),

@@ -1,6 +1,6 @@
 """The integer Clifford kernel, the closed-form unit <-> isometry maps and
-the Bareiss determinant against the Fraction paths they replaced
-(tests/oracles.py)."""
+the Bareiss and cofactor determinants against the Fraction paths they
+replaced (tests/oracles.py)."""
 
 from fractions import Fraction
 
@@ -135,3 +135,17 @@ def test_bareiss_det_matches_fraction_elimination(rng):
         assert type(d) is (int if Fraction(d).denominator == 1 else Fraction)
         if d != 0 and all(type(x) is int for row in a for x in row):
             assert la.mat_mul(a, la.adjugate(a)) == la.mat_scale(d, la.identity(n))
+
+
+def test_int_3x3_det_matches_fraction_elimination(rng):
+    for i in range(500):
+        bound = 10 ** rng.randint(0, 20)
+        a = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
+        if i % 5 == 0:      # singular: a repeated, negated or zero row
+            f = rng.choice((1, -1, 0))
+            a[2] = [f * x for x in a[rng.randrange(2)]]
+        a = la.mat(a)
+        d = la.det(a)
+        assert type(d) is int
+        assert d == det_by_fractions(a)
+        assert d == 0 or i % 5

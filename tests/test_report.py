@@ -1,11 +1,12 @@
 import pytest
 
-from picard3.lattice import represents
+from picard3 import report
+from picard3.lattice import family_lattice, represents, signature
 from picard3.linalg import char_poly_3x3
 from picard3.isometries import p_alpha_matrix
 from picard3.modular import ModularElement, qr_minus_one
-from picard3.report import (analyze_picard, salem_poly, symplectic_split,
-                            wehler_trace_classes)
+from picard3.report import (analyze_picard, congruence_data, salem_poly,
+                            symplectic_split, wehler_trace_classes)
 
 
 def test_wehler_report():
@@ -41,10 +42,34 @@ def test_g3_report():
     assert r.congruence["free_rank"] == 3
 
 
+def test_congruence_data_searches_only_where_no_proof_applies(monkeypatch):
+    searched = []
+
+    def search(spec, bound):
+        searched.append(spec.n)
+        return ()
+
+    monkeypatch.setattr(report, "torsion_search", search)
+    for n in range(1, 60):
+        data = congruence_data(n, 30)
+        assert data["torsion_bounded_search"] == {"bound": 30, "found_count": 0,
+                                                  "found": []}
+        if n > 2:
+            assert data["free_rank"] == data["index_in_Pi"] // 12 + 1
+    assert searched == [1, 2]
+
+
 def test_hypothesis_violations_flag_not_raise():
     r = analyze_picard(5, 1)
     assert not r.hypotheses_met
     assert any("signature" in f for f in r.hypothesis_failures)
+    # the report's closed-form signature against the lattice's own
+    nonzero = [v for v in range(-12, 13) if v]
+    for k, l in ([(k, l) for k in nonzero for l in nonzero]
+                 + [(65003, -65003), (10 ** 12, -10 ** 12)]):
+        r = analyze_picard(k, l, search_bound=0, torsion_bound=0)
+        assert r.signature == signature(family_lattice(k, l)), (k, l)
+        assert any("signature" in f for f in r.hypothesis_failures) == (l > 0)
     r = analyze_picard(1, -1)       # represents -1: has a (-2)-vector
     assert not r.root_free and not r.hypotheses_met
     with pytest.raises(ValueError):
