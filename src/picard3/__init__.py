@@ -14,9 +14,8 @@ operations pure, so the API is thread-safe by construction.
 
 from .clifford import (CliffordElement, EvenCliffordElement, GramParams,
                        OddCliffordElement, alternating_E, clifford_mul,
-                       element_E, gram_B, norm, odd_gram, odd_norm_family,
-                       pairing_E, phi_rep, reversal, tilde_e, trace, v_dot_E)
-from .exterior import (PBasis, eta_matrix, iota_matrix, lambda_minus_matrix,
+                       element_E, gram_B, norm, phi_rep, reversal, trace)
+from .exterior import (PBasis, eta_matrix, lambda_minus_matrix,
                        lambda_plus_matrix, mu_matrix, mu_tilde_matrix, p_bases)
 from .isometries import (CliffordUnit, Isometry3, clifford_lift, family_unit,
                          g_alpha, h_alpha, p_alpha_matrix, phi_alpha,
@@ -25,13 +24,12 @@ from .isometries import (CliffordUnit, Isometry3, clifford_lift, family_unit,
 from .lattice import (DiscriminantGroup, FiniteQuadraticForm, Lattice,
                       disc, discriminant_form, discriminant_group,
                       family_lattice, form_orthogonal_group,
-                      in_discriminant_kernel, lattice_from_json, m_n_lattice,
+                      in_discriminant_kernel, m_n_lattice,
                       preserves_positive_cone, represents, signature)
-from .modular import (ModularElement, ScaledModularElement, SubgroupSpec,
-                      delta_n, free_rank, g_n_class_witness, index_gamma_n,
-                      index_pi_g_n, is_torsion, member, negative_pell,
-                      prime_power_generator, provably_torsion_free,
-                      qr_minus_one, scaled_mul, torsion_search)
+from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
+                      g_n_class_witness, index_gamma_n, index_pi_g_n, member,
+                      negative_pell, prime_power_generator,
+                      provably_torsion_free, qr_minus_one, torsion_search)
 from .report import (AutReport, SalemDatum, analyze_picard, salem_poly,
                      symplectic_split, wehler_trace_classes)
 from .verify import (clifford_suite, exterior_suite, roundtrip_suite,

@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--l", type=int)
     pa.add_argument("--format", choices=("json", "text"), default="text")
     pa.add_argument("--search-bound", type=int, default=20)
-    pa.add_argument("--torsion-bound", type=int, default=30)
 
     pv = sub.add_parser("verify", help="run the seeded property suites")
     pv.add_argument("--suite", choices=sorted(ALL_SUITES), default=None,
@@ -66,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("congruence", help="congruence data of G_n")
     pc.add_argument("--n", type=int, required=True)
-    pc.add_argument("--bound", type=int, default=30,
-                    help="entry bound for the torsion search")
     pc.add_argument("--format", choices=("json", "text"), default="text")
     return p
 
@@ -84,8 +81,7 @@ def cmd_analyze(args) -> int:
             return 1
         k, l = args.k, args.l
     try:
-        report = analyze_picard(k, l, search_bound=args.search_bound,
-                                torsion_bound=args.torsion_bound)
+        report = analyze_picard(k, l, search_bound=args.search_bound)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -153,18 +149,18 @@ def cmd_congruence(args) -> int:
         print("error: n must be positive", file=sys.stderr)
         return 1
     out = {"schema": SCHEMA, "subgroup": {"kind": "G_n", "n": n},
-           **congruence_data(n, args.bound)}
+           **congruence_data(n)}
     if args.format == "json":
         print(json.dumps(out, sort_keys=True))
     else:
-        found = out["torsion_bounded_search"]["found_count"]
+        search = out["torsion_bounded_search"]
+        found, bound = search["found_count"], search["bound"]
         print(_styled(f"picard3 congruence G_{n}"))
         print(f"[Pi : G_{n}] = {out['index_in_Pi']}, delta_{n} = {out['delta_n']}")
         if found:
-            print(f"torsion: {found} elements with entries <= {args.bound}; "
-                  f"not free")
+            print(f"torsion: {found} elements with entries <= {bound}; not free")
         else:
-            print(f"torsion: none with entries <= {args.bound} "
+            print(f"torsion: none with entries <= {bound} "
                   f"(bounded evidence only)")
         if out["free_rank"] is not None:
             print(f"free rank (if torsion-free): {out['free_rank']}")

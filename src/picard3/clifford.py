@@ -32,14 +32,13 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm
 
-from .linalg import clear_denominators, identity, mat, mat_div, mat_scale
+from .linalg import clear_denominators, mat, mat_div
 
 # Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.  Slot 5
 # holds E3*E1 rather than the ascending E1*E3, so that the even part sits on
 # the quaternion basis.
 DIM = 8
 MASK_NAMES = ("", "1", "2", "12", "3", "31", "23", "123")
-NAME_TO_MASK = {name: i for i, name in enumerate(MASK_NAMES)}
 # The slots of the coordinate charts: (e0, e1, e2, e3) = (1, E2E3, E3E1, E1E2)
 # of the even part, and (E1E2E3, E1, E2, E3) of the odd part.
 EVEN_MASKS = (0, 6, 5, 3)
@@ -80,11 +79,6 @@ class GramParams:
     def gram(self):
         a, b, c, s, t, u = self.a, self.b, self.c, self.s, self.t, self.u
         return mat([[2 * a, u, t], [u, 2 * b, s], [t, s, 2 * c]])
-
-    @property
-    def gram_half(self):
-        """Q_{L0} = Q_L / 2 (rational)."""
-        return mat_scale(Fraction(1, 2), self.gram)
 
     @property
     def disc(self) -> int:
@@ -209,17 +203,6 @@ class CliffordElement:
     @property
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def to_json(self) -> dict:
-        return {"coeffs": {MASK_NAMES[m]: str(x)
-                           for m, x in enumerate(self.coeffs) if x != 0}}
-
-    @staticmethod
-    def from_json(obj) -> "CliffordElement":
-        c = [Fraction(0)] * DIM
-        for name, val in obj["coeffs"].items():
-            c[NAME_TO_MASK[name]] = Fraction(val)
-        return CliffordElement(tuple(c))
 
 
 def _element(ints, den: int) -> CliffordElement:
@@ -410,54 +393,6 @@ def element_E(params: GramParams) -> CliffordElement:
     global convention; this closed form fixes it.
     """
     return _element([0, -params.s, params.t, 0, -params.u, 0, 0, 2], 2)
-
-
-def tilde_e(i: int, params: GramParams) -> CliffordElement:
-    """The trace-zero projection e_i - Tr(e_i)/2 for i in {1, 2, 3}."""
-    tr = {1: params.s, 2: params.t, 3: params.u}[i]
-    coords = [Fraction(-tr, 2), 0, 0, 0]
-    coords[i] = 1
-    return EvenCliffordElement(*coords)
-
-
-def v_dot_E(v, params: GramParams) -> CliffordElement:
-    """The even element v * E for a (rational) lattice vector v."""
-    return clifford_mul(CliffordElement.vector(v), element_E(params), params)
-
-
-def pairing_E(x: CliffordElement, y: CliffordElement, params: GramParams):
-    """(x, y)_E for even x and odd y: the E1E2E3-coefficient of x * y*."""
-    if not (x.is_even and y.is_odd):
-        raise ValueError("pairing_E pairs an even with an odd element")
-    prod = integer_mul(x.ints, integer_reversal(y.ints, params), params)
-    return _scalar(prod[7], x.den * y.den)
-
-
-def odd_gram(params: GramParams, basis_choice: str = "standard"):
-    """Intersection matrix of the odd part under the quadratic form N.
-
-    ``standard``: basis (E1E2E3, E1, E2, E3).
-    ``dual``: basis (-E1E2E3 - t E2, E1, E2, E3), dual to (e_i) under the
-    pairing (,)_E; its Gram equals D0 * Q_B^{-1}.
-    """
-    basis = [OddCliffordElement(*e) for e in identity(4)]
-    if basis_choice == "dual":
-        basis[0] = OddCliffordElement(-1, 0, -params.t, 0)
-    elif basis_choice != "standard":
-        raise ValueError("basis_choice must be 'standard' or 'dual'")
-    out = []
-    for x in basis:
-        row = []
-        for y in basis:
-            nxy = norm(x + y, params) - norm(x, params) - norm(y, params)
-            row.append(Fraction(nxy, 2))
-        out.append(tuple(row))
-    return mat(out)
-
-
-def odd_norm_family(x1, x2, x3, x4, k: int, l: int):
-    """N(x1 E1 + x2 E2 + x3 E3 + x4 E1E2E3) on U(k) + <2l>, closed form."""
-    return k * x1 * x3 + l * x2 * (x2 - k * x4)
 
 
 def alternating_E(params: GramParams):

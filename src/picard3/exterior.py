@@ -18,8 +18,7 @@ from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, GramParams,
                        integer_mul, integer_norm, integer_reversal, norm,
                        reversal)
-from .linalg import (inverse, mat, mat_div, mat_mul, smith_normal_form,
-                     transpose)
+from .linalg import mat, mat_div, mat_mul, smith_normal_form, transpose
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
 WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -124,16 +123,6 @@ def iota_inverse_matrix(params: GramParams):
     """G_W^{-1} C, where G_W^{-1} = G_W (a permutation involution)."""
     c = _compound_matrix(_pairing_matrix(params))
     return mat_mul(GRAM_W, c)
-
-
-def iota_matrix(params: GramParams):
-    """Matrix of iota: W -> W' = wedge^2 Cl^- in the wedge bases.
-
-    iota(w) is the unique xi with (v, xi) = <v, w>_W for all v, where (,) is
-    the wedge-square of the duality pairing C; in coordinates C^{-1} G_W,
-    the inverse of :func:`iota_inverse_matrix`.
-    """
-    return inverse(iota_inverse_matrix(params))
 
 
 def integer_odd_actions(x: CliffordElement, params: GramParams):

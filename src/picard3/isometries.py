@@ -69,9 +69,6 @@ class Isometry3:
     def preserves_cone(self) -> bool:
         return preserves_positive_cone(self.matrix, self.lattice)
 
-    def to_json(self) -> dict:
-        return {"g": [list(r) for r in self.matrix]}
-
 
 @dataclass(frozen=True)
 class CliffordUnit:
@@ -101,11 +98,6 @@ class CliffordUnit:
         coords = elem.coords
         return CliffordUnit(elem if sign_normalize(coords) == coords else -elem,
                             grade, n)
-
-    def to_json(self) -> dict:
-        out = self.element.to_json()
-        out["grade"] = self.grade
-        return out
 
 
 def unit_product(u1: CliffordUnit, u2: CliffordUnit,

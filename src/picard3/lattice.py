@@ -15,8 +15,8 @@ from itertools import product
 from math import gcd
 
 from .linalg import (adjugate, det, factor, is_integral, mat, mat_mul,
-                     mat_vec, positive_vector, signature_of, smith_normal_form,
-                     transpose, vec_dot)
+                     mat_vec, primitive_vector, signature_of, smith_normal_form,
+                     symmetric_diagonalize, transpose, vec_dot)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class Lattice:
         """<x, y> extended to rational coordinate vectors."""
         return vec_dot(x, mat_vec(self.gram, y))
 
-    def to_json(self) -> dict:
-        return {"gram": [list(row) for row in self.gram]}
-
 
 def family_lattice(k: int, l: int) -> Lattice:
     """U(k) + <2l> with Gram [[0,0,k],[0,2l,0],[k,0,0]]."""
@@ -66,18 +63,6 @@ def m_n_lattice(n: int) -> Lattice:
     if n == 0:
         raise ValueError("n must be nonzero")
     return Lattice(((0, 0, n), (0, -2 * n, 0), (n, 0, 0)))
-
-
-def lattice_from_json(obj) -> Lattice:
-    """Parse {"gram": ...} or the family shorthands accepted everywhere."""
-    if "gram" in obj:
-        return Lattice(tuple(tuple(row) for row in obj["gram"]))
-    fam = obj.get("family")
-    if fam == "U(k)+<2l>":
-        return family_lattice(int(obj["k"]), int(obj["l"]))
-    if fam == "M_n":
-        return m_n_lattice(int(obj["n"]))
-    raise ValueError(f"unrecognized lattice spec: {obj!r}")
 
 
 def disc(lat: Lattice) -> int:
@@ -268,20 +253,25 @@ def in_discriminant_kernel(g, lat: Lattice) -> bool:
 def preserves_positive_cone(g, lat: Lattice) -> bool:
     """Cone test for signature (1, n) lattices; (n, 1) is handled by negation.
 
-    Picks any v with <v,v> > 0 and returns sign <gv, v> > 0.
+    One diagonalization P^T Q P = D gives the signature and, as the column of
+    P at the single positive entry of D (the single negative one for (n, 1)),
+    a v with eps <v, v> > 0 for eps = +1 (-1); returns sign eps <gv, v> > 0.
     """
-    s_plus, s_minus = signature(lat)
-    if s_plus == 1:
-        q = lat.gram
-    elif s_minus == 1:
-        q = mat(tuple(tuple(-x for x in row) for row in lat.gram))
+    p, d = symmetric_diagonalize(lat.gram)
+    plus = [i for i in range(lat.rank) if d[i][i] > 0]
+    minus = [i for i in range(lat.rank) if d[i][i] < 0]
+    if len(plus) == 1:
+        eps, i = 1, plus[0]
+    elif len(minus) == 1:
+        eps, i = -1, minus[0]
     else:
-        raise ValueError(f"cone test unsupported for signature {(s_plus, s_minus)}")
+        raise ValueError("cone test unsupported for signature "
+                         f"{(len(plus), len(minus))}")
     gm = mat(g)
     if not is_isometry(gm, lat):
         raise ValueError("g is not an isometry of L")
-    v = positive_vector(q)
-    val = vec_dot(mat_vec(gm, v), mat_vec(q, v))
+    v = primitive_vector(tuple(row[i] for row in p))
+    val = eps * vec_dot(mat_vec(gm, v), mat_vec(lat.gram, v))
     if val == 0:
         raise AssertionError("degenerate cone pairing")  # impossible for isometries
     return val > 0

@@ -320,16 +320,6 @@ def signature_of(q: Matrix):
     return plus, minus
 
 
-def positive_vector(q: Matrix) -> Vector:
-    """An integer vector v with v^T q v > 0; requires s_plus >= 1."""
-    p, d = symmetric_diagonalize(q)
-    for i in range(len(d)):
-        if d[i][i] > 0:
-            col = tuple(p[r][i] for r in range(len(d)))
-            return primitive_vector(col)
-    raise ValueError("form is negative semidefinite")
-
-
 def char_poly_3x3(a: Matrix):
     """Coefficients (c3, c2, c1, c0) of det(tI - a) = c3 t^3 + c2 t^2 + c1 t + c0."""
     tr = a[0][0] + a[1][1] + a[2][2]

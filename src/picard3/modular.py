@@ -3,15 +3,13 @@
 Elements are 2x2 integer matrices of determinant +-1, normalized modulo +-1
 so that the first nonzero entry (in row-major order) is positive.  Subgroups
 are congruence predicates: Pi(n), Gamma(n), the unit groups of the orders
-B_{k,l}, the scalar-congruence groups G_n, Gamma_0(k), and the Fricke-style
-extensions Gamma_0^+(l) whose elements carry an exact divisor scaling (the
-irrational factor sqrt(l') never materializes).
+B_{k,l}, the scalar-congruence groups G_n and Gamma_0(k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .linalg import factor, factor_pairs, mat, sign_normalize
 
@@ -63,70 +61,9 @@ class ModularElement:
 
 
 @dataclass(frozen=True)
-class ScaledModularElement:
-    """An element sqrt(l') [[a0, b0/l'], [c0 (l/l'), d0]] of Gamma_0^+(l).
-
-    Stored exactly as (l_prime, a0, b0, c0, d0); the reduced norm is
-    a0 d0 l' - b0 c0 (l/l').
-    """
-
-    l_prime: int
-    a0: int
-    b0: int
-    c0: int
-    d0: int
-
-    def norm(self, l: int) -> int:
-        if self.l_prime <= 0 or l % self.l_prime != 0:
-            raise ValueError("l' must be a positive divisor of l")
-        return self.a0 * self.d0 * self.l_prime - self.b0 * self.c0 * (l // self.l_prime)
-
-    def radical(self) -> int:
-        """rad(l'): the product of the primes dividing l'."""
-        return prod(p for p, _ in factor(self.l_prime))
-
-
-def _scaled_entries(x: ScaledModularElement, l: int):
-    """The matrix sqrt(l') * X as exact rational entries times sqrt(1):
-    returns (p, q, r, s) with X_scaled = [[p, q], [r, s]] / sqrt(l')."""
-    lp = x.l_prime
-    return (x.a0 * lp, x.b0, x.c0 * l, x.d0 * lp)
-
-
-def scaled_mul(x: ScaledModularElement, y: ScaledModularElement,
-               l: int) -> ScaledModularElement:
-    """Exact product of two Gamma_0^+(l) elements, renormalized."""
-    # write x = M_x / sqrt(l1) with integer M_x = [[a0 l1, b0],[c0 l, d0 l1]]
-    p1 = _scaled_entries(x, l)
-    p2 = _scaled_entries(y, l)
-    m = (p1[0] * p2[0] + p1[1] * p2[2],
-         p1[0] * p2[1] + p1[1] * p2[3],
-         p1[2] * p2[0] + p1[3] * p2[2],
-         p1[2] * p2[1] + p1[3] * p2[3])
-    l1, l2 = x.l_prime, y.l_prime
-    g = gcd(l1, l2)
-    l3 = l1 * l2 // (g * g)
-    # m / sqrt(l1 l2) = (m / g) / sqrt(l3); target form [[a0 l3, b0],[c0 l, d0 l3]]
-    mm = tuple(v // g for v in m)
-    if any(v % g for v in m):
-        raise AssertionError("scaled product did not renormalize")
-    a0, rem = divmod(mm[0], l3)
-    if rem:
-        raise AssertionError("scaled product left the group")
-    b0 = mm[1]
-    c0, rem = divmod(mm[2], l)
-    if rem:
-        raise AssertionError("scaled product left the group")
-    d0, rem = divmod(mm[3], l3)
-    if rem:
-        raise AssertionError("scaled product left the group")
-    return ScaledModularElement(l3, a0, b0, c0, d0)
-
-
-@dataclass(frozen=True)
 class SubgroupSpec:
     """A congruence predicate: one of Pi_n, Gamma_n, B_kl_units, G_n,
-    Gamma0_k, Gamma0_plus_l, with its parameters."""
+    Gamma0_k, with its parameters."""
 
     kind: str
     n: int = 0
@@ -134,8 +71,7 @@ class SubgroupSpec:
     l: int = 0
 
     def __post_init__(self):
-        kinds = ("Pi_n", "Gamma_n", "B_kl_units", "G_n", "Gamma0_k",
-                 "Gamma0_plus_l")
+        kinds = ("Pi_n", "Gamma_n", "B_kl_units", "G_n", "Gamma0_k")
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}")
         if self.kind in ("Pi_n", "Gamma_n", "G_n") and self.n == 0:
@@ -144,25 +80,10 @@ class SubgroupSpec:
             raise ValueError("k and l must be nonzero")
         if self.kind == "Gamma0_k" and self.k == 0:
             raise ValueError("k must be nonzero")
-        if self.kind == "Gamma0_plus_l" and self.l == 0:
-            raise ValueError("l must be nonzero")
 
 
 def member(x, spec: SubgroupSpec) -> bool:
-    """Membership predicate; Gamma_0^+(l) takes a ScaledModularElement
-    (a plain element is treated as the l' = 1 stratum)."""
-    if spec.kind == "Gamma0_plus_l":
-        l = spec.l
-        if isinstance(x, ModularElement):
-            x = ScaledModularElement(1, x.a, x.b, x.c // l, x.d) \
-                if x.c % l == 0 else None
-            if x is None:
-                return False
-        if not isinstance(x, ScaledModularElement):
-            raise ValueError("Gamma_0^+(l) membership needs a scaled element")
-        if x.l_prime <= 0 or l % x.l_prime != 0:
-            return False
-        return x.norm(l) == 1
+    """Membership predicate for an element or a 2x2 integer matrix."""
     if not isinstance(x, ModularElement):
         x = ModularElement.from_matrix(x)
     a, b, c, d = x.a, x.b, x.c, x.d
@@ -237,36 +158,17 @@ def index_pi_g_n(n: int) -> int:
     return v // d
 
 
-def is_torsion(x: ModularElement):
-    """(finite, order): decided by the closed trace/determinant criterion.
-
-    det 1: identity (x = +-I), order 2 iff tr = 0, order 3 iff tr = +-1,
-    otherwise infinite.  det -1: order 2 iff tr = 0, otherwise infinite.
-    """
-    if (x.a, x.b, x.c, x.d) in ((1, 0, 0, 1),):
-        return True, 1
-    t = x.trace
-    if x.det == 1:
-        if t == 0:
-            return True, 2
-        if t in (1, -1):
-            return True, 3
-        return False, None
-    if t == 0:
-        return True, 2
-    return False, None
-
-
 def provably_torsion_free(spec: SubgroupSpec) -> bool:
     """True when the subgroup is proved to hold no torsion besides the
     identity; False means "not proved", not "has torsion".
 
     A member [[a, b], [c, d]] of B_{k,l}^x has tr^2 - 4 det = (a - d)^2 + 4bc
     divisible by k^2 and by 4kl, so by m = |k| gcd(k, 4l), while a torsion
-    element has tr^2 - 4 det in {-4, -3, 4} (see is_torsion).  So no m
-    outside {1, 2, 3, 4} admits torsion (Minkowski's lemma; Newman, Integral
-    Matrices, ch. IX).  Pi_n and Gamma_n lie in G_n = B_{n,n}^x, where
-    m = n^2, so all three are torsion-free for |n| >= 3.
+    element other than the identity has det 1 and tr in {0, +-1}, or det -1
+    and tr 0, so tr^2 - 4 det in {-4, -3, 4}.  So no m outside {1, 2, 3, 4}
+    admits torsion (Minkowski's lemma; Newman, Integral Matrices, ch. IX).
+    Pi_n and Gamma_n lie in G_n = B_{n,n}^x, where m = n^2, so all three are
+    torsion-free for |n| >= 3.
     """
     if spec.kind in ("Pi_n", "Gamma_n", "G_n"):
         return abs(spec.n) >= 3
@@ -291,8 +193,8 @@ def torsion_search(spec: SubgroupSpec, bound: int):
         mb = mc = abs(spec.n)
     elif spec.kind == "B_kl_units":
         mb, mc = abs(spec.l), abs(spec.k)
-    else:
-        mb, mc = 1, abs(spec.k if spec.kind == "Gamma0_k" else spec.l)
+    else:  # Gamma0_k
+        mb, mc = 1, abs(spec.k)
     found = set()
     for det_val, traces in ((1, (0, 1, -1)), (-1, (0,))):
         for t in traces:

@@ -5,8 +5,9 @@ isomorphism, the symplectic/anti-symplectic split, and Salem polynomials.
 The subject of a report is always the lattice-theoretic group; the K3
 surface itself is never modeled (its existence for signature (1,2) forms is
 classical).  Torsion-freeness of G_n for n >= 3 is proved, not searched for
-(modular.provably_torsion_free); the bounded torsion search runs only where
-no proof applies, and the report text keeps its "bounded evidence" wording.
+(modular.provably_torsion_free); the torsion search, to the fixed entry
+bound TORSION_SEARCH_BOUND, runs only where no proof applies, and the report
+text keeps its "bounded evidence" wording.
 The abstract structure of the unit group is reported as bounded evidence,
 never as a theorem.
 """
@@ -24,6 +25,11 @@ from .modular import (ModularElement, SubgroupSpec, _prime_power, delta_n,
                       free_rank, index_pi_g_n, provably_torsion_free,
                       qr_minus_one, torsion_search)
 
+# Entry bound of the torsion search, which runs only for G_1 and G_2; the
+# congruence block and the report's bounds carry it.
+TORSION_SEARCH_BOUND = 30
+
+
 @dataclass(frozen=True)
 class SalemDatum:
     """The cubic char.poly. data (t - nr)(t^2 - A t + 1) of a unit.
@@ -34,7 +40,6 @@ class SalemDatum:
     """
 
     matrix: tuple
-    trace_abs: int
     nr: int
     a_value: int
     is_salem: bool
@@ -45,13 +50,6 @@ class SalemDatum:
         """Coefficients of (t - nr)(t^2 - A t + 1), descending degree."""
         a, nr = self.a_value, self.nr
         return (1, -(a + nr), 1 + nr * a, -nr)
-
-    @property
-    def spectral_radius_quadratic(self):
-        """For |A| > 2, |lambda| is the larger root of t^2 - |A| t + 1."""
-        if abs(self.a_value) <= 2:
-            return None
-        return (1, -abs(self.a_value), 1)
 
     def to_json(self) -> dict:
         return {
@@ -71,7 +69,6 @@ def salem_poly(alpha) -> SalemDatum:
     a_val = el.trace ** 2 - 2 * nr
     return SalemDatum(
         matrix=el.matrix,
-        trace_abs=abs(el.trace),
         nr=nr,
         a_value=a_val,
         is_salem=a_val > 2,
@@ -205,10 +202,11 @@ class AutReport:
         return "\n".join(lines)
 
 
-def congruence_data(n: int, bound: int) -> dict:
+def congruence_data(n: int) -> dict:
     """The congruence block of G_n shared by ``analyze`` and ``congruence``:
-    [Pi : G_n], delta_n, the torsion elements with entries <= bound, and the
-    free rank when there are none and 12 divides the index.
+    [Pi : G_n], delta_n, the torsion elements with entries at most
+    TORSION_SEARCH_BOUND, and the free rank when there are none and 12
+    divides the index.
 
     For n >= 3, G_n is proved torsion-free (provably_torsion_free), so the
     bounded search runs only for n = 1, 2, which have torsion.  The block
@@ -216,7 +214,8 @@ def congruence_data(n: int, bound: int) -> dict:
     """
     idx = index_pi_g_n(n)
     spec = SubgroupSpec("G_n", n=n)
-    found = () if provably_torsion_free(spec) else torsion_search(spec, bound)
+    found = (() if provably_torsion_free(spec)
+             else torsion_search(spec, TORSION_SEARCH_BOUND))
     rank = None
     if not found and idx % 12 == 0:
         rank = free_rank(idx)
@@ -224,7 +223,7 @@ def congruence_data(n: int, bound: int) -> dict:
         "index_in_Pi": idx,
         "delta_n": delta_n(n),
         "torsion_bounded_search": {
-            "bound": bound,
+            "bound": TORSION_SEARCH_BOUND,
             "found_count": len(found),
             "found": [[e.a, e.b, e.c, e.d] for e in found[:10]],
         },
@@ -233,19 +232,20 @@ def congruence_data(n: int, bound: int) -> dict:
 
 
 def _sample_units(k: int, l: int, search_bound: int):
-    """Three nontrivial searched units, Salem-bearing ones first."""
+    """Three nontrivial searched units: Salem-bearing ones (A > 2) first,
+    then by |trace|."""
     units = [m for m in unit_search_even(k, l, search_bound)
              if m != mat([[1, 0], [0, 1]])]
 
     def key(m):
-        s = salem_poly(m)
-        return (not s.is_salem, s.trace_abs, m)
+        (a, b), (c, d) = m
+        t = a + d
+        return (t * t - 2 * (a * d - b * c) <= 2, abs(t), m)
 
     return sorted(units, key=key)[:3]
 
 
-def analyze_picard(k: int, l: int, search_bound: int = 20,
-                   torsion_bound: int = 30) -> AutReport:
+def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
     """Assemble the automorphism-group report for U(k) + <2l>.
 
     Hypothesis violations (signature not (1,2), i.e. l > 0, or a (-2)-vector)
@@ -279,7 +279,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20,
 
     congruence = None
     if is_m_n:
-        congruence = {**congruence_data(n, torsion_bound),
+        congruence = {**congruence_data(n),
                       "presentation": _group_presentation(n)}
 
     samples = []
@@ -300,7 +300,8 @@ def analyze_picard(k: int, l: int, search_bound: int = 20,
         image_order_m=2 if antisymplectic else 1,
         congruence=congruence,
         samples=samples,
-        bounds={"unit_search": search_bound, "torsion_search": torsion_bound},
+        bounds={"unit_search": search_bound,
+                "torsion_search": TORSION_SEARCH_BOUND},
     )
 
 

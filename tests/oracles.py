@@ -16,11 +16,12 @@ from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               norm, reversal)
 from picard3.exterior import GRAM_W, WEDGE_PAIRS, iota_inverse_matrix
 from picard3.isometries import Isometry3
-from picard3.lattice import Lattice, discriminant_group
+from picard3.lattice import Lattice, discriminant_group, is_isometry
 from picard3.linalg import (det, identity, inverse, kernel_basis, mat,
-                            mat_mul, mat_vec, primitive_vector,
-                            smith_normal_form)
-from picard3.modular import ModularElement, is_torsion, member
+                            mat_mul, mat_scale, mat_vec, primitive_vector,
+                            signature_of, smith_normal_form,
+                            symmetric_diagonalize, vec_dot)
+from picard3.modular import ModularElement, member
 
 
 def delta_n_scan(n: int) -> int:
@@ -63,6 +64,26 @@ def totient_like_index_scan(n: int) -> int:
         den *= m * m
     assert num % den == 0
     return num // den
+
+
+def is_torsion(x: ModularElement):
+    """(finite, order): decided by the closed trace/determinant criterion.
+
+    det 1: identity (x = +-I), order 2 iff tr = 0, order 3 iff tr = +-1,
+    otherwise infinite.  det -1: order 2 iff tr = 0, otherwise infinite.
+    """
+    if (x.a, x.b, x.c, x.d) == (1, 0, 0, 1):
+        return True, 1
+    t = x.trace
+    if x.det == 1:
+        if t == 0:
+            return True, 2
+        if t in (1, -1):
+            return True, 3
+        return False, None
+    if t == 0:
+        return True, 2
+    return False, None
 
 
 def torsion_search_scan(spec, bound: int):
@@ -378,9 +399,43 @@ def induced_action_trivial(g, lat: Lattice) -> bool:
     return True
 
 
+def gram_half(params):
+    """Q_{L0} = Q_L / 2 (rational)."""
+    return mat_scale(Fraction(1, 2), params.gram)
+
+
 def dual_basis_vectors(params):
     """Columns of Q_{L0}^{-1}: the dual basis of (Ei) for the halved form."""
-    return inverse(params.gram_half)
+    return inverse(gram_half(params))
+
+
+def positive_vector(q):
+    """An integer vector v with v^T q v > 0, from the first positive entry of
+    a diagonalization of q; requires s_plus >= 1."""
+    p, d = symmetric_diagonalize(q)
+    for i in range(len(d)):
+        if d[i][i] > 0:
+            return primitive_vector(tuple(p[r][i] for r in range(len(d))))
+    raise ValueError("form is negative semidefinite")
+
+
+def cone_test_by_two_diagonalizations(g, lat: Lattice) -> bool:
+    """The positive-cone test with the signature and the positive vector each
+    from a diagonalization of their own, of Q or, for signature (n, 1), -Q."""
+    s_plus, s_minus = signature_of(lat.gram)
+    if s_plus == 1:
+        q = lat.gram
+    elif s_minus == 1:
+        q = mat(tuple(tuple(-x for x in row) for row in lat.gram))
+    else:
+        raise ValueError(f"cone test unsupported for signature {(s_plus, s_minus)}")
+    gm = mat(g)
+    if not is_isometry(gm, lat):
+        raise ValueError("g is not an isometry of L")
+    v = positive_vector(q)
+    val = vec_dot(mat_vec(gm, v), mat_vec(q, v))
+    assert val != 0, "degenerate cone pairing"
+    return val > 0
 
 
 # ------------------------------- the Fraction phi_rep and exterior-square actions

@@ -16,6 +16,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # exit codes and stdout recorded before torsion-freeness was decided exactly
 # and before the closed-form family signature and 3x3 determinant
 GOLDEN = ROOT / "tests" / "golden" / "analyze_congruence.json"
+# stdout of each script in demos/, recorded before the unused library
+# surface (Gamma_0^+(l), the torsion-bound options, the JSON helpers) went
+GOLDEN_DEMOS = ROOT / "tests" / "golden" / "demos.json"
+
+
+def _env_with_src():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -72,7 +80,14 @@ def test_analyze_defaults_match_the_library():
     params = inspect.signature(analyze_picard).parameters
     args = build_parser().parse_args(["analyze", "--n", "2"])
     assert args.search_bound == params["search_bound"].default == 20
-    assert args.torsion_bound == params["torsion_bound"].default
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--n", "8", "--torsion-bound", "5"),
+                                  ("congruence", "--n", "8", "--bound", "5")])
+def test_torsion_bound_options_are_gone(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert "unrecognized arguments" in err
 
 
 def test_usage_error_exits_1(capsys):
@@ -158,8 +173,7 @@ def test_repeated_main_matches_fresh_interpreter(capsys):
             ("salem", "--matrix", "1,2,4,9", "--format", "json"),
             ("analyze", "--n", "3", "--format", "json"),
             ("congruence", "--n", "12")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    env = _env_with_src()
     for argv in runs:
         code, out, err = run_cli(capsys, *argv)
         fresh = subprocess.run([sys.executable, "-m", "picard3.cli", *argv],
@@ -183,3 +197,15 @@ def test_analyze_and_congruence_match_golden_outputs():
         with redirect_stdout(buf):
             assert main(key.split()) == code, key
         assert buf.getvalue() == out, key
+
+
+def test_demos_match_golden_outputs():
+    golden = json.loads(GOLDEN_DEMOS.read_text())
+    demos = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+    assert sorted(golden) == demos and len(demos) == 6
+    for name in demos:
+        res = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                             cwd=ROOT, capture_output=True, text=True,
+                             timeout=60, env=_env_with_src())
+        assert (res.returncode, res.stderr) == (0, ""), name
+        assert res.stdout == golden[name], name

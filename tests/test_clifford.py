@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dual_basis_vectors
+from oracles import dual_basis_vectors, gram_half
 from picard3 import exterior as ext
 from picard3 import linalg as la
 from picard3.cli import main
@@ -13,9 +13,9 @@ from picard3.clifford import (MASK_NAMES, CliffordElement,
                               EvenCliffordElement, GramParams,
                               OddCliffordElement, _mult_table,
                               _reversal_table, alternating_E,
-                              clifford_mul, element_E, gram_B, norm, odd_gram,
-                              odd_norm_family, pairing_E, phi_rep, reversal,
-                              tilde_e, trace, v_dot_E)
+                              clifford_mul, element_E, gram_B, integer_mul,
+                              integer_reversal, norm, phi_rep, reversal,
+                              trace)
 from picard3.isometries import CliffordUnit, _lattice
 from conftest import random_gram_params
 
@@ -24,6 +24,57 @@ WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 
 def family_params(k, l):
     return GramParams(0, l, 0, 0, k, 0)
+
+
+# The duality and odd-part elements of the paper, checked below against its
+# printed matrices.
+
+def tilde_e(i: int, params: GramParams) -> CliffordElement:
+    """The trace-zero projection e_i - Tr(e_i)/2 for i in {1, 2, 3}."""
+    tr = {1: params.s, 2: params.t, 3: params.u}[i]
+    coords = [Fraction(-tr, 2), 0, 0, 0]
+    coords[i] = 1
+    return EvenCliffordElement(*coords)
+
+
+def v_dot_E(v, params: GramParams) -> CliffordElement:
+    """The even element v * E for a (rational) lattice vector v."""
+    return clifford_mul(CliffordElement.vector(v), element_E(params), params)
+
+
+def pairing_E(x: CliffordElement, y: CliffordElement, params: GramParams):
+    """(x, y)_E for even x and odd y: the E1E2E3-coefficient of x * y*."""
+    if not (x.is_even and y.is_odd):
+        raise ValueError("pairing_E pairs an even with an odd element")
+    prod = integer_mul(x.ints, integer_reversal(y.ints, params), params)
+    return Fraction(prod[7], x.den * y.den)
+
+
+def odd_gram(params: GramParams, basis_choice: str = "standard"):
+    """Intersection matrix of the odd part under the quadratic form N.
+
+    ``standard``: basis (E1E2E3, E1, E2, E3).
+    ``dual``: basis (-E1E2E3 - t E2, E1, E2, E3), dual to (e_i) under the
+    pairing (,)_E; its Gram equals D0 * Q_B^{-1}.
+    """
+    basis = [OddCliffordElement(*e) for e in la.identity(4)]
+    if basis_choice == "dual":
+        basis[0] = OddCliffordElement(-1, 0, -params.t, 0)
+    elif basis_choice != "standard":
+        raise ValueError("basis_choice must be 'standard' or 'dual'")
+    out = []
+    for x in basis:
+        row = []
+        for y in basis:
+            nxy = norm(x + y, params) - norm(x, params) - norm(y, params)
+            row.append(Fraction(nxy, 2))
+        out.append(tuple(row))
+    return la.mat(out)
+
+
+def odd_norm_family(x1, x2, x3, x4, k: int, l: int):
+    """N(x1 E1 + x2 E2 + x3 E3 + x4 E1E2E3) on U(k) + <2l>, closed form."""
+    return k * x1 * x3 + l * x2 * (x2 - k * x4)
 
 
 def test_gram_params_from_gram():
@@ -196,14 +247,14 @@ def test_tilde_e_and_v_dot_E(rng):
             ei[i] = 1
             rhs = CliffordElement.zero()
             for j in range(3):
-                rhs = rhs + tes[j].scale(p.gram_half[j][i])
+                rhs = rhs + tes[j].scale(gram_half(p)[j][i])
             assert v_dot_E(ei, p).coeffs == rhs.coeffs
         # <vE, v'E>_B = D0 <v, v'>_0
         v = [rng.randint(-4, 4) for _ in range(3)]
         w = [rng.randint(-4, 4) for _ in range(3)]
         prod = clifford_mul(v_dot_E(v, p), reversal(v_dot_E(w, p), p), p)
         tr = (prod + reversal(prod, p)).coeffs[0] / 2
-        pairing0 = sum(v[i] * p.gram_half[i][j] * w[j]
+        pairing0 = sum(v[i] * gram_half(p)[i][j] * w[j]
                        for i in range(3) for j in range(3))
         assert tr == p.disc_half * pairing0
         # dual-basis image: Ehat_i * E = te_i
@@ -212,7 +263,7 @@ def test_tilde_e_and_v_dot_E(rng):
             col = tuple(dual[r][i] for r in range(3))
             assert v_dot_E(col, p).coeffs == tes[i].coeffs
         # gram of (te_i) equals D0 * Q_L0^{-1}
-        q0inv = la.inverse(p.gram_half)
+        q0inv = la.inverse(gram_half(p))
         for i in range(3):
             for j in range(3):
                 prod = clifford_mul(tes[i], reversal(tes[j], p), p)
@@ -319,12 +370,6 @@ def test_alternating_E_basis_change_invariance(rng):
         assert acc.coeffs == element_E(p).coeffs
 
 
-def test_clifford_json_roundtrip():
-    x = CliffordElement((1, Fraction(3, 2), 0, 0, -2, 0, 0, Fraction(-1, 4)))
-    assert CliffordElement.from_json(x.to_json()).coeffs == x.coeffs
-    assert x.to_json()["coeffs"]["1"] == "3/2"
-
-
 def test_charts_are_slices_and_round_trip(rng):
     assert EvenCliffordElement(1, 2, 3, 4).coeffs == (1, 0, 0, 4, 0, 3, 2, 0)
     assert OddCliffordElement(1, 2, 3, 4).coeffs == (0, 2, 3, 0, 4, 0, 0, 1)
@@ -344,7 +389,7 @@ def test_charts_are_slices_and_round_trip(rng):
 
 def test_slot_5_holds_E3E1(rng):
     assert MASK_NAMES[5] == "31"
-    assert CliffordElement.basis(5).to_json() == {"coeffs": {"31": "1"}}
+    assert CliffordElement.basis(5).coeffs == (0, 0, 0, 0, 0, 1, 0, 0)
     e1, e3 = CliffordElement.basis(1), CliffordElement.basis(4)
     for _ in range(20):
         p = random_gram_params(rng)

@@ -4,14 +4,23 @@ from picard3 import linalg as la
 from picard3.clifford import (EvenCliffordElement, GramParams,
                               OddCliffordElement, clifford_mul, element_E, norm)
 from picard3.exterior import (GRAM_W, eta_matrix, iota_inverse_matrix,
-                              iota_matrix, lambda_minus_matrix,
-                              lambda_plus_matrix, mu_matrix,
-                              mu_of_unit_conjugation, mu_tilde_matrix, p_bases,
-                              pair_w)
+                              lambda_minus_matrix, lambda_plus_matrix,
+                              mu_matrix, mu_of_unit_conjugation,
+                              mu_tilde_matrix, p_bases, pair_w)
 from conftest import random_gram_params
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 ONE = EvenCliffordElement(1, 0, 0, 0)
+
+
+def iota_matrix(params: GramParams):
+    """Matrix of iota: W -> W' = wedge^2 Cl^- in the wedge bases.
+
+    iota(w) is the unique xi with (v, xi) = <v, w>_W for all v, where (,) is
+    the wedge-square of the duality pairing C; in coordinates C^{-1} G_W,
+    the inverse of iota_inverse_matrix.
+    """
+    return la.inverse(iota_inverse_matrix(params))
 
 
 def test_w_form_values():

@@ -275,14 +275,3 @@ def test_searches_reject_degenerate_input(search):
             search(k, l, 3)
     with pytest.raises(ValueError, match="bound must be >= 0"):
         search(1, -1, -1)
-
-
-def test_isometry_and_unit_json():
-    lat = family_lattice(2, -2)
-    iso = Isometry3(la.identity(3), lat)
-    assert iso.to_json() == {"g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
-    params = family_params(2, -2)
-    u = family_unit(((1, 2), (2, 5)), 2, -2)
-    j = u.to_json()
-    assert j["grade"] == "even"
-    assert "coeffs" in j

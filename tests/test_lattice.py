@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import generator_lifts_by_inverse, induced_action_trivial
+from oracles import (cone_test_by_two_diagonalizations,
+                     generator_lifts_by_inverse, induced_action_trivial)
 from picard3 import linalg as la
+from picard3.clifford import GramParams
+from picard3.isometries import phi_alpha, seeded_units
 from picard3.lattice import (Lattice, disc, discriminant_form,
                              discriminant_group, family_lattice,
                              form_orthogonal_group, in_discriminant_kernel,
-                             lattice_from_json, m_n_lattice,
-                             preserves_positive_cone, represents, signature)
+                             m_n_lattice, preserves_positive_cone, represents,
+                             signature)
+from picard3.verify import FAMILIES
 
 WEHLER = Lattice(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 U = Lattice(((0, 1), (1, 0)))
@@ -208,6 +212,25 @@ def test_positive_cone():
     with pytest.raises(ValueError):
         preserves_positive_cone(la.identity(3),
                                 Lattice(((2, 0, 0), (0, 2, 0), (0, 0, 2))))
+    # the signature is checked before the isometry
+    with pytest.raises(ValueError, match="unsupported for signature"):
+        preserves_positive_cone(la.mat_scale(2, la.identity(3)),
+                                Lattice(((2, 0, 0), (0, 2, 0), (0, 0, 2))))
+    with pytest.raises(ValueError, match="not an isometry"):
+        preserves_positive_cone(la.mat_scale(2, la.identity(3)), lat)
+
+
+def test_cone_test_matches_two_diagonalizations():
+    # l < 0 gives signature (1, 2); the family with l > 0, signature (2, 1)
+    assert any(l > 0 for _, l in FAMILIES)
+    for k, l in FAMILIES:
+        params = GramParams(0, l, 0, 0, k, 0)
+        lat = family_lattice(k, l)
+        for u in seeded_units(k, l, 40, 21):
+            g = phi_alpha(u, params).matrix
+            for m in (g, tuple(tuple(-x for x in row) for row in g)):
+                assert preserves_positive_cone(m, lat) == \
+                    cone_test_by_two_diagonalizations(m, lat), (k, l, m)
 
 
 def test_cone_action_is_homomorphism(rng):
@@ -231,13 +254,3 @@ def test_represents():
         represents(0, 1, 1)
     with pytest.raises(ValueError):
         represents(2, 3, 2)
-
-
-def test_lattice_json():
-    assert lattice_from_json({"gram": [[0, 1], [1, 0]]}) == U
-    assert lattice_from_json({"family": "U(k)+<2l>", "k": 2, "l": -2}) == \
-        family_lattice(2, -2)
-    assert lattice_from_json({"family": "M_n", "n": 3}) == m_n_lattice(3)
-    assert lattice_from_json(WEHLER.to_json()) == WEHLER
-    with pytest.raises(ValueError):
-        lattice_from_json({"foo": 1})

@@ -2,13 +2,11 @@ import math
 
 import pytest
 
-from oracles import element_order, order_psl2_zn
-from picard3.modular import (ModularElement, ScaledModularElement,
-                             SubgroupSpec, delta_n, free_rank,
+from oracles import element_order, is_torsion, order_psl2_zn
+from picard3.modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
                              g_n_class_witness, index_gamma_n, index_pi_g_n,
-                             is_torsion, member, negative_pell,
-                             prime_power_generator, qr_minus_one, scaled_mul,
-                             torsion_search)
+                             member, negative_pell, prime_power_generator,
+                             qr_minus_one, torsion_search)
 
 
 def test_modular_element_normalization():
@@ -26,6 +24,11 @@ def test_member_identity_everywhere():
                  SubgroupSpec("G_n", n=9), SubgroupSpec("B_kl_units", k=3, l=5),
                  SubgroupSpec("Gamma0_k", k=4)):
         assert member(i, spec)
+
+
+def test_subgroup_spec_rejects_unknown_kinds():
+    with pytest.raises(ValueError):
+        SubgroupSpec("Gamma0_plus_l", l=2)
 
 
 def test_member_examples():
@@ -212,33 +215,6 @@ def test_prime_power_generator_entries_stay_small():
     g = prime_power_generator(401)
     assert g == ModularElement(8040, 401, 401, 20)
     assert all(len(str(abs(x))) <= 4 for x in (g.a, g.b, g.c, g.d))
-
-
-def test_scaled_members_and_products(rng):
-    l = 6
-    spec = SubgroupSpec("Gamma0_plus_l", l=l)
-    members = []
-    for lp in (1, 2, 3, 6):
-        for a0 in range(-3, 4):
-            for b0 in range(-6, 7):
-                for c0 in range(-3, 4):
-                    for d0 in range(-3, 4):
-                        el = ScaledModularElement(lp, a0, b0, c0, d0)
-                        if member(el, spec):
-                            members.append(el)
-    assert members
-    assert any(m.l_prime > 1 for m in members)
-    for _ in range(200):
-        x, y = rng.choice(members), rng.choice(members)
-        z = scaled_mul(x, y, l)
-        assert member(z, spec)
-        # rad is a morphism onto (Z/2)^nu: symmetric difference of supports
-        g = math.gcd(x.radical(), y.radical())
-        assert z.radical() == x.radical() * y.radical() // (g * g)
-    # plain Gamma_0(l) elements embed as the l' = 1 stratum
-    assert member(ModularElement(1, 1, 0, 1), spec)
-    assert member(ModularElement(1, 0, 6, 1), spec)
-    assert not member(ModularElement(1, 0, 1, 1), spec)
 
 
 def test_b_kl_units_positive_det_when_minus_one_not_qr():

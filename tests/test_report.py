@@ -5,8 +5,16 @@ from picard3.lattice import family_lattice, represents, signature
 from picard3.linalg import char_poly_3x3
 from picard3.isometries import p_alpha_matrix
 from picard3.modular import ModularElement, qr_minus_one
-from picard3.report import (analyze_picard, congruence_data, salem_poly,
-                            symplectic_split, wehler_trace_classes)
+from picard3.report import (TORSION_SEARCH_BOUND, analyze_picard,
+                            congruence_data, salem_poly, symplectic_split,
+                            wehler_trace_classes)
+
+
+def spectral_radius_quadratic(datum):
+    """For |A| > 2, |lambda| is the larger root of t^2 - |A| t + 1."""
+    if abs(datum.a_value) <= 2:
+        return None
+    return (1, -abs(datum.a_value), 1)
 
 
 def test_wehler_report():
@@ -46,17 +54,19 @@ def test_congruence_data_searches_only_where_no_proof_applies(monkeypatch):
     searched = []
 
     def search(spec, bound):
-        searched.append(spec.n)
+        searched.append((spec.n, bound))
         return ()
 
     monkeypatch.setattr(report, "torsion_search", search)
+    assert TORSION_SEARCH_BOUND == 30
     for n in range(1, 60):
-        data = congruence_data(n, 30)
+        data = congruence_data(n)
         assert data["torsion_bounded_search"] == {"bound": 30, "found_count": 0,
                                                   "found": []}
         if n > 2:
             assert data["free_rank"] == data["index_in_Pi"] // 12 + 1
-    assert searched == [1, 2]
+    assert searched == [(1, 30), (2, 30)]
+    assert analyze_picard(8, -8).bounds == {"unit_search": 20, "torsion_search": 30}
 
 
 def test_hypothesis_violations_flag_not_raise():
@@ -67,7 +77,7 @@ def test_hypothesis_violations_flag_not_raise():
     nonzero = [v for v in range(-12, 13) if v]
     for k, l in ([(k, l) for k in nonzero for l in nonzero]
                  + [(65003, -65003), (10 ** 12, -10 ** 12)]):
-        r = analyze_picard(k, l, search_bound=0, torsion_bound=0)
+        r = analyze_picard(k, l, search_bound=0)
         assert r.signature == signature(family_lattice(k, l)), (k, l)
         assert any("signature" in f for f in r.hypothesis_failures) == (l > 0)
     r = analyze_picard(1, -1)       # represents -1: has a (-2)-vector
@@ -105,7 +115,7 @@ def test_salem_poly_families():
         assert s.is_salem and not s.symplectic
     ident = salem_poly([[1, 0], [0, 1]])
     assert ident.a_value == 2 and not ident.is_salem
-    assert ident.spectral_radius_quadratic is None
+    assert spectral_radius_quadratic(ident) is None
 
 
 def test_salem_cubic_matches_p_alpha_char_poly():
@@ -120,12 +130,12 @@ def test_salem_cubic_matches_p_alpha_char_poly():
 def test_salem_edge_cases():
     s = salem_poly([[-3, 1], [-1, 0]])      # trace -3, det 1: A = 7
     assert s.a_value == 7 and s.is_salem
-    assert s.spectral_radius_quadratic == (1, -7, 1)
+    assert spectral_radius_quadratic(s) == (1, -7, 1)
     # A = -2 (order-2 element): quadratic factor (t+1)^2, not Salem
     t = salem_poly([[1, 2], [-1, -1]])
     assert t.a_value == -2 and not t.is_salem
-    assert t.spectral_radius_quadratic is None
-    assert salem_poly([[1, 0], [0, 1]]).spectral_radius_quadratic is None
+    assert spectral_radius_quadratic(t) is None
+    assert spectral_radius_quadratic(salem_poly([[1, 0], [0, 1]])) is None
 
 
 def test_wehler_trace_classes():

@@ -32,6 +32,14 @@ def function_imports(source: str) -> list:
                    if isinstance(inner, (ast.Import, ast.ImportFrom))})
 
 
+def debug_only_checks(source: str) -> list:
+    """The lines of the assert statements and __debug__ reads, which
+    python -O strips or folds away."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name) and node.id == "__debug__")
+
+
 def test_unused_imports_are_found():
     src = "from math import gcd, lcm\nimport os.path\nprint(lcm(2, 3))\n"
     assert unused_imports(src) == [(1, "gcd"), (2, "os")]
@@ -62,4 +70,21 @@ def test_library_modules_import_at_module_level():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     found = {p.name: function_imports(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_debug_only_checks_are_found():
+    src = ("def f(x):\n"
+           "    assert x > 0, 'positive'\n"
+           "    if __debug__:\n"
+           "        print(x)\n"
+           "    if x < 0:\n"
+           "        raise AssertionError('kept under -O')\n")
+    assert debug_only_checks(src) == [2, 3]
+
+
+def test_library_checks_survive_python_O():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: debug_only_checks(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
