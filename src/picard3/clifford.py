@@ -38,7 +38,6 @@ from .linalg import clear_denominators, mat, mat_div
 # holds E3*E1 rather than the ascending E1*E3, so that the even part sits on
 # the quaternion basis.
 DIM = 8
-MASK_NAMES = ("", "1", "2", "12", "3", "31", "23", "123")
 # The slots of the coordinate charts: (e0, e1, e2, e3) = (1, E2E3, E3E1, E1E2)
 # of the even part, and (E1E2E3, E1, E2, E3) of the odd part.
 EVEN_MASKS = (0, 6, 5, 3)
@@ -93,8 +92,9 @@ class GramParams:
 
 class CliffordElement:
     """An element of Cl(L) tensor Q: 8 rational coordinates on the monomials
-    of MASK_NAMES, stored as the integers ``ints`` over the positive common
-    denominator ``den``, in lowest terms.
+    1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3 (slots 0-7), stored as the
+    integers ``ints`` over the positive common denominator ``den``, in lowest
+    terms.
 
     Immutable; equal elements compare and hash equal.  ``coeffs`` and, for a
     pure-grade element, ``coords`` give the coordinates as Fractions.

@@ -176,8 +176,10 @@ def form_orthogonal_group(form: FiniteQuadraticForm, cap: int = 1000):
     """All automorphisms of A(L) preserving q, by backtracking over images.
 
     Each automorphism is an m x m integer matrix whose column i is the image
-    of generator i in exponent coordinates.  Raises ValueError when
-    |A(L)| > cap.
+    of generator i in exponent coordinates.  A map found here preserves the
+    discriminant bilinear form b, which is nondegenerate, so its kernel lies
+    in the radical of b: it is injective, hence bijective.  Raises
+    ValueError when |A(L)| > cap.
     """
     group = form.group
     factors = group.invariant_factors
@@ -208,20 +210,9 @@ def form_orthogonal_group(form: FiniteQuadraticForm, cap: int = 1000):
                 return False
         return True
 
-    def is_bijective(imgs):
-        seen = set()
-        for e in elements:
-            img = tuple(sum(ci * imgs[i][r] for i, ci in enumerate(e)) % factors[r]
-                        for r in range(m))
-            if img in seen:
-                return False
-            seen.add(img)
-        return True
-
     def backtrack(imgs):
         if len(imgs) == m:
-            if is_bijective(imgs):
-                auts.append(mat(transpose(imgs)))
+            auts.append(mat(transpose(imgs)))
             return
         for cand in candidates[len(imgs)]:
             if bilinear_ok(imgs, cand):

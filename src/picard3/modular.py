@@ -230,83 +230,42 @@ def qr_minus_one(n: int) -> bool:
     return n % 4 != 0 and all(p % 4 == 1 for p, _ in factor(n) if p != 2)
 
 
-def _sqrt_continued_fraction(d: int):
-    """Period of the continued fraction of sqrt(d) and the convergent
-    (p, q) at the end of the first period (d > 0 nonsquare)."""
-    a0 = isqrt(d)
-    m, q, a = 0, 1, a0
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    period = 0
-    while True:
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        period += 1
-        if q == 1:
-            break
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return period, p_cur, q_cur
-
-
-def _pell_minus_one(d: int):
-    """Fundamental solution of x^2 - d y^2 = -1, or None (CF period parity)."""
-    period, p, q = _sqrt_continued_fraction(d)
-    if period % 2 == 0:
-        return None
-    if p * p - d * q * q != -1:
-        raise AssertionError("continued fraction gave no -1 Pell solution")
-    return p, q
-
-
 def negative_pell(d: int):
-    """Solve x^2 - d y^2 = -4: returns a fundamental witness (x, y) or None.
+    """Solve x^2 - d y^2 = -4: returns the fundamental witness (x, y) or None.
 
-    Solvability is the continued-fraction period-parity criterion (for
-    sqrt(d), or sqrt(d/4) when 4 | d since x is then forced even).  For
-    d = 1 mod 4 the fundamental solution may be half-integral relative to
-    the -1 Pell solution (T, U); it is recovered exactly by the cube-root
-    descent x^3 + 3x = 2T, d y^3 - 3y = 2U.  Raises for d <= 0 or square.
+    Let D = d when d = 0, 1 mod 4 and D = 4d otherwise, s = D mod 2, and
+    omega = (s + sqrt(D))/2, so that the solutions (x, y) are the units
+    (x + y sqrt(d))/2 of norm -1 in Z[omega].  One period of the continued
+    fraction of omega, in the form (P + sqrt(D))/Q, runs from (P, Q) = (s, 2)
+    until Q = 2 again.  An even period means no unit of norm -1, hence no
+    solution.  An odd period ends on the convergent p/q with p - q*omega of
+    norm -1, which gives the fundamental solution x = 2p - s*q, y = q
+    (y = 2q when D = 4d).  Raises for d <= 0 or square.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    r = isqrt(d)
-    if r * r == d:
+    if isqrt(d) ** 2 == d:
         raise ValueError("d must not be a perfect square")
-    if d % 4 == 0:
-        sol = _pell_minus_one(d // 4)
-        if sol is None:
-            return None
-        t, u = sol
-        return 2 * t, u
-    sol = _pell_minus_one(d)
-    if sol is None:
+    big_d, f = (d, 1) if d % 4 in (0, 1) else (4 * d, 2)
+    s, r = big_d % 2, isqrt(big_d)
+    pp, qq = s, 2
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    period = 0
+    while True:
+        a = (pp + r) // qq
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        pp = a * qq - pp
+        qq = (big_d - pp * pp) // qq
+        period += 1
+        if qq == 2:
+            break
+    if period % 2 == 0:
         return None
-    t, u = sol
-    if d % 4 == 1:
-        x = _integer_cbrt_solve(lambda v: v ** 3 + 3 * v, 2 * t)
-        y = _integer_cbrt_solve(lambda v: d * v ** 3 - 3 * v, 2 * u)
-        if x is not None and y is not None and x * x - d * y * y == -4:
-            return x, y
-    return 2 * t, 2 * u
-
-
-def _integer_cbrt_solve(f, target: int):
-    """Unique integer v >= 1 with monotone cubic f(v) = target, else None."""
-    lo, hi = 1, 2
-    while f(hi) < target:
-        hi *= 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        val = f(mid)
-        if val == target:
-            return mid
-        if val < target:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    x, y = 2 * p - s * q, f * q
+    if x * x - d * y * y != -4:
+        raise AssertionError("continued fraction gave no -4 Pell solution")
+    return x, y
 
 
 def prime_power_generator(n: int):
@@ -317,7 +276,7 @@ def prime_power_generator(n: int):
     n = p^e with p = 3 mod 4 -> None; n = p^e with p = 1 mod 4 -> the
     det -1 class witness of the smaller root a of a^2 = -1 mod n.
     """
-    p, e = _prime_power(n)
+    p, e = prime_power(n)
     if p is None:
         raise ValueError("n must be a prime power")
     if n == 2:
@@ -338,7 +297,7 @@ def prime_power_generator(n: int):
     return g_n_class_witness(n, min(a, n - a), -1)
 
 
-def _prime_power(n: int):
+def prime_power(n: int):
     """(p, e) with n = p^e, or (None, None) when n is not a prime power."""
     f = factor(n) if n >= 2 else ()
     return f[0] if len(f) == 1 else (None, None)

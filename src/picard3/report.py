@@ -21,8 +21,8 @@ from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
                          phi_alpha, unit_search_even)
 from .lattice import family_lattice, represents
 from .linalg import char_poly_3x3, mat, sign_normalize
-from .modular import (ModularElement, SubgroupSpec, _prime_power, delta_n,
-                      free_rank, index_pi_g_n, provably_torsion_free,
+from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
+                      index_pi_g_n, prime_power, provably_torsion_free,
                       qr_minus_one, torsion_search)
 
 # Entry bound of the torsion search, which runs only for G_1 and G_2; the
@@ -111,7 +111,7 @@ def _group_presentation(n: int) -> str:
     """Human-readable model of G_n from the prime-power table (n >= 2)."""
     if n == 2:
         return "Pi(2) = <Gamma(2), diag(1,-1)> (isomorphic to C2 * C2 * C2)"
-    p, e = _prime_power(n)
+    p, e = prime_power(n)
     if p is None:
         return f"G_{n} (scalar congruence classes mod {n})"
     if n == 4:
@@ -282,10 +282,8 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
         congruence = {**congruence_data(n),
                       "presentation": _group_presentation(n)}
 
-    samples = []
-    for m in _sample_units(k, l, search_bound):
-        _verify_sample(m, k, l, params, lat, sig)
-        samples.append(salem_poly(m))
+    samples = [_verify_sample(m, k, l, params, sig)
+               for m in _sample_units(k, l, search_bound)]
 
     return AutReport(
         k=k, l=l, is_m_n=is_m_n, n=n,
@@ -305,8 +303,9 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
     )
 
 
-def _verify_sample(m, k, l, params, lat, sig):
-    """Hard checks every report sample must pass (raise on failure)."""
+def _verify_sample(m, k, l, params, sig) -> SalemDatum:
+    """Hard checks every report sample must pass (raise on failure); returns
+    the sample's Salem datum."""
     p = p_alpha_matrix(m, k, l)  # isometry identity checked on construction
     u = family_unit(m, k, l)
     h = h_alpha(u, params)
@@ -325,4 +324,5 @@ def _verify_sample(m, k, l, params, lat, sig):
     datum = salem_poly(m)
     if char_poly_3x3(p.matrix) != datum.cubic_coeffs:
         raise AssertionError("salem coefficients disagree with char(P_alpha)")
+    return datum
 

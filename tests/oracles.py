@@ -8,7 +8,7 @@ tests check that the two agree.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
@@ -16,11 +16,12 @@ from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               norm, reversal)
 from picard3.exterior import GRAM_W, WEDGE_PAIRS, iota_inverse_matrix
 from picard3.isometries import Isometry3
-from picard3.lattice import Lattice, discriminant_group, is_isometry
+from picard3.lattice import (Lattice, _element_order, discriminant_group,
+                             is_isometry)
 from picard3.linalg import (det, identity, inverse, kernel_basis, mat,
                             mat_mul, mat_scale, mat_vec, primitive_vector,
                             signature_of, smith_normal_form,
-                            symmetric_diagonalize, vec_dot)
+                            symmetric_diagonalize, transpose, vec_dot)
 from picard3.modular import ModularElement, member
 
 
@@ -564,3 +565,142 @@ def alternating_E_by_fractions(params):
             h = h + term.scale(Fraction((-1) ** (j + 1) * _perm_sign(full), 2))
         hats.append(h)
     return acc, tuple(hats)
+
+
+def _sqrt_continued_fraction(d: int):
+    """Period of the continued fraction of sqrt(d) and the convergent
+    (p, q) at the end of the first period (d > 0 nonsquare)."""
+    a0 = isqrt(d)
+    m, q, a = 0, 1, a0
+    p_prev, p_cur = 1, a0
+    q_prev, q_cur = 0, 1
+    period = 0
+    while True:
+        m = a * q - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        period += 1
+        if q == 1:
+            break
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return period, p_cur, q_cur
+
+
+def _pell_minus_one(d: int):
+    """Fundamental solution of x^2 - d y^2 = -1, or None (CF period parity)."""
+    period, p, q = _sqrt_continued_fraction(d)
+    if period % 2 == 0:
+        return None
+    if p * p - d * q * q != -1:
+        raise AssertionError("continued fraction gave no -1 Pell solution")
+    return p, q
+
+
+def negative_pell_two_stage(d: int):
+    """Solve x^2 - d y^2 = -4: returns a fundamental witness (x, y) or None.
+
+    Solvability is the continued-fraction period-parity criterion (for
+    sqrt(d), or sqrt(d/4) when 4 | d since x is then forced even).  For
+    d = 1 mod 4 the fundamental solution may be half-integral relative to
+    the -1 Pell solution (T, U); it is recovered exactly by the cube-root
+    descent x^3 + 3x = 2T, d y^3 - 3y = 2U.  Raises for d <= 0 or square.
+    """
+    if d <= 0:
+        raise ValueError("d must be positive")
+    r = isqrt(d)
+    if r * r == d:
+        raise ValueError("d must not be a perfect square")
+    if d % 4 == 0:
+        sol = _pell_minus_one(d // 4)
+        if sol is None:
+            return None
+        t, u = sol
+        return 2 * t, u
+    sol = _pell_minus_one(d)
+    if sol is None:
+        return None
+    t, u = sol
+    if d % 4 == 1:
+        x = _integer_cbrt_solve(lambda v: v ** 3 + 3 * v, 2 * t)
+        y = _integer_cbrt_solve(lambda v: d * v ** 3 - 3 * v, 2 * u)
+        if x is not None and y is not None and x * x - d * y * y == -4:
+            return x, y
+    return 2 * t, 2 * u
+
+
+def _integer_cbrt_solve(f, target: int):
+    """Unique integer v >= 1 with monotone cubic f(v) = target, else None."""
+    lo, hi = 1, 2
+    while f(hi) < target:
+        hi *= 2
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        val = f(mid)
+        if val == target:
+            return mid
+        if val < target:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
+def form_orthogonal_group_bijective(form, cap: int = 1000):
+    """All automorphisms of A(L) preserving q, by backtracking over images,
+    each full map checked for bijectivity on every element of A(L).
+
+    Each automorphism is an m x m integer matrix whose column i is the image
+    of generator i in exponent coordinates.  Raises ValueError when
+    |A(L)| > cap.
+    """
+    group = form.group
+    factors = group.invariant_factors
+    m = len(factors)
+    if group.order > cap:
+        raise ValueError(f"|A(L)| = {group.order} exceeds cap {cap}")
+    if m == 0:
+        return (mat([]),)
+
+    gens = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    elements = list(group.elements())
+
+    # candidate images per generator: matching order, q-value preserved
+    candidates = []
+    for i in range(m):
+        want_q = form.q_of(gens[i])
+        cand = [e for e in elements
+                if _element_order(e, factors) == factors[i]
+                and form.q_of(e) == want_q]
+        candidates.append(cand)
+
+    auts = []
+
+    def bilinear_ok(imgs, new):
+        i = len(imgs)
+        for j, old in enumerate(imgs):
+            if form.bilinear(new, old) != form.bilinear(gens[i], gens[j]):
+                return False
+        return True
+
+    def is_bijective(imgs):
+        seen = set()
+        for e in elements:
+            img = tuple(sum(ci * imgs[i][r] for i, ci in enumerate(e)) % factors[r]
+                        for r in range(m))
+            if img in seen:
+                return False
+            seen.add(img)
+        return True
+
+    def backtrack(imgs):
+        if len(imgs) == m:
+            if is_bijective(imgs):
+                auts.append(mat(transpose(imgs)))
+            return
+        for cand in candidates[len(imgs)]:
+            if bilinear_ok(imgs, cand):
+                backtrack(imgs + [cand])
+
+    backtrack([])
+    return tuple(auts)

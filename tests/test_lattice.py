@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (cone_test_by_two_diagonalizations,
+                     form_orthogonal_group_bijective,
                      generator_lifts_by_inverse, induced_action_trivial)
 from picard3 import linalg as la
 from picard3.clifford import GramParams
@@ -147,6 +148,18 @@ def test_automorphisms_preserve_form(rng):
                 assert form.q_of(cols[i]) == form.q_of(gens[i])
                 for j in range(m):
                     assert form.bilinear(cols[i], cols[j]) == form.bilinear(gens[i], gens[j])
+
+
+def test_form_orthogonal_group_matches_bijectivity_checked_search():
+    lats = [WEHLER] + [family_lattice(k, l) for k in range(-6, 7)
+                       for l in range(-6, 7) if k and l]
+    compared = 0
+    for lat in lats:
+        form = discriminant_form(lat)
+        if form.group.order <= 32:
+            assert form_orthogonal_group(form) == form_orthogonal_group_bijective(form)
+            compared += 1
+    assert compared == 49
 
 
 def test_in_discriminant_kernel():

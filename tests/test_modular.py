@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from oracles import element_order, is_torsion, order_psl2_zn
+from oracles import (element_order, is_torsion, negative_pell_two_stage,
+                     order_psl2_zn)
 from picard3.modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
                              g_n_class_witness, index_gamma_n, index_pi_g_n,
                              member, negative_pell, prime_power_generator,
@@ -166,6 +167,10 @@ def test_negative_pell_examples():
     assert negative_pell(2) == (2, 2)
     assert negative_pell(13) == (3, 1)
     assert negative_pell(8) == (2, 1)
+    assert negative_pell(12) is None        # through d/4 = 3
+    assert negative_pell(34) is None        # although -1 is a square mod 34
+    assert negative_pell(52) == (36, 5)
+    assert negative_pell(58) == (198, 26)
     with pytest.raises(ValueError):
         negative_pell(9)
     with pytest.raises(ValueError):
@@ -190,6 +195,20 @@ def test_negative_pell_against_brute_force():
                 assert sol == brute          # witness is fundamental
         else:
             assert brute is None
+
+
+def test_negative_pell_matches_two_stage_solver():
+    solvable = 0
+    for d in range(2, 10 ** 4):
+        if math.isqrt(d) ** 2 == d:
+            continue
+        sol = negative_pell(d)
+        assert sol == negative_pell_two_stage(d), d
+        if sol is not None:
+            x, y = sol
+            assert x * x - d * y * y == -4
+            solvable += 1
+    assert solvable == 1685
 
 
 def test_prime_power_generator_table():

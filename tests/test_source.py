@@ -40,6 +40,15 @@ def debug_only_checks(source: str) -> list:
                   or isinstance(node, ast.Name) and node.id == "__debug__")
 
 
+def private_imports(source: str) -> list:
+    """The private names a module imports from a sibling module, as
+    (line, name) for each ``from .x import _name``."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  and node.module is not None
+                  for alias in node.names if alias.name.startswith("_"))
+
+
 def test_unused_imports_are_found():
     src = "from math import gcd, lcm\nimport os.path\nprint(lcm(2, 3))\n"
     assert unused_imports(src) == [(1, "gcd"), (2, "os")]
@@ -88,3 +97,21 @@ def test_library_checks_survive_python_O():
     assert modules
     found = {p.name: debug_only_checks(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_private_imports_are_found():
+    src = ("from __future__ import annotations\n"
+           "from math import _private\n"
+           "from .modular import _prime_power, delta_n\n"
+           "from . import linalg\n"
+           "from .linalg import mat as _mat\n"
+           "def f():\n"
+           "    from ..report import _group_presentation\n")
+    assert private_imports(src) == [(3, "_prime_power"), (7, "_group_presentation")]
+
+
+def test_library_modules_import_no_private_names_from_each_other():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: private_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
