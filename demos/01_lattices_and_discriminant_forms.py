@@ -5,8 +5,8 @@
 # and the brute-force orthogonal group of that form.
 
 from picard3 import (Lattice, disc, discriminant_form, discriminant_group,
-                     family_lattice, form_orthogonal_group, m_n_lattice,
-                     represents, signature)
+                     form_orthogonal_group, m_n_lattice, represents,
+                     signature)
 
 # The Wehler lattice: the Picard lattice of a generic (2,2,2)-hypersurface
 # in (P^1)^3.  Its Gram matrix is all off-diagonal 2s.

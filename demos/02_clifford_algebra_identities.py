@@ -3,12 +3,10 @@
 # Exact multiplication from the rewriting rules, the quaternion structure of
 # the even part, the 4x4 matrix representation, and the central element E.
 
-from fractions import Fraction
-
 from picard3 import (CliffordElement, EvenCliffordElement, GramParams,
                      OddCliffordElement, alternating_E, clifford_mul,
                      element_E, gram_B, norm, phi_rep, reversal, trace)
-from picard3.linalg import det, mat_mul
+from picard3.linalg import det
 
 wehler = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 print("Gram parameters (a,b,c,s,t,u):",

@@ -7,7 +7,7 @@
 from itertools import product
 
 from picard3 import (SubgroupSpec, analyze_picard, delta_n, free_rank,
-                     index_gamma_n, index_pi_g_n, member, negative_pell,
+                     index_gamma_n, index_pi_g_n, negative_pell,
                      prime_power_generator, qr_minus_one, torsion_search)
 
 

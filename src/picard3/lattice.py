@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm, prod
 
 from .linalg import (adjugate, det, factor, is_integral, mat, mat_mul,
                      mat_vec, primitive_vector, signature_of, smith_normal_form,
@@ -62,7 +62,7 @@ def m_n_lattice(n: int) -> Lattice:
     """M_n = U(n) + <-2n>."""
     if n == 0:
         raise ValueError("n must be nonzero")
-    return Lattice(((0, 0, n), (0, -2 * n, 0), (n, 0, 0)))
+    return family_lattice(n, -n)
 
 
 def disc(lat: Lattice) -> int:
@@ -88,10 +88,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def elements(self):
         """All tuples of exponents (c1, ..., cm), ci in Z/d_i."""
@@ -111,12 +108,6 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
         tuple(tuple(Fraction(row[i], d[i][i]) for row in v) for i in kept))
 
 
-def _mod(x, modulus):
-    f = Fraction(x)
-    m = Fraction(modulus)
-    return f - (f / m).__floor__() * m
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
     """The discriminant form q(L): A(L) -> Q/2Z.
@@ -129,63 +120,48 @@ class FiniteQuadraticForm:
     group: DiscriminantGroup
     values: tuple
 
+    def _pairing(self, c1, c2) -> Fraction:
+        """sum_ij c1_i c2_j values_ij: <x, y> mod Z, and <x, x> mod 2Z when
+        c1 = c2 (values is symmetric, its off-diagonal terms come in pairs)."""
+        return sum((x * y * v for x, row in zip(c1, self.values)
+                    for y, v in zip(c2, row)), Fraction(0))
+
     def q_of(self, coeffs):
         """q(sum_i c_i g_i) in Q/2Z for an exponent tuple."""
-        m = len(self.group.invariant_factors)
-        total = Fraction(0)
-        for i in range(m):
-            total += coeffs[i] * coeffs[i] * self.values[i][i]
-            for j in range(i + 1, m):
-                total += 2 * coeffs[i] * coeffs[j] * self.values[i][j]
-        return _mod(total, 2)
+        return self._pairing(coeffs, coeffs) % 2
 
     def bilinear(self, c1, c2):
         """<x, y> in Q/Z for exponent tuples."""
-        m = len(self.group.invariant_factors)
-        total = Fraction(0)
-        for i in range(m):
-            for j in range(m):
-                total += c1[i] * c2[j] * self.values[i][j]
-        return _mod(total, 1)
+        return self._pairing(c1, c2) % 1
 
 
 def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     group = discriminant_group(lat)
-    m = len(group.invariant_factors)
-    vals = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            v = lat.pairing(group.generator_lifts[i], group.generator_lifts[j])
-            row.append(_mod(v, 2) if i == j else _mod(v, 1))
-        vals.append(tuple(row))
-    return FiniteQuadraticForm(group, tuple(vals))
+    lifts = group.generator_lifts
+    return FiniteQuadraticForm(group, tuple(
+        tuple(lat.pairing(x, y) % (2 if i == j else 1) for j, y in enumerate(lifts))
+        for i, x in enumerate(lifts)))
 
 
 def _element_order(coeffs, factors):
     """Order of an exponent tuple in the group +Z/d_i."""
-    o = 1
-    for c, d in zip(coeffs, factors):
-        if c % d != 0:
-            oi = d // gcd(c % d, d)
-            o = o * oi // gcd(o, oi)
-    return o
+    return lcm(*(d // gcd(c, d) for c, d in zip(coeffs, factors)))
 
 
-def form_orthogonal_group(form: FiniteQuadraticForm, cap: int = 1000):
+def form_orthogonal_group(form: FiniteQuadraticForm):
     """All automorphisms of A(L) preserving q, by backtracking over images.
 
     Each automorphism is an m x m integer matrix whose column i is the image
     of generator i in exponent coordinates.  A map found here preserves the
     discriminant bilinear form b, which is nondegenerate, so its kernel lies
     in the radical of b: it is injective, hence bijective.  Raises
-    ValueError when |A(L)| > cap.
+    ValueError when |A(L)| > 1000.
     """
     group = form.group
     factors = group.invariant_factors
     m = len(factors)
-    if group.order > cap:
-        raise ValueError(f"|A(L)| = {group.order} exceeds cap {cap}")
+    if group.order > 1000:
+        raise ValueError(f"|A(L)| = {group.order} exceeds cap 1000")
     if m == 0:
         return (mat([]),)
 

@@ -26,10 +26,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero(n: int, m: int) -> Matrix:
-    return tuple((0,) * m for _ in range(n))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 

@@ -74,33 +74,34 @@ class SubgroupSpec:
         kinds = ("Pi_n", "Gamma_n", "B_kl_units", "G_n", "Gamma0_k")
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}")
-        if self.kind in ("Pi_n", "Gamma_n", "G_n") and self.n == 0:
-            raise ValueError("n must be nonzero")
-        if self.kind == "B_kl_units" and (self.k == 0 or self.l == 0):
-            raise ValueError("k and l must be nonzero")
-        if self.kind == "Gamma0_k" and self.k == 0:
-            raise ValueError("k must be nonzero")
+        if 0 in self.moduli:
+            raise ValueError(f"the parameters of {self.kind} must be nonzero")
+
+    @property
+    def moduli(self) -> tuple:
+        """(m_ad, m_b, m_c), positive, with m_ad | a - d, m_b | b and
+        m_c | c for every member [[a, b], [c, d]]: (n, n, n) for Pi_n,
+        Gamma_n and G_n, (k, l, k) for B_kl_units, (1, 1, k) for Gamma0_k."""
+        if self.kind == "B_kl_units":
+            return abs(self.k), abs(self.l), abs(self.k)
+        if self.kind == "Gamma0_k":
+            return 1, 1, abs(self.k)
+        return (abs(self.n),) * 3
 
 
 def member(x, spec: SubgroupSpec) -> bool:
-    """Membership predicate for an element or a 2x2 integer matrix."""
+    """Membership predicate for an element or a 2x2 integer matrix: the
+    divisibilities of spec.moduli, plus det = 1 for Gamma_n and a = +-1
+    (mod n) for Pi_n and Gamma_n."""
     if not isinstance(x, ModularElement):
         x = ModularElement.from_matrix(x)
-    a, b, c, d = x.a, x.b, x.c, x.d
-    if spec.kind == "Pi_n":
-        n = abs(spec.n)
-        return ((a % n == 1 % n and d % n == 1 % n and b % n == 0 and c % n == 0)
-                or ((-a) % n == 1 % n and (-d) % n == 1 % n and b % n == 0 and c % n == 0))
-    if spec.kind == "Gamma_n":
-        return x.det == 1 and member(x, SubgroupSpec("Pi_n", n=spec.n))
-    if spec.kind == "G_n":
-        n = abs(spec.n)
-        return b % n == 0 and c % n == 0 and (a - d) % n == 0
-    if spec.kind == "B_kl_units":
-        return (a - d) % spec.k == 0 and c % spec.k == 0 and b % spec.l == 0
-    if spec.kind == "Gamma0_k":
-        return c % spec.k == 0
-    raise AssertionError("unreachable")
+    m_ad, m_b, m_c = spec.moduli
+    if (x.a - x.d) % m_ad or x.b % m_b or x.c % m_c:
+        return False
+    if spec.kind == "Gamma_n" and x.det != 1:
+        return False
+    return (spec.kind not in ("Pi_n", "Gamma_n")
+            or (x.a - 1) % m_ad == 0 or (x.a + 1) % m_ad == 0)
 
 
 def _totient_like_index(n: int) -> int:
@@ -126,21 +127,19 @@ def index_gamma_n(n: int) -> int:
 
 
 def delta_n(n: int) -> int:
-    """|{a in (Z/n)^x : a^2 = +-1 mod n} / {+-1}| = (s+ + s-)/2 for n > 2, s+-
-    the CRT products of the local root counts of a^2 = +-1 mod p^e || n."""
+    """|{a in (Z/n)^x : a^2 = +-1 mod n} / {+-1}| = (s+ + s-)/2 for n > 2,
+    s+- the numbers of square roots of +-1 mod n.  s+ is the CRT product of
+    the local counts 2 (odd p) and min(2^(e-1), 4) (2^e); -1 has as many
+    roots as +1 when it is a square mod n (qr_minus_one), else none, so
+    delta_n is s+ or s+/2."""
     if n < 1:
         raise ValueError("n must be positive")
     if n <= 2:
         return 1
-    plus = minus = 1
+    plus = 1
     for p, e in factor(n):
-        if p == 2:
-            plus *= min(2 ** (e - 1), 4)
-            minus *= 1 if e == 1 else 0
-        else:
-            plus *= 2
-            minus *= 2 if p % 4 == 1 else 0
-    return (plus + minus) // 2
+        plus *= min(2 ** (e - 1), 4) if p == 2 else 2
+    return plus if qr_minus_one(n) else plus // 2
 
 
 def index_pi_g_n(n: int) -> int:
@@ -162,19 +161,16 @@ def provably_torsion_free(spec: SubgroupSpec) -> bool:
     """True when the subgroup is proved to hold no torsion besides the
     identity; False means "not proved", not "has torsion".
 
-    A member [[a, b], [c, d]] of B_{k,l}^x has tr^2 - 4 det = (a - d)^2 + 4bc
-    divisible by k^2 and by 4kl, so by m = |k| gcd(k, 4l), while a torsion
-    element other than the identity has det 1 and tr in {0, +-1}, or det -1
-    and tr 0, so tr^2 - 4 det in {-4, -3, 4}.  So no m outside {1, 2, 3, 4}
-    admits torsion (Minkowski's lemma; Newman, Integral Matrices, ch. IX).
-    Pi_n and Gamma_n lie in G_n = B_{n,n}^x, where m = n^2, so all three are
-    torsion-free for |n| >= 3.
+    With (m_ad, m_b, m_c) = spec.moduli, a member [[a, b], [c, d]] has
+    tr^2 - 4 det = (a - d)^2 + 4bc divisible by m = gcd(m_ad^2, 4 m_b m_c),
+    while a torsion element other than the identity has det 1 and tr in
+    {0, +-1}, or det -1 and tr 0, so tr^2 - 4 det in {-4, -3, 4}.  So no m
+    outside {1, 2, 3, 4} admits torsion (Minkowski's lemma; Newman, Integral
+    Matrices, ch. IX).  m is n^2 for Pi_n, Gamma_n and G_n (torsion-free for
+    |n| >= 3), |k| gcd(k, 4l) for B_{k,l}^x and 1 for Gamma_0(k).
     """
-    if spec.kind in ("Pi_n", "Gamma_n", "G_n"):
-        return abs(spec.n) >= 3
-    if spec.kind == "B_kl_units":
-        return abs(spec.k) * gcd(spec.k, 4 * spec.l) not in (1, 2, 3, 4)
-    return False
+    m_ad, m_b, m_c = spec.moduli
+    return gcd(m_ad * m_ad, 4 * m_b * m_c) not in (1, 2, 3, 4)
 
 
 def torsion_search(spec: SubgroupSpec, bound: int):
@@ -185,16 +181,11 @@ def torsion_search(spec: SubgroupSpec, bound: int):
     (det 1 with tr in {0, +-1}; det -1 with tr 0), solving bc = ad - det by
     divisor enumeration, which is exactly the bounded box scan.  Each such
     candidate is torsion and none is the identity (trace 2), so only
-    membership is tested, and only for b, c in the multiples of the fixed
-    moduli (mb, mc) that every member's b and c obey; linalg.factor_pairs
-    lists those pairs.
+    membership is tested, and only for b, c in the multiples of the moduli
+    (m_b, m_c) of spec.moduli, which every member's b and c obey;
+    linalg.factor_pairs lists those pairs.
     """
-    if spec.kind in ("Pi_n", "Gamma_n", "G_n"):
-        mb = mc = abs(spec.n)
-    elif spec.kind == "B_kl_units":
-        mb, mc = abs(spec.l), abs(spec.k)
-    else:  # Gamma0_k
-        mb, mc = 1, abs(spec.k)
+    _, mb, mc = spec.moduli
     found = set()
     for det_val, traces in ((1, (0, 1, -1)), (-1, (0,))):
         for t in traces:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .clifford import GramParams
 from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
                          phi_alpha, unit_search_even)
-from .lattice import family_lattice, represents
+from .lattice import represents
 from .linalg import char_poly_3x3, mat, sign_normalize
 from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
                       index_pi_g_n, prime_power, provably_torsion_free,
@@ -64,7 +64,7 @@ class SalemDatum:
 
 def salem_poly(alpha) -> SalemDatum:
     """Salem data of a 2x2 integer matrix with det = +-1 (mod +-1)."""
-    el = alpha if isinstance(alpha, ModularElement) else ModularElement.from_matrix(alpha)
+    el = ModularElement.from_matrix(alpha)
     nr = el.det
     a_val = el.trace ** 2 - 2 * nr
     return SalemDatum(
@@ -78,8 +78,7 @@ def salem_poly(alpha) -> SalemDatum:
 
 def symplectic_split(alpha) -> bool:
     """Symplectic <=> det(alpha) = 1, for units acting on a family lattice."""
-    el = alpha if isinstance(alpha, ModularElement) else ModularElement.from_matrix(alpha)
-    return el.det == 1
+    return ModularElement.from_matrix(alpha).det == 1
 
 
 def wehler_trace_classes(n_max: int):
@@ -256,8 +255,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
     """
     if k == 0 or l == 0:
         raise ValueError("k and l must be nonzero")
-    lat = family_lattice(k, l)
-    params = GramParams.from_gram(lat.gram)
+    params = GramParams(0, l, 0, 0, k, 0)   # Gram of U(k) + <2l>
     sig = (2, 1) if l > 0 else (1, 2)   # U(k) is (1, 1); <2l> adds sign(l)
     failures = []
     if sig != (1, 2):

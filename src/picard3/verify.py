@@ -66,11 +66,10 @@ def _random_params(rng: random.Random, bound: int) -> GramParams:
             return p
 
 
-def clifford_suite(trials: int, seed: int, gram_bound: int = 5,
-                   pairs_per_trial: int = 10) -> SuiteResult:
+def clifford_suite(trials: int, seed: int, gram_bound: int = 5) -> SuiteResult:
     rng = _rng(seed, "clifford")
     res = SuiteResult("clifford")
-    for t in range(trials):
+    for _ in range(trials):
         p = _random_params(rng, gram_bound)
         tag = f"params {p}"
         E = element_E(p)
@@ -86,7 +85,7 @@ def clifford_suite(trials: int, seed: int, gram_bound: int = 5,
             res.check(True, "")
         except AssertionError:
             res.check(False, f"alternating E: {tag}")
-        for _ in range(pairs_per_trial):
+        for _ in range(10):   # random pairs through Phi per Gram tuple
             x = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
             y = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
             res.check(mat_mul(phi_rep(x, p), phi_rep(y, p))
@@ -105,7 +104,7 @@ def exterior_suite(trials: int, seed: int, gram_bound: int = 5,
     rng = _rng(seed, "exterior")
     res = SuiteResult("exterior")
     one = EvenCliffordElement(1, 0, 0, 0)
-    for t in range(trials):
+    for _ in range(trials):
         p = _random_params(rng, gram_bound)
         tag = f"params {p}"
         try:
@@ -169,7 +168,6 @@ def roundtrip_suite(trials: int, seed: int) -> SuiteResult:
         units = seeded_units(k, l, trials, seed)
         tag = f"family ({k},{l})"
         for u in units:
-            eps = 1 if u.grade == "even" else -1
             try:
                 h = h_alpha(u, params)  # integrality + isometry + det checked
             except AssertionError as exc:

@@ -22,7 +22,7 @@ from picard3.linalg import (det, identity, inverse, kernel_basis, mat,
                             mat_mul, mat_scale, mat_vec, primitive_vector,
                             signature_of, smith_normal_form,
                             symmetric_diagonalize, transpose, vec_dot)
-from picard3.modular import ModularElement, member
+from picard3.modular import ModularElement, SubgroupSpec, member
 
 
 def delta_n_scan(n: int) -> int:
@@ -129,6 +129,39 @@ def g_n_torsion_residues(n: int):
     return [(t, e, a) for e, traces in ((1, (0, 1, -1)), (-1, (0,)))
             for t in traces for a in range(nn)
             if (2 * a - t) % n == 0 and (a * (t - a) - e) % nn == 0]
+
+
+def member_by_kind(x, spec: SubgroupSpec) -> bool:
+    """Membership predicate for an element or a 2x2 integer matrix, with
+    the congruences written out for each subgroup kind."""
+    if not isinstance(x, ModularElement):
+        x = ModularElement.from_matrix(x)
+    a, b, c, d = x.a, x.b, x.c, x.d
+    if spec.kind == "Pi_n":
+        n = abs(spec.n)
+        return ((a % n == 1 % n and d % n == 1 % n and b % n == 0 and c % n == 0)
+                or ((-a) % n == 1 % n and (-d) % n == 1 % n and b % n == 0 and c % n == 0))
+    if spec.kind == "Gamma_n":
+        return x.det == 1 and member_by_kind(x, SubgroupSpec("Pi_n", n=spec.n))
+    if spec.kind == "G_n":
+        n = abs(spec.n)
+        return b % n == 0 and c % n == 0 and (a - d) % n == 0
+    if spec.kind == "B_kl_units":
+        return (a - d) % spec.k == 0 and c % spec.k == 0 and b % spec.l == 0
+    if spec.kind == "Gamma0_k":
+        return c % spec.k == 0
+    raise AssertionError("unreachable")
+
+
+def provably_torsion_free_by_kind(spec: SubgroupSpec) -> bool:
+    """The torsion-freeness criterion written out for each subgroup kind:
+    |n| >= 3 for Pi_n, Gamma_n and G_n, |k| gcd(k, 4l) outside {1, 2, 3, 4}
+    for B_{k,l}^x, never for Gamma_0(k)."""
+    if spec.kind in ("Pi_n", "Gamma_n", "G_n"):
+        return abs(spec.n) >= 3
+    if spec.kind == "B_kl_units":
+        return abs(spec.k) * gcd(spec.k, 4 * spec.l) not in (1, 2, 3, 4)
+    return False
 
 
 def isometry_scan(lat: Lattice, bound: int):

@@ -5,8 +5,6 @@ criterion.
 
 import time
 
-import pytest
-
 from oracles import order_psl2_zn
 from picard3 import linalg as la
 from picard3.clifford import GramParams, OddCliffordElement, norm
@@ -75,7 +73,7 @@ def _sign_class(coords):
 
 def test_criterion_3_clifford_identity_suite():
     with budget(10):
-        res = clifford_suite(100, SEED, gram_bound=5, pairs_per_trial=10)
+        res = clifford_suite(100, SEED, gram_bound=5)
         assert res.failed == 0, res.failures
 
 
@@ -149,5 +147,5 @@ def test_criterion_9_discriminant_form_brute_force():
         expected = {-2: 2, -3: 2, -5: 2, -6: 4, -10: 4}
         for l, order in expected.items():
             lat = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 2 * l)))
-            group = form_orthogonal_group(discriminant_form(lat), cap=1000)
+            group = form_orthogonal_group(discriminant_form(lat))
             assert len(group) == order

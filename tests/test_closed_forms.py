@@ -13,13 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (delta_n_scan, g_n_torsion_residues, qr_minus_one_scan,
+from oracles import (delta_n_scan, g_n_torsion_residues, member_by_kind,
+                     provably_torsion_free_by_kind, qr_minus_one_scan,
                      represents_scan, torsion_search_scan,
                      totient_like_index_scan)
 from picard3.cli import main
 from picard3.lattice import represents
 from picard3.linalg import factor
-from picard3.modular import (SubgroupSpec, _totient_like_index, delta_n,
+from picard3.modular import (ModularElement, SubgroupSpec, _totient_like_index,
+                             delta_n, g_n_class_witness, member,
                              provably_torsion_free, qr_minus_one,
                              torsion_search)
 from picard3.report import analyze_picard
@@ -113,6 +115,53 @@ def test_proved_torsion_free_subgroups_have_no_torsion_in_the_box():
         spec = SubgroupSpec("G_n", n=n)
         assert not provably_torsion_free(spec)
         assert torsion_search(spec, 30)
+
+
+def _seeded_elements(rng, count):
+    """det +-1 elements: short words in [[1, x], [0, 1]] and [[1, 0], [y, 1]]
+    with x, y multiples of u, v (members of B_{v,u}^x), every third one times
+    a twist t: diag(1, -1), an order-2 swap or a scalar class witness of G_n,
+    n <= 12.  Odd-numbered ones take random u, v in 1..12; the others take
+    u = v = n for a twist in G_n (so the product lies in G_n), else 1."""
+    twists = [(2, ModularElement(1, 0, 0, -1)), (1, ModularElement(0, 1, 1, 0)),
+              (1, ModularElement(0, -1, 1, 0))]
+    twists += [(n, g_n_class_witness(n, lam, eps)) for n in range(2, 13)
+               for lam in range(1, n) for eps in (1, -1)
+               if (lam * lam - eps) % n == 0]
+    out = []
+    for i in range(count):
+        n, t = rng.choice(twists) if i % 3 == 0 else (1, ModularElement(1, 0, 0, 1))
+        u, v = (rng.randint(1, 12), rng.randint(1, 12)) if i % 2 else (n, n)
+        el = t
+        for _ in range(rng.randint(1, 3)):
+            el = (el * ModularElement(1, u * rng.randint(-3, 3), 0, 1)
+                  * ModularElement(1, 0, v * rng.randint(-3, 3), 1))
+        out.append(el)
+    return out
+
+
+def test_moduli_rules_match_the_per_kind_rules(rng):
+    """member and provably_torsion_free, which read SubgroupSpec.moduli,
+    against the congruences written out per kind (tests/oracles.py), on
+    every kind with |n|, |k|, |l| <= 12."""
+    elements = _seeded_elements(rng, 500)
+    assert len(set(elements)) > 400
+    nonzero = [v for v in range(-12, 13) if v]
+    specs = [SubgroupSpec(kind, n=v) for v in nonzero
+             for kind in ("Pi_n", "Gamma_n", "G_n")]
+    specs += [SubgroupSpec("Gamma0_k", k=v) for v in nonzero]
+    specs += [SubgroupSpec("B_kl_units", k=k, l=l) for k in nonzero for l in nonzero]
+    members = dict.fromkeys(("Pi_n", "Gamma_n", "G_n", "Gamma0_k", "B_kl_units"), 0)
+    for spec in specs:
+        assert provably_torsion_free(spec) == provably_torsion_free_by_kind(spec), spec
+        got = [member(el, spec) for el in elements]
+        assert got == [member_by_kind(el, spec) for el in elements], spec
+        if max(spec.moduli) >= 3:
+            members[spec.kind] += sum(got)
+    assert min(members.values()) > 100, members
+    for el in elements[:50]:
+        assert member(el.matrix, SubgroupSpec("G_n", n=3)) == member(
+            el, SubgroupSpec("G_n", n=3))
 
 
 def test_g_n_torsion_residues_vanish_exactly_when_proved():

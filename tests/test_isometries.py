@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from picard3 import linalg as la

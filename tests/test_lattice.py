@@ -89,6 +89,29 @@ def test_generator_lifts_match_the_inverse_formula(rng):
                 assert form.values[i][j] == v % (2 if i == j else 1)
 
 
+def test_q_and_b_are_the_pairing_of_the_lifted_vectors(rng):
+    """q(c) and b(c1, c2) equal <x, x> mod 2Z and <x, y> mod Z for the lifts
+    x = sum_i c_i g_i, y of the exponent tuples (exponents outside 0..d_i-1
+    included)."""
+    lats = [U, WEHLER, m_n_lattice(3), family_lattice(5, -7)]
+    lats += [_random_even_lattice(rng, n) for n in (1, 2, 3, 4) for _ in range(25)]
+    for lat in lats:
+        form = discriminant_form(lat)
+        factors, lifts = form.group.invariant_factors, form.group.generator_lifts
+
+        def lift(c):
+            return tuple(sum((ci * g[r] for ci, g in zip(c, lifts)), Fraction(0))
+                         for r in range(lat.rank))
+
+        for _ in range(10):
+            c1, c2 = (tuple(rng.randrange(-d, 2 * d) for d in factors)
+                      for _ in range(2))
+            x, y = lift(c1), lift(c2)
+            assert form.q_of(c1) == lat.pairing(x, x) % 2, (lat, c1)
+            assert form.bilinear(c1, c2) == lat.pairing(x, y) % 1, (lat, c1, c2)
+            assert type(form.q_of(c1)) is type(form.bilinear(c1, c2)) is Fraction
+
+
 def test_group_order_equals_disc(rng):
     for _ in range(40):
         lat = _random_even_lattice(rng, rng.randint(1, 3))
@@ -122,8 +145,10 @@ def test_form_orthogonal_group_wehler_exhaustive():
 
 
 def test_form_orthogonal_group_cap():
-    with pytest.raises(ValueError):
-        form_orthogonal_group(discriminant_form(WEHLER), cap=10)
+    form = discriminant_form(m_n_lattice(8))
+    assert form.group.order == 1024
+    with pytest.raises(ValueError, match="exceeds cap 1000"):
+        form_orthogonal_group(form)
 
 
 def test_automorphisms_preserve_form(rng):

@@ -32,6 +32,14 @@ def test_subgroup_spec_rejects_unknown_kinds():
         SubgroupSpec("Gamma0_plus_l", l=2)
 
 
+def test_subgroup_spec_rejects_zero_parameters():
+    for kind, params in (("Pi_n", {}), ("Gamma_n", {"k": 3}), ("G_n", {"l": 3}),
+                         ("B_kl_units", {"k": 3}), ("B_kl_units", {"l": 3}),
+                         ("Gamma0_k", {"l": 3})):
+        with pytest.raises(ValueError, match=f"parameters of {kind} must be nonzero"):
+            SubgroupSpec(kind, **params)
+
+
 def test_member_examples():
     d = ModularElement(1, 0, 0, -1)
     assert member(d, SubgroupSpec("Pi_n", n=2))

@@ -4,7 +4,7 @@ from picard3 import report
 from picard3.lattice import family_lattice, represents, signature
 from picard3.linalg import char_poly_3x3
 from picard3.isometries import p_alpha_matrix
-from picard3.modular import ModularElement, qr_minus_one
+from picard3.modular import qr_minus_one
 from picard3.report import (TORSION_SEARCH_BOUND, analyze_picard,
                             congruence_data, salem_poly, symplectic_split,
                             wehler_trace_classes)

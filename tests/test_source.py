@@ -6,6 +6,8 @@ from pathlib import Path
 import picard3
 
 SRC = Path(picard3.__file__).parent
+TESTS = Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(source: str) -> list:
@@ -22,6 +24,25 @@ def unused_imports(source: str) -> list:
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def unused_locals(source: str) -> list:
+    """The names a function assigns but never reads, as (line, name).  A read
+    in a nested function counts; ``_`` and names declared global or nonlocal
+    are exempt."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        exempt = {"_"} | {node.id for node in names
+                          if not isinstance(node.ctx, ast.Store)}
+        exempt |= {name for node in ast.walk(fn)
+                   if isinstance(node, (ast.Global, ast.Nonlocal))
+                   for name in node.names}
+        found |= {(node.lineno, node.id) for node in names
+                  if isinstance(node.ctx, ast.Store) and node.id not in exempt}
+    return sorted(found)
 
 
 def function_imports(source: str) -> list:
@@ -57,8 +78,33 @@ def test_unused_imports_are_found():
 def test_library_modules_read_every_name_they_import():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
+    modules += sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: u for name, u in unused.items() if u} == {}
+
+
+def test_unused_locals_are_found():
+    src = ("def f(xs):\n"
+           "    total, dead = 0, 1\n"
+           "    for i, x in enumerate(xs):\n"
+           "        total += x\n"
+           "    for _ in xs:\n"
+           "        pass\n"
+           "    def g():\n"
+           "        nonlocal total\n"
+           "        total = 2\n"
+           "        seen = 3\n"
+           "    global count\n"
+           "    count = len(xs)\n"
+           "    return total, g\n")
+    assert unused_locals(src) == [(2, "dead"), (3, "i"), (10, "seen")]
+
+
+def test_library_functions_read_every_local_they_assign():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: unused_locals(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_function_imports_are_found():
