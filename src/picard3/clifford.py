@@ -32,6 +32,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd, lcm
 
+from .lattice import Lattice
 from .linalg import clear_denominators, mat, mat_div
 
 # Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.  Slot 5
@@ -60,19 +61,12 @@ class GramParams:
 
     @staticmethod
     def from_gram(q) -> "GramParams":
-        if len(q) != 3 or any(len(r) != 3 for r in q):
+        """The parameters of a rank-3 Gram matrix, validated by Lattice."""
+        q = Lattice(q).gram
+        if len(q) != 3:
             raise ValueError("rank-3 Gram matrix required")
-        for i in range(3):
-            for j in range(3):
-                if q[i][j] != q[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-            if q[i][i] % 2 != 0:
-                raise ValueError("lattice must be even")
-        p = GramParams(q[0][0] // 2, q[1][1] // 2, q[2][2] // 2,
-                       q[1][2], q[0][2], q[0][1])
-        if p.disc == 0:
-            raise ValueError("lattice must be non-degenerate")
-        return p
+        return GramParams(q[0][0] // 2, q[1][1] // 2, q[2][2] // 2,
+                          q[1][2], q[0][2], q[0][1])
 
     @property
     def gram(self):

@@ -21,53 +21,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 
 from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
                        GramParams, OddCliffordElement, clifford_mul,
                        integer_mul, integer_reversal, norm)
-from .lattice import (Lattice, in_discriminant_kernel, is_isometry,
-                      preserves_positive_cone)
-from .linalg import (adjugate, det, factor_pairs, mat, primitive_vector,
+from .lattice import Isometry3, Lattice
+from .linalg import (adjugate, factor_pairs, mat, primitive_vector,
                      sign_normalize, squarefree_part)
+from .modular import SubgroupSpec, member
 
 # The slots of the unit coordinates of each grade.
 _CHARTS = {"even": EVEN_MASKS, "odd": ODD_MASKS}
-
-
-class Isometry3:
-    """A 3x3 integer isometry of a rank-3 even lattice, with cached flags."""
-
-    def __init__(self, matrix, lat: Lattice):
-        self.matrix = mat(matrix)
-        self.lattice = lat
-        if not is_isometry(self.matrix, lat):
-            raise ValueError("matrix does not preserve the form")
-
-    def __eq__(self, other):
-        return (isinstance(other, Isometry3)
-                and self.matrix == other.matrix
-                and self.lattice == other.lattice)
-
-    def __hash__(self):
-        return hash((self.matrix, self.lattice.gram))
-
-    def __repr__(self):
-        return f"Isometry3({self.matrix})"
-
-    @cached_property
-    def det(self) -> int:
-        return int(det(self.matrix))
-
-    @cached_property
-    def in_kernel(self) -> bool:
-        return in_discriminant_kernel(self.matrix, self.lattice)
-
-    @cached_property
-    def preserves_cone(self) -> bool:
-        return preserves_positive_cone(self.matrix, self.lattice)
 
 
 @dataclass(frozen=True)
@@ -259,12 +226,9 @@ def p_alpha_matrix(alpha, k: int, l: int) -> Isometry3:
     ((k/2) te1, -l te2, (k/2) te3) of the twisted lattice; it satisfies
     P^T Q P = (ad - bc)^2 Q = Q exactly.
     """
-    (a, b), (c, d) = alpha[0], alpha[1]
-    if (a - d) % k != 0 or c % k != 0 or b % l != 0:
+    if not member(alpha, SubgroupSpec("B_kl_units", k=k, l=l)):
         raise ValueError("alpha is not in B_{k,l}")
-    dt = a * d - b * c
-    if dt not in (1, -1):
-        raise ValueError("det(alpha) must be +-1")
+    (a, b), (c, d) = alpha[0], alpha[1]
     b_l, c_k = b // l, c // k
     rows = ((a * a, 2 * a * b, -k * b_l * b),
             (a * c, a * d + b * c, -k * b_l * d),
@@ -278,9 +242,9 @@ def family_unit(alpha, k: int, l: int) -> CliffordUnit:
     Under e1 = [[0,l],[0,0]], e2 = [[k,0],[0,0]], e3 = [[0,0],[k,0]] the
     matrix [[a,b],[c,d]] has coordinates (d, b/l, (a-d)/k, c/k).
     """
-    (a, b), (c, d) = alpha[0], alpha[1]
-    if (a - d) % k != 0 or c % k != 0 or b % l != 0:
+    if not member(alpha, SubgroupSpec("B_kl_units", k=k, l=l)):
         raise ValueError("alpha is not in B_{k,l}")
+    (a, b), (c, d) = alpha[0], alpha[1]
     params = GramParams(0, l, 0, 0, k, 0)
     return CliffordUnit.from_element(
         EvenCliffordElement(d, b // l, (a - d) // k, c // k), params)

@@ -1,6 +1,6 @@
 """Even integer lattices: discriminants, duals, discriminant groups and forms,
-discriminant-kernel and positive-cone tests, and the family representability
-criterion.
+isometries (Isometry3) with their discriminant-kernel and positive-cone
+tests, and the family representability criterion.
 
 A lattice is its symmetric integer Gram matrix.  Degenerate or odd lattices
 are rejected at construction.  All values are exact; q-values live in Q/2Z on
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -204,17 +205,42 @@ def is_isometry(g, lat: Lattice) -> bool:
             and mat_mul(mat_mul(transpose(gm), lat.gram), gm) == lat.gram)
 
 
+@dataclass(frozen=True)
+class Isometry3:
+    """An integer isometry g of a rank-3 even lattice, with cached flags; the
+    one place where g^T Q g = Q is checked."""
+
+    matrix: tuple
+    lattice: Lattice
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", mat(self.matrix))
+        if not is_isometry(self.matrix, self.lattice):
+            raise ValueError("g is not an isometry of L")
+
+    @cached_property
+    def det(self) -> int:
+        return int(det(self.matrix))
+
+    @cached_property
+    def in_kernel(self) -> bool:
+        """g acts trivially on A(L)  <=>  (g - I) Q_L^{-1} is an integer
+        matrix  <=>  (g - I) adj(Q_L) = 0 mod det Q_L."""
+        q = self.lattice.gram
+        diff = tuple(tuple(x - int(i == j) for j, x in enumerate(row))
+                     for i, row in enumerate(self.matrix))
+        adj = adjugate(q)
+        d = vec_dot(q[0], [r[0] for r in adj])   # det Q_L, along row 0
+        return all(x % d == 0 for row in mat_mul(diff, adj) for x in row)
+
+    @cached_property
+    def preserves_cone(self) -> bool:
+        return preserves_positive_cone(self, self.lattice)
+
+
 def in_discriminant_kernel(g, lat: Lattice) -> bool:
-    """g acts trivially on A(L)  <=>  (g - I) Q_L^{-1} is an integer matrix
-    <=>  (g - I) adj(Q_L) = 0 mod det Q_L."""
-    gm = mat(g)
-    if not is_isometry(gm, lat):
-        raise ValueError("g is not an isometry of L")
-    diff = tuple(tuple(x - int(i == j) for j, x in enumerate(row))
-                 for i, row in enumerate(gm))
-    adj = adjugate(lat.gram)
-    d = vec_dot(lat.gram[0], [r[0] for r in adj])   # det Q_L, along row 0
-    return all(x % d == 0 for row in mat_mul(diff, adj) for x in row)
+    """Does the isometry g act trivially on A(L)?  See Isometry3.in_kernel."""
+    return Isometry3(g, lat).in_kernel
 
 
 def preserves_positive_cone(g, lat: Lattice) -> bool:
@@ -223,6 +249,7 @@ def preserves_positive_cone(g, lat: Lattice) -> bool:
     One diagonalization P^T Q P = D gives the signature and, as the column of
     P at the single positive entry of D (the single negative one for (n, 1)),
     a v with eps <v, v> > 0 for eps = +1 (-1); returns sign eps <gv, v> > 0.
+    The signature is checked first, then g (an Isometry3 of lat is not).
     """
     p, d = symmetric_diagonalize(lat.gram)
     plus = [i for i in range(lat.rank) if d[i][i] > 0]
@@ -234,11 +261,10 @@ def preserves_positive_cone(g, lat: Lattice) -> bool:
     else:
         raise ValueError("cone test unsupported for signature "
                          f"{(len(plus), len(minus))}")
-    gm = mat(g)
-    if not is_isometry(gm, lat):
-        raise ValueError("g is not an isometry of L")
+    if not (isinstance(g, Isometry3) and g.lattice == lat):
+        g = Isometry3(getattr(g, "matrix", g), lat)
     v = primitive_vector(tuple(row[i] for row in p))
-    val = eps * vec_dot(mat_vec(gm, v), mat_vec(lat.gram, v))
+    val = eps * vec_dot(mat_vec(g.matrix, v), mat_vec(lat.gram, v))
     if val == 0:
         raise AssertionError("degenerate cone pairing")  # impossible for isometries
     return val > 0

@@ -111,6 +111,7 @@ def test_salem(capsys):
 def test_salem_json(capsys):
     code, out, _ = run_cli(capsys, "salem", "--matrix", "1,2,4,9",
                            "--format", "json")
+    assert code == 0
     j = json.loads(out)
     assert j["A"] == 98 and j["is_salem"] and j["symplectic"]
     assert j["cubic"] == [1, -99, 99, -1]

@@ -11,7 +11,7 @@ from picard3 import linalg as la
 from picard3.cli import main
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               GramParams, OddCliffordElement, _mult_table,
-                              _reversal_table, alternating_E,
+                              _reversal_table, _WORDS, alternating_E,
                               clifford_mul, element_E, gram_B, integer_mul,
                               integer_reversal, norm, phi_rep, reversal,
                               trace)
@@ -82,8 +82,11 @@ def test_gram_params_from_gram():
     assert WEHLER.disc == 16 and WEHLER.disc_half == 2
     with pytest.raises(ValueError):
         GramParams.from_gram(((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        GramParams.from_gram(((0, 0, 0), (0, 2, 0), (0, 0, 2)))
+    for bad in (((0, 0, 0), (0, 2, 0), (0, 0, 2)),       # degenerate
+                ((2, Fraction(1, 2), 0), (Fraction(1, 2), 2, 0), (0, 0, 2)),
+                ((2.0, 0, 0), (0, 2, 0), (0, 0, -2))):
+        with pytest.raises(ValueError):
+            GramParams.from_gram(bad)
 
 
 def test_scalar_and_basis_products():
@@ -336,6 +339,8 @@ def test_alternating_E(rng):
     ortho = GramParams.from_gram(((2, 0, 0), (0, 2, 0), (0, 0, -2)))
     acc, hats = alternating_E(ortho)
     assert acc.coeffs == CliffordElement.basis(7).coeffs
+    # orthogonal basis: Ehat = (E2E3, E3E1, E1E2)
+    assert hats == tuple(CliffordElement.basis(m) for m in (6, 5, 3))
     for _ in range(50):
         p = random_gram_params(rng)
         alternating_E(p)    # all cross-checks are built in
@@ -353,6 +358,13 @@ def test_alternating_E_basis_change_invariance(rng):
         # rewrite e_new (built on the transformed basis) in the old basis
         vecs = [CliffordElement.vector(tuple(s_mat[r][i] for r in range(3)))
                 for i in range(3)]
+        mapped = CliffordElement.zero()
+        for word, c in zip(_WORDS, e_new.coeffs):   # E'_i -> sum_r S_ri E_r
+            term = CliffordElement.scalar(c)
+            for i in word:
+                term = clifford_mul(term, vecs[i], p)
+            mapped = mapped + term
+        assert mapped == element_E(p)
         acc = CliffordElement.zero()
         from itertools import permutations
         for perm in permutations((0, 1, 2)):

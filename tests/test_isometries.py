@@ -31,6 +31,9 @@ def test_isometry3_validation():
         Isometry3(((1, 1, 0), (0, 1, 0), (0, 0, 1)), lat)
     iso = Isometry3(la.identity(3), lat)
     assert iso.det == 1 and iso.in_kernel and iso.preserves_cone
+    same = Isometry3([[1, 0, 0], [0, 1, 0], [0, 0, 1]], family_lattice(2, -2))
+    assert same == iso and hash(same) == hash(iso)
+    assert iso != Isometry3(la.identity(3), family_lattice(2, -3))
 
 
 def test_unit_search_even_examples():
@@ -229,6 +232,10 @@ def test_p_alpha_matrix():
         p_alpha_matrix(((1, 1), (0, 1)), 2, -2)     # b not divisible by l
     with pytest.raises(ValueError):
         p_alpha_matrix(((2, -2), (2, 2)), 2, -2)    # det 8
+    for k, l in ((0, -2), (2, 0)):
+        for f in (p_alpha_matrix, family_unit):
+            with pytest.raises(ValueError):
+                f(((1, 0), (0, 1)), k, l)
 
 
 def test_p_alpha_equals_phi_alpha_after_basis_bookkeeping():

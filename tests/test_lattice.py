@@ -7,7 +7,7 @@ from oracles import (cone_test_by_two_diagonalizations,
                      generator_lifts_by_inverse, induced_action_trivial)
 from picard3 import linalg as la
 from picard3.clifford import GramParams
-from picard3.isometries import phi_alpha, seeded_units
+from picard3.isometries import Isometry3, phi_alpha, seeded_units
 from picard3.lattice import (Lattice, disc, discriminant_form,
                              discriminant_group, family_lattice,
                              form_orthogonal_group, in_discriminant_kernel,
@@ -256,6 +256,11 @@ def test_positive_cone():
                                 Lattice(((2, 0, 0), (0, 2, 0), (0, 0, 2))))
     with pytest.raises(ValueError, match="not an isometry"):
         preserves_positive_cone(la.mat_scale(2, la.identity(3)), lat)
+    # an isometry of another lattice is checked against lat
+    swap = Isometry3(((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+                     Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))))
+    with pytest.raises(ValueError, match="not an isometry"):
+        preserves_positive_cone(swap, lat)
 
 
 def test_cone_test_matches_two_diagonalizations():

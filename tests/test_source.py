@@ -103,6 +103,7 @@ def test_unused_locals_are_found():
 def test_library_functions_read_every_local_they_assign():
     modules = sorted(SRC.glob("*.py"))
     assert modules
+    modules += sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     found = {p.name: unused_locals(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
 
