@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .report import analyze_picard, congruence_data, salem_poly
-from .verify import ALL_SUITES, run_suites
+from .verify import ALL_SUITES, GRAM_BOUND, run_suites
 
 SCHEMA = "picard3-aut/1"
 
@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="run a single suite (default: all)")
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--gram-bound", type=int, default=5)
     pv.add_argument("--format", choices=("json", "text"), default="text")
 
     ps = sub.add_parser("salem", help="salem data of a 2x2 matrix a,b,c,d")
@@ -95,20 +94,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else sorted(ALL_SUITES)
-    results = run_suites(names, args.trials, args.seed, args.gram_bound)
+    results = run_suites(names, args.trials, args.seed)
     if args.format == "json":
         out = {
             "schema": SCHEMA,
             "trials": args.trials,
             "seed": args.seed,
-            "gram_bound": args.gram_bound,
+            "gram_bound": GRAM_BOUND,
             "suites": [r.to_json() for r in results],
             "ok": all(r.ok for r in results),
         }
         print(json.dumps(out, sort_keys=True))
     else:
         print(_styled(f"picard3 verify (trials={args.trials}, seed={args.seed}, "
-                      f"gram_bound={args.gram_bound})"))
+                      f"gram_bound={GRAM_BOUND})"))
         for r in results:
             status = "pass" if r.ok else "FAIL"
             print(f"suite {r.name}: {r.passed} passed, {r.failed} failed [{status}]")

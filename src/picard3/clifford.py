@@ -84,6 +84,7 @@ class GramParams:
         return Fraction(self.disc, 8)
 
 
+@dataclass(frozen=True, slots=True)
 class CliffordElement:
     """An element of Cl(L) tensor Q: 8 rational coordinates on the monomials
     1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3 (slots 0-7), stored as the
@@ -94,7 +95,8 @@ class CliffordElement:
     pure-grade element, ``coords`` give the coordinates as Fractions.
     """
 
-    __slots__ = ("ints", "den")
+    ints: tuple
+    den: int
 
     def __init__(self, coeffs):
         if len(coeffs) != DIM:
@@ -107,24 +109,8 @@ class CliffordElement:
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CliffordElement is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.ints == other.ints and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.ints, self.den))
-
     def __repr__(self):
         return f"CliffordElement(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return _element, (self.ints, self.den)
 
     @property
     def coeffs(self) -> tuple:
@@ -401,8 +387,7 @@ def alternating_E(params: GramParams):
     """
     gens = [[int(m == g) for m in range(DIM)] for g in GEN_MASKS]
     acc6 = [0] * DIM
-    for perm in permutations(range(3)):
-        sign = _perm_sign(perm)
+    for perm, sign in zip(permutations(range(3)), (1, -1, -1, 1, 1, -1)):
         term = integer_mul(integer_mul(gens[perm[0]], gens[perm[1]], params),
                            gens[perm[2]], params)
         acc6 = [x + sign * y for x, y in zip(acc6, term)]
@@ -421,14 +406,4 @@ def alternating_E(params: GramParams):
         if any(2 * x != 3 * y for x, y in zip(lhs, rhs)):
             raise AssertionError("Ei * E != sum <Ei,Ej>_0 Ehat_j")
     return E, tuple(_element(h, 2) for h in hats2)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
 

@@ -192,7 +192,7 @@ def clifford_lift(g, params: GramParams):
     coordinate), together with its norm N; g lies in the discriminant
     kernel iff N = +-1.
     """
-    iso = g if isinstance(g, Isometry3) else Isometry3(g, _lattice(params))
+    iso = Isometry3.of(g, _lattice(params))
     eps = iso.det
     grade = "even" if eps == 1 else "odd"
     forms, adj = _unit_forms(params, grade)

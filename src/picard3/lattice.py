@@ -218,6 +218,14 @@ class Isometry3:
         if not is_isometry(self.matrix, self.lattice):
             raise ValueError("g is not an isometry of L")
 
+    @classmethod
+    def of(cls, g, lat: Lattice) -> "Isometry3":
+        """g itself when it is an Isometry3 of lat; otherwise the matrix of g
+        (an Isometry3 of another lattice, or a bare matrix) checked on lat."""
+        if isinstance(g, Isometry3) and g.lattice == lat:
+            return g
+        return cls(getattr(g, "matrix", g), lat)
+
     @cached_property
     def det(self) -> int:
         return int(det(self.matrix))
@@ -240,7 +248,7 @@ class Isometry3:
 
 def in_discriminant_kernel(g, lat: Lattice) -> bool:
     """Does the isometry g act trivially on A(L)?  See Isometry3.in_kernel."""
-    return Isometry3(g, lat).in_kernel
+    return Isometry3.of(g, lat).in_kernel
 
 
 def preserves_positive_cone(g, lat: Lattice) -> bool:
@@ -249,7 +257,7 @@ def preserves_positive_cone(g, lat: Lattice) -> bool:
     One diagonalization P^T Q P = D gives the signature and, as the column of
     P at the single positive entry of D (the single negative one for (n, 1)),
     a v with eps <v, v> > 0 for eps = +1 (-1); returns sign eps <gv, v> > 0.
-    The signature is checked first, then g (an Isometry3 of lat is not).
+    The signature is checked first, then g (by Isometry3.of).
     """
     p, d = symmetric_diagonalize(lat.gram)
     plus = [i for i in range(lat.rank) if d[i][i] > 0]
@@ -261,8 +269,7 @@ def preserves_positive_cone(g, lat: Lattice) -> bool:
     else:
         raise ValueError("cone test unsupported for signature "
                          f"{(len(plus), len(minus))}")
-    if not (isinstance(g, Isometry3) and g.lattice == lat):
-        g = Isometry3(getattr(g, "matrix", g), lat)
+    g = Isometry3.of(g, lat)
     v = primitive_vector(tuple(row[i] for row in p))
     val = eps * vec_dot(mat_vec(g.matrix, v), mat_vec(lat.gram, v))
     if val == 0:

@@ -131,11 +131,10 @@ def delta_n(n: int) -> int:
     s+- the numbers of square roots of +-1 mod n.  s+ is the CRT product of
     the local counts 2 (odd p) and min(2^(e-1), 4) (2^e); -1 has as many
     roots as +1 when it is a square mod n (qr_minus_one), else none, so
-    delta_n is s+ or s+/2."""
+    delta_n is s+ or s+/2.  For n = 1, 2, where +1 = -1, the formula gives
+    s+ = 1 = delta_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n <= 2:
-        return 1
     plus = 1
     for p, e in factor(n):
         plus *= min(2 ** (e - 1), 4) if p == 2 else 2
@@ -143,15 +142,10 @@ def delta_n(n: int) -> int:
 
 
 def index_pi_g_n(n: int) -> int:
-    """[Pi : G_n]: 1 for n = 1, 6 for n = 2, else n^3 prod(1-1/p^2) / delta_n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 1
-    if n == 2:
-        return 6
-    v = _totient_like_index(n)
+    """[Pi : G_n] = n^3 prod(1-1/p^2) / delta_n; the formula gives 1 and 6
+    for n = 1, 2.  delta_n raises ValueError for n < 1."""
     d = delta_n(n)
+    v = _totient_like_index(n)
     if v % d:
         raise AssertionError("delta_n does not divide the index")
     return v // d

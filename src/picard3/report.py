@@ -253,8 +253,6 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
     identity, discriminant-kernel membership, cone preservation, and the
     Clifford lift round trip.
     """
-    if k == 0 or l == 0:
-        raise ValueError("k and l must be nonzero")
     params = GramParams(0, l, 0, 0, k, 0)   # Gram of U(k) + <2l>
     sig = (2, 1) if l > 0 else (1, 2)   # U(k) is (1, 1); <2l> adds sign(l)
     failures = []

@@ -10,7 +10,7 @@ Three suites:
 * ``roundtrip``: unit -> isometry -> lift round trips on the U(k) + <2l>
   families, including the ternary matrix identity and cone checks.
 
-Every suite is reproducible from (trials, seed, gram_bound) alone.
+Every suite is reproducible from (trials, seed) alone.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .lattice import Lattice
 from .linalg import det, mat, mat_mul, mat_scale, mat_vec, sign_normalize, transpose
 
 FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
+GRAM_BOUND = 5   # |entries| of the clifford and exterior suites' Gram tuples
 
 
 @dataclass
@@ -59,18 +60,18 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"picard3:{seed}:{name}")
 
 
-def _random_params(rng: random.Random, bound: int) -> GramParams:
+def _random_params(rng: random.Random) -> GramParams:
     while True:
-        p = GramParams(*(rng.randint(-bound, bound) for _ in range(6)))
+        p = GramParams(*(rng.randint(-GRAM_BOUND, GRAM_BOUND) for _ in range(6)))
         if p.disc != 0:
             return p
 
 
-def clifford_suite(trials: int, seed: int, gram_bound: int = 5) -> SuiteResult:
+def clifford_suite(trials: int, seed: int) -> SuiteResult:
     rng = _rng(seed, "clifford")
     res = SuiteResult("clifford")
     for _ in range(trials):
-        p = _random_params(rng, gram_bound)
+        p = _random_params(rng)
         tag = f"params {p}"
         E = element_E(p)
         res.check(all(clifford_mul(E, CliffordElement.basis(m), p)
@@ -99,13 +100,13 @@ def clifford_suite(trials: int, seed: int, gram_bound: int = 5) -> SuiteResult:
     return res
 
 
-def exterior_suite(trials: int, seed: int, gram_bound: int = 5,
+def exterior_suite(trials: int, seed: int,
                    actions_per_trial: int = 5) -> SuiteResult:
     rng = _rng(seed, "exterior")
     res = SuiteResult("exterior")
     one = EvenCliffordElement(1, 0, 0, 0)
     for _ in range(trials):
-        p = _random_params(rng, gram_bound)
+        p = _random_params(rng)
         tag = f"params {p}"
         try:
             ext.p_bases(p)  # gram, orthogonality, primitivity certificates
@@ -218,13 +219,6 @@ ALL_SUITES = {
 }
 
 
-def run_suites(names, trials: int, seed: int, gram_bound: int = 5):
+def run_suites(names, trials: int, seed: int):
     """Run the named suites and return the list of SuiteResult."""
-    out = []
-    for name in names:
-        fn = ALL_SUITES[name]
-        if name == "roundtrip":
-            out.append(fn(trials, seed))
-        else:
-            out.append(fn(trials, seed, gram_bound))
-    return out
+    return [ALL_SUITES[name](trials, seed) for name in names]

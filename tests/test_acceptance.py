@@ -73,16 +73,16 @@ def _sign_class(coords):
 
 def test_criterion_3_clifford_identity_suite():
     with budget(10):
-        res = clifford_suite(100, SEED, gram_bound=5)
+        res = clifford_suite(100, SEED)
         assert res.failed == 0, res.failures
 
 
 def test_criterion_4_exterior_suite():
     with budget(20):
-        res = exterior_suite(50, SEED, gram_bound=5, actions_per_trial=1)
+        res = exterior_suite(50, SEED, actions_per_trial=1)
         assert res.failed == 0, res.failures
         # 50 random even actions across the tuples
-        res2 = exterior_suite(10, SEED + 1, gram_bound=5, actions_per_trial=5)
+        res2 = exterior_suite(10, SEED + 1, actions_per_trial=5)
         assert res2.failed == 0, res2.failures
         # mu~ identities on genuine units of the (1,-1) family
         params = GramParams(0, -1, 0, 0, 1, 0)

@@ -83,7 +83,8 @@ def test_analyze_defaults_match_the_library():
 
 
 @pytest.mark.parametrize("argv", [("analyze", "--n", "8", "--torsion-bound", "5"),
-                                  ("congruence", "--n", "8", "--bound", "5")])
+                                  ("congruence", "--n", "8", "--bound", "5"),
+                                  ("verify", "--gram-bound", "5")])
 def test_torsion_bound_options_are_gone(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and not out

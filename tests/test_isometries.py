@@ -156,6 +156,11 @@ def test_clifford_lift_rejects_non_isometry():
     params = family_params(2, -2)
     with pytest.raises(ValueError):
         clifford_lift(la.mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), params)
+    # a swap is an isometry of <2> + <2> + <-2>, not of U(2) + <-4>
+    swap = Isometry3(((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+                     Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))))
+    with pytest.raises(ValueError, match="not an isometry of L"):
+        clifford_lift(swap, GramParams(0, -2, 0, 0, 2, 0))
 
 
 def test_thm3_both_directions_on_scan():

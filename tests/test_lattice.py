@@ -197,6 +197,8 @@ def test_in_discriminant_kernel():
     lat = family_lattice(2, -1)
     assert discriminant_group(lat).invariant_factors == (2, 2, 2)
     assert in_discriminant_kernel(neg, lat)
+    # an Isometry3 of another lattice is checked on the lattice given
+    assert not in_discriminant_kernel(Isometry3(neg, lat), family_lattice(2, -2))
     with pytest.raises(ValueError):
         in_discriminant_kernel(((1, 1, 0), (0, 1, 0), (0, 0, 1)), WEHLER)
 
@@ -214,9 +216,10 @@ def test_kernel_matches_induced_action(rng):
         lat = family_lattice(k, l)
         params = GramParams.from_gram(lat.gram)
         for u in seeded_units(k, l, 15, seed=1):
-            g = h_alpha(u, params).matrix
-            assert in_discriminant_kernel(g, lat)
-            assert induced_action_trivial(g, lat)
+            h = h_alpha(u, params)
+            assert in_discriminant_kernel(h, lat) == h.in_kernel
+            assert in_discriminant_kernel(h.matrix, lat)
+            assert induced_action_trivial(h.matrix, lat)
 
 
 def test_power_lemma(rng):

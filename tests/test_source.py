@@ -162,3 +162,53 @@ def test_library_modules_import_no_private_names_from_each_other():
     assert modules
     found = {p.name: private_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+DATACLASS_DUNDERS = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"}
+
+
+def hand_written_dunders(source: str) -> list:
+    """The methods that @dataclass(frozen=True) writes, defined by hand in a
+    class body (by def or by assignment), as (line, "Class.name")."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [(node.lineno, f"{cls.name}.{name}")
+                      for name in names if name in DATACLASS_DUNDERS]
+    return sorted(found)
+
+
+def test_hand_written_dunders_are_found():
+    src = ("class A:\n"
+           "    def __eq__(self, other):\n"
+           "        return True\n"
+           "    __hash__ = None\n"
+           "    def __repr__(self):\n"
+           "        return 'A'\n"
+           "def __reduce__():\n"
+           "    pass\n"
+           "class B:\n"
+           "    def __setattr__(self, name, value):\n"
+           "        raise AttributeError(name)\n"
+           "    __delattr__ = __setattr__\n"
+           "    class C:\n"
+           "        def __reduce__(self):\n"
+           "            return C, ()\n")
+    assert hand_written_dunders(src) == [
+        (2, "A.__eq__"), (4, "A.__hash__"), (10, "B.__setattr__"),
+        (12, "B.__delattr__"), (14, "C.__reduce__")]
+
+
+def test_library_classes_leave_equality_and_freezing_to_dataclass():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: hand_written_dunders(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}
