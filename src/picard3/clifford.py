@@ -16,8 +16,10 @@ and an element is stored by 8 coordinates on the monomials
 1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3, as integers over one common
 denominator.  Both grades are then slices of the 8 slots: EVEN_MASKS on
 (e0, e1, e2, e3) and ODD_MASKS on (E1E2E3, E1, E2, E3).  Products run on
-integers through per-lattice structure constants, and every sign in those is
-produced by the rewriting rules, never written down by hand.
+integers through per-lattice structure constants.  The rewriting rules derive
+those once per process, as integer polynomials in (a, b, c, s, t, u), which
+are evaluated per lattice; every sign in them is produced by the rules, never
+written down by hand.
 
 The module also gives the matrix embedding ``phi_rep`` of the even part, the
 reduced trace/norm, and the central odd element E with E^2 = -D0 where
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .lattice import Lattice
 from .linalg import clear_denominators, mat, mat_div
@@ -212,32 +214,69 @@ def OddCliffordElement(x4, x1, x2, x3) -> CliffordElement:  # noqa: N802
 
 # The generators E1, E2, E3 (as 0, 1, 2) of each monomial; E3E1 in slot 5.
 _WORDS = ((), (0,), (1,), (0, 1), (2,), (2, 0), (1, 2), (0, 1, 2))
+# The structure constants are integer polynomials {monomial: int} in the
+# fields (a, b, c, s, t, u) of GramParams, a monomial being the sorted tuple
+# of field numbers 0-5: <Ei, Ej> (<Ei, Ei>/2 for i = j) is _GRAM_FIELDS[i][j].
+_GRAM_FIELDS = ((0, 5, 4), (5, 1, 3), (4, 3, 2))
 
 
-def _rewrite(word: tuple, q, c: int, out: list):
-    """Add c times the product of the generators in word to the coordinate
-    list out, reducing to the monomials of _WORDS by the rewriting rules
-    Ei Ei = <Ei, Ei>/2 and Ei Ej = <Ei, Ej> - Ej Ei, where q is the Gram
-    matrix."""
+def _rewrite(word: tuple, mono: tuple, c: int, out: list):
+    """Add c * mono times the product of the generators in word to the list
+    out of 8 polynomials, reducing to the monomials of _WORDS by the
+    rewriting rules Ei Ei = <Ei, Ei>/2 and Ei Ej = <Ei, Ej> - Ej Ei."""
     for k in range(len(word) - 1):
         i, j = word[k], word[k + 1]
         if i == j:
-            return _rewrite(word[:k] + word[k + 2:], q, c * (q[i][i] // 2), out)
+            return _rewrite(word[:k] + word[k + 2:], mono + (_GRAM_FIELDS[i][i],), c, out)
         if i > j:
-            _rewrite(word[:k] + word[k + 2:], q, c * q[i][j], out)
-            return _rewrite(word[:k] + (j, i) + word[k + 2:], q, -c, out)
+            _rewrite(word[:k] + word[k + 2:], mono + (_GRAM_FIELDS[i][j],), c, out)
+            return _rewrite(word[:k] + (j, i) + word[k + 2:], mono, -c, out)
     if word == (0, 2):  # E1E3 = <E1, E3> - E3E1
-        out[0] += c * q[0][2]
+        _rewrite((), mono + (_GRAM_FIELDS[0][2],), c, out)
         c = -c
-    out[sum(1 << i for i in word)] += c
+    poly, mono = out[sum(1 << i for i in word)], tuple(sorted(mono))
+    poly[mono] = poly.get(mono, 0) + c
 
 
-def _nonzero_terms(prefix: tuple, word: tuple, q):
-    """prefix + (m, c) for each monomial E_m with coefficient c != 0 in the
-    product of the generators in word, for the Gram matrix q."""
-    out = [0] * DIM
-    _rewrite(word, q, 1, out)
-    return [prefix + (m, c) for m, c in enumerate(out) if c != 0]
+def _polynomial_terms(word: tuple) -> tuple:
+    """(m, f) for each monomial E_m with polynomial coefficient f != 0 in the
+    product of the generators in word; f has no zero coefficient."""
+    out = [{} for _ in range(DIM)]
+    _rewrite(word, (), 1, out)
+    return tuple((m, f) for m, f in enumerate(
+        {mono: k for mono, k in f.items() if k} for f in out) if f)
+
+
+@lru_cache(maxsize=1)
+def _structure_polynomials() -> tuple:
+    """(mult, rev, monomials): mult[8 m1 + m2] holds the terms (m3, f) of
+    E_m1 * E_m2, rev[m] those of the reversal of E_m, and monomials all that
+    occur.  Derived once per process, on first use, by the rewriting rules."""
+    mult = tuple(_polynomial_terms(_WORDS[m1] + _WORDS[m2])
+                 for m1 in range(DIM) for m2 in range(DIM))
+    rev = tuple(_polynomial_terms(w[::-1]) for w in _WORDS)
+    return mult, rev, tuple({mono for row in mult + rev for _, f in row for mono in f})
+
+
+def _evaluate(rows, params: GramParams) -> tuple:
+    """The polynomial terms (m, f) of rows as integer terms (m, c), c != 0,
+    at the fields of params; equal terms are one object, which keeps a table
+    small."""
+    fields = (params.a, params.b, params.c, params.s, params.t, params.u)
+    value = {mono: prod(map(fields.__getitem__, mono))
+             for mono in _structure_polynomials()[2]}
+    terms, table = {}, []
+    for row in rows:
+        out = []
+        for m, f in row:
+            c = 0
+            for mono, k in f.items():
+                c += k * value[mono]
+            if c:
+                t = (m, c)
+                out.append(terms.setdefault(t, t))
+        table.append(tuple(out))
+    return tuple(table)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -246,23 +285,9 @@ def _mult_table(params: GramParams) -> tuple:
     (m3, c), c != 0, with E_m1 * E_m2 the sum of c * E_m3.  There are 55
     terms for the family lattices U(k) + <2l> and at most 119 in general.
 
-    The products E_m * Ei come from the rewriting rules; a longer E_m2,
-    whose word is that of E_p followed by Ei, multiplies as (E_m1 E_p) Ei."""
-    q = params.gram
-    by_gen = [[_nonzero_terms((), _WORDS[m] + (i,), q) for i in range(3)]
-              for m in range(DIM)]
-    table, terms = [], {}   # one object per distinct term keeps the table small
-    for m1 in range(DIM):
-        row = [((m1, 1),)]
-        for word in _WORDS[1:]:
-            out = [0] * DIM
-            for m, c in row[_WORDS.index(word[:-1])]:
-                for m3, c3 in by_gen[m][word[-1]]:
-                    out[m3] += c * c3
-            row.append(tuple(terms.setdefault((m3, c), (m3, c))
-                             for m3, c in enumerate(out) if c))
-        table += row
-    return tuple(table)
+    The constants are polynomials in (a, b, c, s, t, u), derived once by the
+    rewriting rules and evaluated here per lattice."""
+    return _evaluate(_structure_polynomials()[0], params)
 
 
 def integer_mul(xs, ys, params: GramParams) -> list:
@@ -293,8 +318,8 @@ def clifford_mul(x: CliffordElement, y: CliffordElement,
 def _reversal_table(params: GramParams) -> tuple:
     """Integer terms (m, m2, c): the reversal of E_m is the sum of c * E_m2,
     the product of the generators of E_m in reverse order."""
-    return tuple(t for m in range(DIM)
-                 for t in _nonzero_terms((m,), _WORDS[m][::-1], params.gram))
+    return tuple((m,) + t for m, row in
+                 enumerate(_evaluate(_structure_polynomials()[1], params)) for t in row)
 
 
 def integer_reversal(xs, params: GramParams) -> list:
@@ -336,23 +361,28 @@ def norm(x: CliffordElement, params: GramParams):
     return _scalar(integer_norm(x.ints, params), x.den * x.den)
 
 
-def phi_rep(x: CliffordElement, params: GramParams):
-    """The 4x4 matrix representation of the even part (left multiplication):
-    x0 I + x1 M1 + x2 M2 + x3 M3 for the printed matrices M_i of left
-    multiplication by e_i, written out entry by entry in the integer
-    coordinates, and divided once when x is not integral."""
-    if not x.is_even:
-        raise ValueError("phi_rep requires an even element")
+def integer_phi(xs, params: GramParams):
+    """The 4x4 integer matrix of left multiplication by the even element with
+    integer coordinate list xs, on (e0, e1, e2, e3): x0 I + x1 M1 + x2 M2 +
+    x3 M3 for the printed matrices M_i, so column j holds x e_j."""
     a, b, c, s, t, u = (params.a, params.b, params.c,
                         params.s, params.t, params.u)
-    x0, x1, x2, x3 = (x.ints[m] for m in EVEN_MASKS)
-    res = ((x0, -b * c * x1 - s * t * x2 + b * t * x3,
-            c * u * x1 - a * c * x2 - t * u * x3,
-            -s * u * x1 + a * s * x2 - a * b * x3),
-           (x1, x0 + s * x1 + t * x2, a * x3, u * x1 - a * x2),
-           (x2, s * x2 - b * x3, x0 + t * x2 + u * x3, b * x1),
-           (x3, c * x2, t * x3 - c * x1, x0 + s * x1 + u * x3))
-    return mat_div(res, x.den)
+    x0, x1, x2, x3 = (xs[m] for m in EVEN_MASKS)
+    return ((x0, -b * c * x1 - s * t * x2 + b * t * x3,
+             c * u * x1 - a * c * x2 - t * u * x3,
+             -s * u * x1 + a * s * x2 - a * b * x3),
+            (x1, x0 + s * x1 + t * x2, a * x3, u * x1 - a * x2),
+            (x2, s * x2 - b * x3, x0 + t * x2 + u * x3, b * x1),
+            (x3, c * x2, t * x3 - c * x1, x0 + s * x1 + u * x3))
+
+
+def phi_rep(x: CliffordElement, params: GramParams):
+    """The 4x4 matrix representation of the even part (left multiplication):
+    :func:`integer_phi` of the integer coordinates, divided once when x is
+    not integral."""
+    if not x.is_even:
+        raise ValueError("phi_rep requires an even element")
+    return mat_div(integer_phi(x.ints, params), x.den)
 
 
 def gram_B(params: GramParams):

@@ -16,8 +16,8 @@ from operator import mul
 
 from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, GramParams,
-                       integer_mul, integer_norm, integer_reversal, norm,
-                       reversal)
+                       integer_mul, integer_norm, integer_phi, integer_reversal,
+                       norm, reversal)
 from .linalg import det, mat, mat_div, mat_mul, transpose
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
@@ -88,12 +88,17 @@ def mu_matrix(x: CliffordElement, y: CliffordElement, params: GramParams):
 
     The images of the e_i under the integer coordinates of x and y, and
     their wedges, are integers, divided by (dx dy)^2 once for the
-    denominators dx, dy.
+    denominators dx, dy.  The products x e_i are the columns of
+    :func:`integer_phi`, so only the right factor y is multiplied out.
     """
     if not (x.is_even and y.is_even):
         raise ValueError("mu requires even elements")
-    imgs = [integer_mul(integer_mul(x.ints, e, params), y.ints, params)
-            for e in _EVEN_BASIS]
+    imgs = []
+    for col in zip(*integer_phi(x.ints, params)):
+        xe = [0] * DIM
+        for m, v in zip(EVEN_MASKS, col):
+            xe[m] = v
+        imgs.append(integer_mul(xe, y.ints, params))
     return mat_div(_compound_matrix([[w[m] for w in imgs] for m in EVEN_MASKS]),
                    (x.den * y.den) ** 2)
 
@@ -120,9 +125,9 @@ def _compound_matrix(t):
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def iota_inverse_matrix(params: GramParams):
-    """G_W^{-1} C, where G_W^{-1} = G_W (a permutation involution)."""
+    """G_W^{-1} C, where G_W^{-1} = G_W swaps the two halves of the rows."""
     c = _compound_matrix(_pairing_matrix(params))
-    return mat_mul(GRAM_W, c)
+    return c[3:] + c[:3]
 
 
 def integer_odd_actions(x: CliffordElement, params: GramParams):

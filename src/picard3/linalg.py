@@ -95,13 +95,22 @@ def _bareiss(rows: list, n: int, jordan: bool = False):
 
 def det(a: Matrix):
     """Determinant.  An all-int 3x3 matrix is expanded by cofactors along its
-    first row; anything else goes through Bareiss elimination, with each row
+    first row, and an all-int 4x4 one by the 2x2 minors of its first two rows
+    (Laplace); anything else goes through Bareiss elimination, with each row
     scaled to integers by its common denominator and their product divided
     out once at the end."""
     if len(a) == 3:
         (p, q, r), (s, t, u), (v, w, x) = a
         if all(type(y) is int for y in (p, q, r, s, t, u, v, w, x)):
             return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+    if len(a) == 4 and all(type(y) is int for row in a for y in row):
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = a
+        return ((p0 * q1 - p1 * q0) * (r2 * s3 - r3 * s2)
+                - (p0 * q2 - p2 * q0) * (r1 * s3 - r3 * s1)
+                + (p0 * q3 - p3 * q0) * (r1 * s2 - r2 * s1)
+                + (p1 * q2 - p2 * q1) * (r0 * s3 - r3 * s0)
+                - (p1 * q3 - p3 * q1) * (r0 * s2 - r2 * s0)
+                + (p2 * q3 - p3 * q2) * (r0 * s1 - r1 * s0))
     rows, scale = [], 1
     for row in a:
         d, w = clear_denominators(row)

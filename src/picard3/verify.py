@@ -89,13 +89,12 @@ def clifford_suite(trials: int, seed: int) -> SuiteResult:
         for _ in range(10):   # random pairs through Phi per Gram tuple
             x = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
             y = EvenCliffordElement(*(rng.randint(-4, 4) for _ in range(4)))
-            res.check(mat_mul(phi_rep(x, p), phi_rep(y, p))
+            px = phi_rep(x, p)
+            res.check(mat_mul(px, phi_rep(y, p))
                       == phi_rep(clifford_mul(x, y, p), p),
                       f"Phi multiplicative: {tag}")
-            res.check(norm(x, p) ** 2 == det(phi_rep(x, p)),
-                      f"Nr^2 = det Phi: {tag}")
-            res.check(2 * trace(x, p)
-                      == sum(phi_rep(x, p)[i][i] for i in range(4)),
+            res.check(norm(x, p) ** 2 == det(px), f"Nr^2 = det Phi: {tag}")
+            res.check(2 * trace(x, p) == sum(px[i][i] for i in range(4)),
                       f"Tr = trace Phi / 2: {tag}")
     return res
 

@@ -268,7 +268,7 @@ def _mono_times_gen(mono: tuple, j: int, pair, half):
     return out
 
 
-def _monomial_product(m1: int, m2: int, params) -> list:
+def monomial_product(m1: int, m2: int, params) -> list:
     """E_m1 * E_m2 as 8 integer coordinates, by the rewriting rules."""
     q = params.gram
     pair = {(i + 1, j + 1): q[i][j] for i in range(3) for j in range(3)}
@@ -287,11 +287,13 @@ def rewrite_mul(x: CliffordElement, y: CliffordElement, params) -> tuple:
     """The coordinates of x * y, multiplied monomial by monomial in Fractions
     (ascending monomials)."""
     out = [Fraction(0)] * 8
+    ys = [(m2, c2) for m2, c2 in enumerate(y.coeffs) if c2 != 0]
     for m1, c1 in enumerate(x.coeffs):
-        for m2, c2 in enumerate(y.coeffs):
-            if c1 != 0 and c2 != 0:
-                for m3, c3 in enumerate(_monomial_product(m1, m2, params)):
-                    out[m3] += c1 * c2 * c3
+        if c1 != 0:
+            for m2, c2 in ys:
+                for m3, c3 in enumerate(monomial_product(m1, m2, params)):
+                    if c3 != 0:
+                        out[m3] += c1 * c2 * c3
     return tuple(out)
 
 
@@ -300,6 +302,8 @@ def rewrite_reversal(x: CliffordElement, params) -> tuple:
     (ascending monomials)."""
     out = [Fraction(0)] * 8
     for m, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
         acc = CliffordElement.scalar(c)
         for i in (4, 2, 1):
             if m & i:

@@ -11,10 +11,10 @@ from picard3 import linalg as la
 from picard3.cli import main
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               GramParams, OddCliffordElement, _mult_table,
-                              _reversal_table, _WORDS, alternating_E,
-                              clifford_mul, element_E, gram_B, integer_mul,
-                              integer_reversal, norm, phi_rep, reversal,
-                              trace)
+                              _reversal_table, _structure_polynomials, _WORDS,
+                              alternating_E, clifford_mul, element_E, gram_B,
+                              integer_mul, integer_reversal, norm, phi_rep,
+                              reversal, trace)
 from picard3.isometries import CliffordUnit, _lattice
 from conftest import random_gram_params
 
@@ -456,3 +456,17 @@ def test_per_tuple_caches_stay_bounded():
         assert info.currsize <= info.maxsize
     assert _mult_table.cache_info().currsize == _mult_table.cache_info().maxsize
     assert ext.p_bases.cache_info().currsize == ext.p_bases.cache_info().maxsize
+
+
+def test_structure_constants_are_derived_once_on_first_use():
+    # analyze --n builds no table; 100 fresh Gram tuples evaluate one
+    # derivation
+    for cache in (_structure_polynomials, _mult_table, _reversal_table):
+        cache.cache_clear()
+    with redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--n", "65003", "--format", "json"]) == 0
+        assert _structure_polynomials.cache_info().misses == 0
+        assert main(["verify", "--suite", "clifford", "--trials", "100",
+                     "--format", "json"]) == 0
+    assert _mult_table.cache_info().misses == 100
+    assert _structure_polynomials.cache_info().misses == 1

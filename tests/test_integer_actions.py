@@ -52,7 +52,9 @@ def test_integer_paths_match_the_fraction_oracles():
             m = phi_rep(x, p)
             assert m == phi_rep_by_fractions(x, p), (p, x)
             assert _all_int(m) == x.is_integral
-        for x, y in ((xs[0], _even(rng, 1)), (xs[1], xs[0]), (xs[0], xs[1])):
+        one = EvenCliffordElement(1, 0, 0, 0)
+        for x, y in ((xs[0], _even(rng, 1)), (xs[1], xs[0]), (xs[0], xs[1]),
+                     (one, xs[1]), (xs[0], one)):
             m = mu_matrix(x, y, p)
             assert m == mu_matrix_by_fractions(x, y, p), (p, x, y)
             assert _all_int(m) == (x.is_integral and y.is_integral)

@@ -3,14 +3,17 @@ the Bareiss and cofactor determinants against the Fraction paths they
 replaced (tests/oracles.py)."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from oracles import (ascending, conjugation_matrix, det_by_fractions,
-                     isometry_scan, kernel_lift, rewrite_mul, rewrite_reversal)
+                     isometry_scan, kernel_lift, monomial_product, rewrite_mul,
+                     rewrite_reversal)
 from picard3 import linalg as la
 from picard3.clifford import (EVEN_MASKS, ODD_MASKS, CliffordElement,
-                              GramParams, clifford_mul, reversal)
+                              GramParams, clifford_mul, integer_mul,
+                              integer_reversal, reversal)
 from picard3.exterior import _pairing_matrix
 from picard3.isometries import (_unit_forms, clifford_lift, g_alpha, h_alpha,
                                 seeded_units)
@@ -121,6 +124,30 @@ def test_integer_kernel_matches_the_rewriting_rules(rng):
             for m in EVEN_MASKS)
 
 
+def test_structure_constants_match_the_rewriting_rules_on_every_slot(rng):
+    # the polynomial constants evaluated per lattice, against the oracle's
+    # rewriting on all 64 products of two monomials and all 8 reversals:
+    # every tuple in {-1, 0, 1}^6, degenerate ones included, then random
+    # ones.  The oracle works on the ascending monomials, where slot 5 holds
+    # E1E3 = t - E3E1; the integer coordinates convert as ascending() does.
+    tuples = list(product((-1, 0, 1), repeat=6))
+    tuples += [tuple(rng.randint(-6, 6) for _ in range(6)) for _ in range(500)]
+    assert any(GramParams(*t).disc == 0 for t in tuples)
+    for t in tuples:
+        p = GramParams(*t)
+
+        def asc(v):
+            return [v[0] + p.t * v[5], *v[1:5], -v[5], *v[6:]]
+
+        monos = [asc([int(m == j) for m in range(8)]) for j in range(8)]
+        for m1, x in enumerate(monos):
+            assert asc(integer_reversal(x, p)) == list(
+                rewrite_reversal(CliffordElement.basis(m1), p)), (p, m1)
+            for m2, y in enumerate(monos):
+                assert (asc(integer_mul(x, y, p))
+                        == monomial_product(m1, m2, p)), (p, m1, m2)
+
+
 def test_bareiss_det_matches_fraction_elimination(rng):
     for _ in range(400):
         n = rng.randint(1, 6)
@@ -137,15 +164,31 @@ def test_bareiss_det_matches_fraction_elimination(rng):
             assert la.mat_mul(a, la.adjugate(a)) == la.mat_scale(d, la.identity(n))
 
 
-def test_int_3x3_det_matches_fraction_elimination(rng):
+def _check_int_cofactor_det(rng, n):
     for i in range(500):
         bound = 10 ** rng.randint(0, 20)
-        a = [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
+        a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if i % 5 == 0:      # singular: a repeated, negated or zero row
             f = rng.choice((1, -1, 0))
-            a[2] = [f * x for x in a[rng.randrange(2)]]
+            a[n - 1] = [f * x for x in a[rng.randrange(n - 1)]]
         a = la.mat(a)
         d = la.det(a)
         assert type(d) is int
         assert d == det_by_fractions(a)
         assert d == 0 or i % 5
+
+
+def test_int_3x3_det_matches_fraction_elimination(rng):
+    _check_int_cofactor_det(rng, 3)
+
+
+def test_int_4x4_det_matches_fraction_elimination(rng, monkeypatch):
+    calls = []
+    bareiss = la._bareiss
+    monkeypatch.setattr(la, "_bareiss", lambda *args: calls.append(1) or bareiss(*args))
+    _check_int_cofactor_det(rng, 4)
+    assert not calls
+    # a Fraction entry keeps the Bareiss path
+    a = la.mat([[Fraction(1, 2), 1, 0, 3], [2, -1, 4, 0], [0, 5, 1, -2], [7, 0, 2, 1]])
+    assert la.det(a) == det_by_fractions(a)
+    assert calls == [1]
