@@ -15,11 +15,12 @@ carries the quaternion basis
 and an element is stored by 8 coordinates on the monomials
 1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3, as integers over one common
 denominator.  Both grades are then slices of the 8 slots: EVEN_MASKS on
-(e0, e1, e2, e3) and ODD_MASKS on (E1E2E3, E1, E2, E3).  Products run on
-integers through per-lattice structure constants.  The rewriting rules derive
-those once per process, as integer polynomials in (a, b, c, s, t, u), which
-are evaluated per lattice; every sign in them is produced by the rules, never
-written down by hand.
+(e0, e1, e2, e3) and ODD_MASKS on (E1E2E3, E1, E2, E3).  Products and the
+reversal run on integers through straight-line kernels, one per pair of
+grades.  The rewriting rules derive the structure constants once per process,
+as integer polynomials in (a, b, c, s, t, u), and the kernels are written
+from them; a lattice keeps only the values of the 25 non-constant ones.
+Every sign is produced by the rules, never written down by hand.
 
 The module also gives the matrix embedding ``phi_rep`` of the even part, the
 reduced trace/norm, and the central odd element E with E^2 = -D0 where
@@ -31,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import gcd, lcm, prod
+from itertools import permutations, product
+from math import gcd, lcm
 
 from .lattice import Lattice
 from .linalg import clear_denominators, mat, mat_div
@@ -249,61 +250,94 @@ def _polynomial_terms(word: tuple) -> tuple:
 
 @lru_cache(maxsize=1)
 def _structure_polynomials() -> tuple:
-    """(mult, rev, monomials): mult[8 m1 + m2] holds the terms (m3, f) of
-    E_m1 * E_m2, rev[m] those of the reversal of E_m, and monomials all that
-    occur.  Derived once per process, on first use, by the rewriting rules."""
+    """(mult, rev): mult[8 m1 + m2] holds the terms (m3, f) of E_m1 * E_m2
+    and rev[m] those of the reversal of E_m.  Derived once per process, on
+    first use, by the rewriting rules."""
     mult = tuple(_polynomial_terms(_WORDS[m1] + _WORDS[m2])
                  for m1 in range(DIM) for m2 in range(DIM))
-    rev = tuple(_polynomial_terms(w[::-1]) for w in _WORDS)
-    return mult, rev, tuple({mono for row in mult + rev for _, f in row for mono in f})
+    return mult, tuple(_polynomial_terms(w[::-1]) for w in _WORDS)
 
 
-def _evaluate(rows, params: GramParams) -> tuple:
-    """The polynomial terms (m, f) of rows as integer terms (m, c), c != 0,
-    at the fields of params; equal terms are one object, which keeps a table
-    small."""
-    fields = (params.a, params.b, params.c, params.s, params.t, params.u)
-    value = {mono: prod(map(fields.__getitem__, mono))
-             for mono in _structure_polynomials()[2]}
-    terms, table = {}, []
-    for row in rows:
-        out = []
-        for m, f in row:
-            c = 0
-            for mono, k in f.items():
-                c += k * value[mono]
-            if c:
-                t = (m, c)
-                out.append(terms.setdefault(t, t))
-        table.append(tuple(out))
-    return tuple(table)
+def _sum_source(terms) -> str:
+    """Python source of the sum of c * f over the terms (c, f): an int c and
+    the source f of a product, '' for 1."""
+    s = ""
+    for c, f in terms:
+        s += " - " if c < 0 else " + "
+        s += f if abs(c) == 1 and f else f"{abs(c)}*{f}" if f else str(abs(c))
+    return (s[3:] if s[1] == "+" else "-" + s[3:]) if s else "0"
+
+
+@lru_cache(maxsize=1)
+def _kernels() -> tuple:
+    """(constants, mul, reversal): straight-line functions written once per
+    process from the structure polynomials.  constants(a, b, c, s, t, u) is
+    the tuple k of a lattice, the values of the non-constant polynomials;
+    mul[2 gx + gy](xs, ys, k) multiplies the grade-gx part of xs by the
+    grade-gy part of ys (0 even, 1 odd) and reads no other slot.  Each is
+    compiled on its own, which keeps the compiler's peak memory low."""
+    mult, rev = _structure_polynomials()
+    index = {}
+
+    def term(f, factor):
+        """(c, source) of f * factor, with c = f when f is constant."""
+        if set(f) == {()}:
+            return f[()], factor
+        return 1, f"k{index.setdefault(tuple(sorted(f.items())), len(index))}*{factor}"
+
+    bodies = []
+    for gx, gy in product((EVEN_MASKS, ODD_MASKS), repeat=2):
+        slots = [[] for _ in range(DIM)]
+        for m1, m3 in product(gx, range(DIM)):  # x_m1 times a sum over y
+            inner = [term(f, f"y{m2}") for m2 in gy for m, f in mult[DIM * m1 + m2] if m == m3]
+            if inner:
+                slots[m3].append((1, f"x{m1}*({_sum_source(inner)})"))
+        bodies.append(("mul", "xyk", slots))
+    bodies.append(("reversal", "xk", [[term(f, f"x{m}") for m, row in enumerate(rev)
+                                       for m2, f in row if m2 == m3] for m3 in range(DIM)]))
+    size = {"x": DIM, "y": DIM, "k": len(index)}
+    sources = [(name, f"def {name}({', '.join(args)}):\n"
+                + "".join(f"    {', '.join(f'{a}{i}' for i in range(size[a]))} = {a}\n"
+                          for a in args)
+                + f"    return [{', '.join(map(_sum_source, slots))}]\n")
+               for name, args, slots in bodies]
+    polys = [_sum_source((k, "*".join("abcstu"[i] for i in mono)) for mono, k in f)
+             for f in index]
+    sources.append(("constants", "def constants(a, b, c, s, t, u):\n"
+                    f"    return ({', '.join(polys)},)\n"))
+    functions = []
+    for name, source in sources:
+        namespace = {}
+        exec(source, namespace)
+        functions.append(namespace[name])
+    *mul, reverse, constants = functions
+    return constants, tuple(mul), reverse
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _mult_table(params: GramParams) -> tuple:
-    """The structure constants: slot 8 m1 + m2 holds the integer terms
-    (m3, c), c != 0, with E_m1 * E_m2 the sum of c * E_m3.  There are 55
-    terms for the family lattices U(k) + <2l> and at most 119 in general.
+def _constants(params: GramParams) -> tuple:
+    """The constants k of the kernels at the fields of params."""
+    return _kernels()[0](params.a, params.b, params.c,
+                           params.s, params.t, params.u)
 
-    The constants are polynomials in (a, b, c, s, t, u), derived once by the
-    rewriting rules and evaluated here per lattice."""
-    return _evaluate(_structure_polynomials()[0], params)
+
+def _grade(xs):
+    """0 for an even or zero coordinate list, 1 for an odd one, None for one
+    with both grades."""
+    if xs[1] or xs[2] or xs[4] or xs[7]:
+        return None if xs[0] or xs[3] or xs[5] or xs[6] else 1
+    return 0
 
 
 def integer_mul(xs, ys, params: GramParams) -> list:
-    """The product of two elements given by integer coordinate lists; zero
-    coordinates on either side are skipped."""
-    table = _mult_table(params)
-    out = [0] * DIM
-    right = [(m2, y) for m2, y in enumerate(ys) if y]
-    for m1, x in enumerate(xs):
-        if x:
-            row = DIM * m1
-            for m2, y in right:
-                xy = x * y
-                for m3, c in table[row + m2]:
-                    out[m3] += c * xy
-    return out
+    """The product of two elements given by integer coordinate lists, by the
+    kernel of their grades.  A factor with both grades splits into its two
+    parts, and the four graded products are summed."""
+    k, mul = _constants(params), _kernels()[1]
+    gx, gy = _grade(xs), _grade(ys)
+    if gx is None or gy is None:
+        return [sum(c) for c in zip(*(f(xs, ys, k) for f in mul))]
+    return mul[2 * gx + gy](xs, ys, k)
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement,
@@ -314,20 +348,9 @@ def clifford_mul(x: CliffordElement, y: CliffordElement,
     return _element(integer_mul(x.ints, y.ints, params), x.den * y.den)
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _reversal_table(params: GramParams) -> tuple:
-    """Integer terms (m, m2, c): the reversal of E_m is the sum of c * E_m2,
-    the product of the generators of E_m in reverse order."""
-    return tuple((m,) + t for m, row in
-                 enumerate(_evaluate(_structure_polynomials()[1], params)) for t in row)
-
-
 def integer_reversal(xs, params: GramParams) -> list:
     """The reversal of an element given by an integer coordinate list."""
-    out = [0] * DIM
-    for m, m2, c in _reversal_table(params):
-        out[m2] += c * xs[m]
-    return out
+    return _kernels()[2](xs, _constants(params))
 
 
 def reversal(x: CliffordElement, params: GramParams) -> CliffordElement:
@@ -348,7 +371,7 @@ def trace(x: CliffordElement, params: GramParams):
 def integer_norm(xs, params: GramParams) -> int:
     """x x^* for a pure even or pure odd element given by an integer
     coordinate list."""
-    if any(xs[m] for m in EVEN_MASKS) and any(xs[m] for m in ODD_MASKS):
+    if _grade(xs) is None:
         raise ValueError("norm requires a pure even or pure odd element")
     p = integer_mul(xs, integer_reversal(xs, params), params)
     if any(p[1:]):

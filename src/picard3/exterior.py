@@ -103,6 +103,7 @@ def mu_matrix(x: CliffordElement, y: CliffordElement, params: GramParams):
                    (x.den * y.den) ** 2)
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _pairing_matrix(params: GramParams):
     """T[i][j] = (e_i, F_j)_E on the bases (e_i) and (E1E2E3, E1, E2, E3):
     the E1E2E3-coordinate of e_i F_j*."""
@@ -116,61 +117,68 @@ def _compound_matrix(t):
     so column (k, l) holds the wedge of columns k and l of t."""
     rows = []
     for i, j in WEDGE_PAIRS:
-        row = []
-        for k, l in WEDGE_PAIRS:
-            row.append(t[i][k] * t[j][l] - t[i][l] * t[j][k])
-        rows.append(tuple(row))
-    return mat(rows)
+        ti, tj = t[i], t[j]
+        rows.append(tuple(ti[k] * tj[l] - ti[l] * tj[k] for k, l in WEDGE_PAIRS))
+    return tuple(rows)
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def iota_inverse_matrix(params: GramParams):
     """G_W^{-1} C, where G_W^{-1} = G_W swaps the two halves of the rows."""
     c = _compound_matrix(_pairing_matrix(params))
     return c[3:] + c[:3]
 
 
-def integer_odd_actions(x: CliffordElement, params: GramParams):
-    """The integer cores of mu~(x) and eta_x for odd x with N x != 0:
-    ((M, d^2), (T, -n)), where mu~(x) = M / d^2 and eta_x = T / (-n).
-
-    Here d is the denominator of x and n = d^2 N x the norm of its integer
-    coordinates.  M holds the wedges of the integer images e_i (d x), mapped
-    back by iota^{-1}; T has the columns -(d x)* v (d x) for v = E1, E2, E3,
-    so the image -x^{-1} v x is T v / (-n).
-    """
+def _odd_norm(x: CliffordElement, params: GramParams) -> int:
+    """The norm of the integer coordinates of x, for odd x with N x != 0."""
     if not x.is_odd:
         raise ValueError("mu~ and eta require an odd element")
-    xs = x.ints
-    n = integer_norm(xs, params)
+    n = integer_norm(x.ints, params)
     if n == 0:
         raise ValueError("mu~ and eta require N x != 0")
-    imgs = [integer_mul(e, xs, params) for e in _EVEN_BASIS]
-    m = mat_mul(iota_inverse_matrix(params),
-                _compound_matrix([[w[k] for w in imgs] for k in ODD_MASKS]))
+    return n
+
+
+def integer_mu_tilde(x: CliffordElement, params: GramParams):
+    """The integer core (M, d^2) of mu~(x) = M / d^2, for odd x with N x != 0
+    and d the denominator of x.  A holds the images e_i (d x), and M is
+    G_W^{-1} C(T) C(A) = G_W C(T A) by Cauchy-Binet, for the pairing matrix T
+    of iota^{-1} = G_W^{-1} C(T): the row halves of C(T A) swapped."""
+    _odd_norm(x, params)
+    imgs = [integer_mul(e, x.ints, params) for e in _EVEN_BASIS]
+    c = _compound_matrix(mat_mul(_pairing_matrix(params),
+                                 [[w[k] for w in imgs] for k in ODD_MASKS]))
+    return c[3:] + c[:3], x.den ** 2
+
+
+def integer_eta(x: CliffordElement, params: GramParams):
+    """The integer core (T, -n) of eta_x = T / (-n), for odd x with N x != 0,
+    where n = d^2 N x is the norm of the integer coordinates d x.  T has the
+    columns -(d x)* v (d x) for v = E1, E2, E3, so the image -x^{-1} v x is
+    T v / (-n)."""
+    n = _odd_norm(x, params)
+    xs = x.ints
     xstar = integer_reversal(xs, params)
     cols = []
-    for g in GEN_MASKS:
-        img = integer_mul(integer_mul(xstar, [int(k == g) for k in range(DIM)],
-                                      params), xs, params)
+    for v in _ODD_BASIS[1:]:    # E1, E2, E3
+        img = integer_mul(integer_mul(xstar, v, params), xs, params)
         if img[7] != 0:
             raise AssertionError("eta image left L (x) Q")
         cols.append([img[k] for k in GEN_MASKS])
-    return (m, x.den ** 2), (transpose(cols), -n)
+    return transpose(cols), -n
 
 
 def mu_tilde_matrix(x: CliffordElement, params: GramParams):
     """Matrix of mu~(x): h1 ^ h2 -> iota^{-1}(h1 x ^ h2 x), for odd x, Nx != 0.
 
     x may have rational coordinates (e.g. the central element E); the
-    integer core of :func:`integer_odd_actions` is divided once."""
-    return mat_div(*integer_odd_actions(x, params)[0])
+    integer core of :func:`integer_mu_tilde` is divided once."""
+    return mat_div(*integer_mu_tilde(x, params))
 
 
 def eta_matrix(x: CliffordElement, params: GramParams):
     """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0:
-    the integer core of :func:`integer_odd_actions`, divided once."""
-    return mat_div(*integer_odd_actions(x, params)[1])
+    the integer core of :func:`integer_eta`, divided once."""
+    return mat_div(*integer_eta(x, params))
 
 
 def lambda_plus_matrix(params: GramParams):

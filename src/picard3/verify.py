@@ -128,7 +128,8 @@ def exterior_suite(trials: int, seed: int,
             # mu~(ox) = mt / dt and eta_ox = eta_t / de with de / dt = -N ox:
             # the P- identity reads mt = de on P-, and in the P+ identity
             # the scale factors cancel
-            (mt, _), (eta_t, de) = ext.integer_odd_actions(ox, p)
+            mt = ext.integer_mu_tilde(ox, p)[0]
+            eta_t, de = ext.integer_eta(ox, p)
             res.check(mat_mul(mt, lm) == mat_scale(de, lm),
                       f"mu~(x)|P-: {tag}")
             res.check(mat_mul(mt, lp) == mat_mul(lp, eta_t),
@@ -149,7 +150,7 @@ def exterior_suite(trials: int, seed: int,
                   f"mu scaling law: {tag}")
         # central element scalars: mu~(E) = mtE / dE with dE = den(E)^2, so
         # mu~(E) = +-D0 = +-disc/8 reads 8 mtE = +-dE disc
-        (mtE, dE), _ = ext.integer_odd_actions(element_E(p), p)
+        mtE, dE = ext.integer_mu_tilde(element_E(p), p)
         d = dE * p.disc
         res.check(mat_scale(8, mat_mul(mtE, lp)) == mat_scale(d, lp),
                   f"mu~(E)|P+ = D0: {tag}")

@@ -10,8 +10,8 @@ from picard3 import exterior as ext
 from picard3 import linalg as la
 from picard3.cli import main
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
-                              GramParams, OddCliffordElement, _mult_table,
-                              _reversal_table, _structure_polynomials, _WORDS,
+                              GramParams, OddCliffordElement, _constants,
+                              _kernels, _structure_polynomials, _WORDS,
                               alternating_E, clifford_mul, element_E, gram_B,
                               integer_mul, integer_reversal, norm, phi_rep,
                               reversal, trace)
@@ -449,24 +449,25 @@ def test_per_tuple_caches_stay_bounded():
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "--suite", suite, "--trials", "100",
                          "--format", "json"]) == 0
-    for table in (_mult_table, _reversal_table, ext.p_bases,
-                  ext.iota_inverse_matrix, _lattice):
+    for table in (_constants, ext.p_bases, ext._pairing_matrix, _lattice):
         info = table.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
-    assert _mult_table.cache_info().currsize == _mult_table.cache_info().maxsize
+    assert _constants.cache_info().currsize == _constants.cache_info().maxsize
     assert ext.p_bases.cache_info().currsize == ext.p_bases.cache_info().maxsize
 
 
 def test_structure_constants_are_derived_once_on_first_use():
-    # analyze --n builds no table; 100 fresh Gram tuples evaluate one
-    # derivation
-    for cache in (_structure_polynomials, _mult_table, _reversal_table):
+    # analyze --n builds no kernel; 100 fresh Gram tuples evaluate the
+    # constants of kernels built once
+    for cache in (_structure_polynomials, _kernels, _constants):
         cache.cache_clear()
     with redirect_stdout(io.StringIO()):
         assert main(["analyze", "--n", "65003", "--format", "json"]) == 0
         assert _structure_polynomials.cache_info().misses == 0
+        assert _kernels.cache_info().misses == 0
         assert main(["verify", "--suite", "clifford", "--trials", "100",
                      "--format", "json"]) == 0
-    assert _mult_table.cache_info().misses == 100
+    assert _constants.cache_info().misses == 100
+    assert _kernels.cache_info().misses == 1
     assert _structure_polynomials.cache_info().misses == 1

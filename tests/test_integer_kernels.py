@@ -113,10 +113,15 @@ def test_integer_kernel_matches_the_rewriting_rules(rng):
             for b in basis:
                 for b2 in basis:
                     assert clifford_mul(b, b2, p) == oracle_mul(b, b2)
-        # the sparse product skips zero coordinates on either side
+        # every grade pair of the kernels, the zero element (which counts as
+        # even), a factor with one nonzero coordinate, and mixed factors,
+        # which split into their graded parts
         assert clifford_mul(zero, y, p) == clifford_mul(y, zero, p) == zero
-        for u in (x.even_part, x.odd_part):
-            for v in (y.even_part, y.odd_part):
+        one = [basis[rng.randrange(8)].scale(Fraction(rng.choice((-3, 1, 5)), 2))
+               for _ in range(2)]
+        for u in (zero, x.even_part, x.odd_part, x, one[0]):
+            assert reversal(u, p) == oracle_reversal(u)
+            for v in (zero, y.even_part, y.odd_part, y, one[1]):
                 assert clifford_mul(u, v, p) == oracle_mul(u, v)
         # (e_i, F_j)_E: the E1E2E3-coordinate of e_i F_j*
         assert _pairing_matrix(p) == tuple(

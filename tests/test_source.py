@@ -212,3 +212,38 @@ def test_library_classes_leave_equality_and_freezing_to_dataclass():
     assert modules
     found = {p.name: hand_written_dunders(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+DYNAMIC_CODE = {"exec", "eval", "compile"}
+
+
+def dynamic_code_calls(source: str) -> list:
+    """(line, function) for each call of exec, eval or compile by name, with
+    the module-level function around it (None at module level)."""
+    tree = ast.parse(source)
+    owner = {node: top.name for top in tree.body
+             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(top)}
+    return sorted(((node.lineno, owner.get(node)) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in DYNAMIC_CODE), key=lambda found: found[0])
+
+
+def test_dynamic_code_calls_are_found():
+    src = ("exec('x = 1')\n"
+           "def f(s):\n"
+           "    def g():\n"
+           "        return eval(s)\n"
+           "    return g, compile(s, '<s>', 'exec')\n"
+           "class C:\n"
+           "    def m(self):\n"
+           "        return self.compile(), execute()\n")
+    assert dynamic_code_calls(src) == [(1, None), (4, "f"), (5, "f")]
+
+
+def test_library_runs_generated_code_only_in_the_clifford_kernels():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: [fn for _, fn in dynamic_code_calls(p.read_text())]
+             for p in modules}
+    assert {name: fns for name, fns in found.items() if fns} == {"clifford.py": ["_kernels"]}
