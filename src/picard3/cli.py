@@ -93,6 +93,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be positive", file=sys.stderr)
+        return 1
     names = [args.suite] if args.suite else sorted(ALL_SUITES)
     results = run_suites(names, args.trials, args.seed)
     if args.format == "json":

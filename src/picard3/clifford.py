@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .lattice import Lattice
 from .linalg import clear_denominators, mat, mat_div
@@ -51,8 +52,7 @@ GEN_MASKS = (1, 2, 4)  # E1, E2, E3
 PARAMS_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class GramParams:
+class GramParams(NamedTuple):
     """The six integers (a, b, c, s, t, u) determining a rank-3 even lattice."""
 
     a: int
@@ -73,12 +73,12 @@ class GramParams:
 
     @property
     def gram(self):
-        a, b, c, s, t, u = self.a, self.b, self.c, self.s, self.t, self.u
+        a, b, c, s, t, u = self
         return mat([[2 * a, u, t], [u, 2 * b, s], [t, s, 2 * c]])
 
     @property
     def disc(self) -> int:
-        a, b, c, s, t, u = self.a, self.b, self.c, self.s, self.t, self.u
+        a, b, c, s, t, u = self
         return 2 * (4 * a * b * c + s * t * u - a * s * s - b * t * t - c * u * u)
 
     @property
@@ -106,9 +106,10 @@ class CliffordElement:
             raise ValueError("need 8 coefficients")
         if all(type(x) is int for x in coeffs):
             den, ints = 1, coeffs
+        elif all(isinstance(x, (int, Fraction)) for x in coeffs):
+            den, ints = clear_denominators(coeffs)
         else:
-            den, ints = clear_denominators(
-                [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs])
+            raise TypeError("coefficients must be int or Fraction")
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "den", den)
 
@@ -162,7 +163,8 @@ class CliffordElement:
         return _element([-x for x in self.ints], self.den)
 
     def scale(self, c) -> "CliffordElement":
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("coefficients must be int or Fraction")
         return _element([c.numerator * x for x in self.ints], c.denominator * self.den)
 
     @property
@@ -317,8 +319,7 @@ def _kernels() -> tuple:
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _constants(params: GramParams) -> tuple:
     """The constants k of the kernels at the fields of params."""
-    return _kernels()[0](params.a, params.b, params.c,
-                           params.s, params.t, params.u)
+    return _kernels()[0](*params)
 
 
 def _grade(xs):
@@ -371,8 +372,6 @@ def trace(x: CliffordElement, params: GramParams):
 def integer_norm(xs, params: GramParams) -> int:
     """x x^* for a pure even or pure odd element given by an integer
     coordinate list."""
-    if _grade(xs) is None:
-        raise ValueError("norm requires a pure even or pure odd element")
     p = integer_mul(xs, integer_reversal(xs, params), params)
     if any(p[1:]):
         raise AssertionError("x * x^* is not scalar")
@@ -381,6 +380,8 @@ def integer_norm(xs, params: GramParams) -> int:
 
 def norm(x: CliffordElement, params: GramParams):
     """N x = x * x^* for a pure even or pure odd element (a scalar)."""
+    if _grade(x.ints) is None:
+        raise ValueError("norm requires a pure even or pure odd element")
     return _scalar(integer_norm(x.ints, params), x.den * x.den)
 
 
@@ -388,8 +389,7 @@ def integer_phi(xs, params: GramParams):
     """The 4x4 integer matrix of left multiplication by the even element with
     integer coordinate list xs, on (e0, e1, e2, e3): x0 I + x1 M1 + x2 M2 +
     x3 M3 for the printed matrices M_i, so column j holds x e_j."""
-    a, b, c, s, t, u = (params.a, params.b, params.c,
-                        params.s, params.t, params.u)
+    a, b, c, s, t, u = params
     x0, x1, x2, x3 = (xs[m] for m in EVEN_MASKS)
     return ((x0, -b * c * x1 - s * t * x2 + b * t * x3,
              c * u * x1 - a * c * x2 - t * u * x3,
@@ -410,8 +410,7 @@ def phi_rep(x: CliffordElement, params: GramParams):
 
 def gram_B(params: GramParams):
     """Gram matrix of <x,y>_B = Tr(x y*)/2 on (e0, e1, e2, e3); det = D0^2."""
-    a, b, c, s, t, u = (params.a, params.b, params.c,
-                        params.s, params.t, params.u)
+    a, b, c, s, t, u = params
     m = [[2, s, t, u],
          [s, 2 * b * c, s * t - c * u, s * u - b * t],
          [t, s * t - c * u, 2 * a * c, t * u - a * s],

@@ -59,8 +59,7 @@ def p_bases(params: GramParams) -> PBasis:
     a unimodular 3x3 minor, so every Smith invariant factor is 1.
     The certificates run once per lattice: the result is cached.
     """
-    a, b, c, s, t, u = (params.a, params.b, params.c,
-                        params.s, params.t, params.u)
+    a, b, c, s, t, u = params
     plus = ((a, u, 0, 1, 0, 0),
             (0, b, s, 0, 1, 0),
             (t, 0, c, 0, 0, 1))
@@ -129,7 +128,7 @@ def iota_inverse_matrix(params: GramParams):
 
 
 def _odd_norm(x: CliffordElement, params: GramParams) -> int:
-    """The norm of the integer coordinates of x, for odd x with N x != 0."""
+    """The norm of x.ints; ValueError unless x is odd with N x != 0."""
     if not x.is_odd:
         raise ValueError("mu~ and eta require an odd element")
     n = integer_norm(x.ints, params)
@@ -138,25 +137,21 @@ def _odd_norm(x: CliffordElement, params: GramParams) -> int:
     return n
 
 
-def integer_mu_tilde(x: CliffordElement, params: GramParams):
-    """The integer core (M, d^2) of mu~(x) = M / d^2, for odd x with N x != 0
-    and d the denominator of x.  A holds the images e_i (d x), and M is
-    G_W^{-1} C(T) C(A) = G_W C(T A) by Cauchy-Binet, for the pairing matrix T
-    of iota^{-1} = G_W^{-1} C(T): the row halves of C(T A) swapped."""
-    _odd_norm(x, params)
-    imgs = [integer_mul(e, x.ints, params) for e in _EVEN_BASIS]
+def integer_mu_tilde(xs, params: GramParams):
+    """M with mu~(x) = M / d^2, for x = xs / d odd with N x != 0 (unchecked).
+    A holds the images e_i xs, and M is G_W^{-1} C(T) C(A) = G_W C(T A) by
+    Cauchy-Binet, for the pairing matrix T of iota^{-1} = G_W^{-1} C(T): the
+    row halves of C(T A) swapped."""
+    imgs = [integer_mul(e, xs, params) for e in _EVEN_BASIS]
     c = _compound_matrix(mat_mul(_pairing_matrix(params),
                                  [[w[k] for w in imgs] for k in ODD_MASKS]))
-    return c[3:] + c[:3], x.den ** 2
+    return c[3:] + c[:3]
 
 
-def integer_eta(x: CliffordElement, params: GramParams):
-    """The integer core (T, -n) of eta_x = T / (-n), for odd x with N x != 0,
-    where n = d^2 N x is the norm of the integer coordinates d x.  T has the
-    columns -(d x)* v (d x) for v = E1, E2, E3, so the image -x^{-1} v x is
-    T v / (-n)."""
-    n = _odd_norm(x, params)
-    xs = x.ints
+def integer_eta(xs, params: GramParams):
+    """T with eta_x = T / (-n), for x = xs / d odd with N x != 0 (unchecked)
+    and n = N xs.  T has the columns -xs* v xs for v = E1, E2, E3, so the
+    image -x^{-1} v x is T v / (-n)."""
     xstar = integer_reversal(xs, params)
     cols = []
     for v in _ODD_BASIS[1:]:    # E1, E2, E3
@@ -164,21 +159,23 @@ def integer_eta(x: CliffordElement, params: GramParams):
         if img[7] != 0:
             raise AssertionError("eta image left L (x) Q")
         cols.append([img[k] for k in GEN_MASKS])
-    return transpose(cols), -n
+    return transpose(cols)
 
 
 def mu_tilde_matrix(x: CliffordElement, params: GramParams):
     """Matrix of mu~(x): h1 ^ h2 -> iota^{-1}(h1 x ^ h2 x), for odd x, Nx != 0.
 
     x may have rational coordinates (e.g. the central element E); the
-    integer core of :func:`integer_mu_tilde` is divided once."""
-    return mat_div(*integer_mu_tilde(x, params))
+    integer core :func:`integer_mu_tilde` is divided once, by den(x)^2."""
+    _odd_norm(x, params)
+    return mat_div(integer_mu_tilde(x.ints, params), x.den ** 2)
 
 
 def eta_matrix(x: CliffordElement, params: GramParams):
     """Matrix of eta_x: v -> -x^{-1} v x on (E1, E2, E3), for odd x, Nx != 0:
-    the integer core of :func:`integer_eta`, divided once."""
-    return mat_div(*integer_eta(x, params))
+    the integer core :func:`integer_eta`, divided once by -N(x.ints)."""
+    n = _odd_norm(x, params)
+    return mat_div(integer_eta(x.ints, params), -n)
 
 
 def lambda_plus_matrix(params: GramParams):
@@ -187,6 +184,7 @@ def lambda_plus_matrix(params: GramParams):
 
 
 def lambda_minus_matrix(params: GramParams):
+    """6x3 coordinate stack of the isometry lambda-: L(-1) -> P-, Ei -> w_i^-."""
     return transpose(p_bases(params).minus)
 
 

@@ -27,7 +27,7 @@ from operator import mul
 from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
                        GramParams, OddCliffordElement, clifford_mul,
-                       integer_mul, integer_reversal, norm)
+                       integer_mul, integer_norm, integer_reversal)
 from .lattice import Isometry3, Lattice
 from .linalg import (adjugate, factor_pairs, mat, primitive_vector,
                      sign_normalize, squarefree_part)
@@ -59,7 +59,7 @@ class CliffordUnit:
             raise ValueError("a unit is even or odd")
         if not elem.is_integral:
             raise ValueError("unit must have integral coordinates")
-        n = norm(elem, params)
+        n = integer_norm(elem.ints, params)
         if n not in (1, -1):
             raise ValueError(f"not a unit: N = {n}")
         coords = elem.coords

@@ -199,11 +199,11 @@ def free_rank(index_in_pi: int) -> int:
     """Rank of a torsion-free finite-index subgroup of PGL2(Z): index/12 + 1.
 
     The index must be taken in Pi = PGL2(Z); callers holding an index in
-    Gamma = PSL2(Z) must double it first.  An index not divisible by 12
-    signals torsion or a wrong ambient group and raises ValueError.
+    Gamma = PSL2(Z) must double it first.  An index that is not a positive
+    multiple of 12 signals torsion or a wrong ambient group: ValueError.
     """
-    if index_in_pi % 12 != 0:
-        raise ValueError("index not divisible by 12 (torsion, or index not in Pi?)")
+    if index_in_pi < 1 or index_in_pi % 12 != 0:
+        raise ValueError("index not a positive multiple of 12 (torsion, or not in Pi?)")
     return index_in_pi // 12 + 1
 
 

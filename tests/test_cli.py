@@ -98,6 +98,12 @@ def test_usage_error_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_without_trials_is_a_usage_error(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--trials", trials)
+    assert code == 1 and out == "" and "--trials must be positive" in err
+
+
 def test_salem(capsys):
     code, out, _ = run_cli(capsys, "salem", "--matrix", "1,2,4,9")
     assert code == 0 and "A = 98" in out and "Salem" in out

@@ -426,6 +426,15 @@ def test_equal_rationals_give_equal_elements():
         x.den = 3
 
 
+def test_coefficients_must_be_exact():
+    # a float would enter as its binary fraction, 0.1 as 3602879701896397/2^55
+    for bad in (0.1, 1.0, 1j, "1/2"):
+        with pytest.raises(TypeError):
+            CliffordElement((bad,) + (0,) * 7)
+        with pytest.raises(TypeError):
+            CliffordElement.scalar(1).scale(bad)
+
+
 def test_wrong_grade_inputs_raise():
     even, odd = EvenCliffordElement(1, 2, 0, 1), OddCliffordElement(1, 0, 0, 1)
     for bad in (odd, even + odd):

@@ -1,5 +1,6 @@
 import pytest
 
+from picard3 import exterior as ext
 from picard3 import linalg as la
 from picard3.clifford import (EvenCliffordElement, GramParams,
                               OddCliffordElement, clifford_mul, element_E, norm)
@@ -7,6 +8,7 @@ from picard3.exterior import (GRAM_W, eta_matrix, iota_inverse_matrix,
                               lambda_minus_matrix, lambda_plus_matrix,
                               mu_matrix, mu_of_unit_conjugation,
                               mu_tilde_matrix, p_bases, pair_w)
+from picard3.verify import exterior_suite
 from conftest import random_gram_params
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
@@ -121,6 +123,18 @@ def test_mu_tilde_rejects_norm_zero():
         mu_tilde_matrix(x, WEHLER)
     with pytest.raises(ValueError):
         eta_matrix(x, WEHLER)
+
+
+def test_exterior_suite_checks_each_odd_element_once(monkeypatch):
+    # the suite draws odd elements of nonzero norm itself and hands their
+    # coordinates to the unchecked integer cores: no second norm check
+    checked = []
+    odd_norm = ext._odd_norm
+    monkeypatch.setattr(ext, "_odd_norm", lambda x, p: checked.append(x) or odd_norm(x, p))
+    res = exterior_suite(3, 0)
+    assert (res.passed, res.failed, checked) == (75, 0, [])
+    mu_tilde_matrix(element_E(WEHLER), WEHLER)
+    assert checked == [element_E(WEHLER)]
 
 
 def test_mu_tilde_on_central_element(rng):

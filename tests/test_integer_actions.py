@@ -17,7 +17,8 @@ from oracles import (alternating_E_by_fractions, eta_matrix_by_fractions,
                      phi_rep_by_fractions, w_form_by_fractions)
 from picard3.cli import main
 from picard3.clifford import (EvenCliffordElement, OddCliffordElement,
-                              alternating_E, element_E, norm, phi_rep)
+                              alternating_E, element_E, integer_norm, norm,
+                              phi_rep)
 from picard3.exterior import (eta_matrix, integer_eta, integer_mu_tilde,
                               lambda_minus_matrix, lambda_plus_matrix,
                               mu_matrix, mu_tilde_matrix, pair_w)
@@ -98,7 +99,8 @@ def test_integer_exterior_checks_match_the_fraction_forms(den_E):
         p = _params_with_den_E(rng, den_E)
         lp, lm = lambda_plus_matrix(p), lambda_minus_matrix(p)
         for ox in (_odd_unit_norm(rng, p, 1), _odd_unit_norm(rng, p, 2)):
-            (mt, dt), (eta_t, de) = integer_mu_tilde(ox, p), integer_eta(ox, p)
+            mt, eta_t = integer_mu_tilde(ox.ints, p), integer_eta(ox.ints, p)
+            dt, de = ox.den ** 2, -integer_norm(ox.ints, p)
             mt_f = mu_tilde_matrix_by_fractions(ox, p)
             eta_f = eta_matrix_by_fractions(ox, p)
             nx = norm(ox, p)
@@ -114,8 +116,8 @@ def test_integer_exterior_checks_match_the_fraction_forms(den_E):
                 frac_ok = mat_mul(mt_f, lp) == mat_mul(mat_scale(-nx, lp), eta_bf)
                 assert int_ok == frac_ok == (bump == 0), (p, ox, bump)
         E = element_E(p)
-        mt, dt = integer_mu_tilde(E, p)
-        assert E.den == den_E and dt == den_E ** 2
+        mt, dt = integer_mu_tilde(E.ints, p), E.den ** 2
+        assert E.den == den_E
         mt_f = mu_tilde_matrix_by_fractions(E, p)
         for wrong in (0, 1):            # claimed D0 + wrong
             for sign, lam in ((1, lp), (-1, lm)):

@@ -158,8 +158,9 @@ def test_free_rank():
     assert free_rank(192) == 17
     assert free_rank(12) == 2
     assert free_rank(48) == 5
-    with pytest.raises(ValueError):
-        free_rank(10)
+    for bad in (10, 0, -12):
+        with pytest.raises(ValueError):
+            free_rank(bad)
 
 
 def test_qr_minus_one():

@@ -247,3 +247,28 @@ def test_library_runs_generated_code_only_in_the_clifford_kernels():
     found = {p.name: [fn for _, fn in dynamic_code_calls(p.read_text())]
              for p in modules}
     assert {name: fns for name, fns in found.items() if fns} == {"clifford.py": ["_kernels"]}
+
+
+def inexact_numbers(source: str) -> list:
+    """The lines of the float and complex literals and of the calls of
+    float or complex by name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and type(node.value) in (float, complex)
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "complex"))
+
+
+def test_inexact_numbers_are_found():
+    src = ("x = 0.5\n"
+           "y = 1e3 + 2j\n"
+           "z = float('inf')\n"
+           "def f(s):\n"
+           "    return complex(s), s.float(), 10, '0.5', Fraction(1, 2)\n")
+    assert inexact_numbers(src) == [1, 2, 2, 3, 5]
+
+
+def test_library_has_no_floating_point():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: inexact_numbers(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
