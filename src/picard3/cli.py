@@ -15,10 +15,8 @@ import os
 import sys
 from functools import lru_cache
 
-from .report import analyze_picard, congruence_data, salem_poly
+from .report import SCHEMA, analyze_picard, congruence_data, salem_poly
 from .verify import ALL_SUITES, GRAM_BOUND, run_suites
-
-SCHEMA = "picard3-aut/1"
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,16 +15,19 @@ carries the quaternion basis
 and an element is stored by 8 coordinates on the monomials
 1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3, as integers over one common
 denominator.  Both grades are then slices of the 8 slots: EVEN_MASKS on
-(e0, e1, e2, e3) and ODD_MASKS on (E1E2E3, E1, E2, E3).  Products and the
-reversal run on integers through straight-line kernels, one per pair of
-grades.  The rewriting rules derive the structure constants once per process,
-as integer polynomials in (a, b, c, s, t, u), and the kernels are written
-from them; a lattice keeps only the values of the 25 non-constant ones.
-Every sign is produced by the rules, never written down by hand.
+(e0, e1, e2, e3) and ODD_MASKS on (E1E2E3, E1, E2, E3).  Products, the
+reversal and the matrix ``phi_rep`` of the even part run on integers through
+straight-line kernels.  The rewriting rules derive the structure constants
+once per process, as integer polynomials in (a, b, c, s, t, u), and the
+kernels are written from them; a lattice keeps only the values of the 25
+non-constant ones.  Every product sign is produced by the rules.
 
-The module also gives the matrix embedding ``phi_rep`` of the even part, the
-reduced trace/norm, and the central odd element E with E^2 = -D0 where
-D0 = disc(L)/8.
+The module also gives the reduced trace/norm and the central odd element E
+with E^2 = -D0 where D0 = disc(L)/8.  Three closed forms stay printed, each
+checked by tests: ``gram_B`` (tests/test_clifford.py test_gram_B, against the
+trace form), ``element_E`` (test_element_E_properties, test_alternating_E)
+and ``exterior.p_bases`` (its certificates, and tests/test_exterior.py
+test_p_bases_rows_and_certificates).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .lattice import Lattice
-from .linalg import clear_denominators, mat, mat_div
+from .linalg import clear_denominators, mat, mat_div, quotient
 
 # Basis monomials indexed by bitmask: bit (i-1) set  <=>  Ei present.  Slot 5
 # holds E3*E1 rather than the ascending E1*E3, so that the even part sits on
@@ -70,6 +73,13 @@ class GramParams(NamedTuple):
             raise ValueError("rank-3 Gram matrix required")
         return GramParams(q[0][0] // 2, q[1][1] // 2, q[2][2] // 2,
                           q[1][2], q[0][2], q[0][1])
+
+    @staticmethod
+    def family(k: int, l: int) -> "GramParams":
+        """U(k) + <2l>: Gram [[0, 0, k], [0, 2l, 0], [k, 0, 0]], k and l nonzero."""
+        if k == 0 or l == 0:
+            raise ValueError("k and l must be nonzero")
+        return GramParams(0, l, 0, 0, k, 0)
 
     @property
     def gram(self):
@@ -199,12 +209,6 @@ def _element(ints, den: int) -> CliffordElement:
     return x
 
 
-def _scalar(n: int, d: int):
-    """n / d as an int when it is integral, else as a Fraction."""
-    q, r = divmod(n, d)
-    return q if r == 0 else Fraction(n, d)
-
-
 def EvenCliffordElement(x0, x1, x2, x3) -> CliffordElement:  # noqa: N802
     """The even element x0 e0 + x1 e1 + x2 e2 + x3 e3."""
     return CliffordElement((x0, 0, 0, x3, 0, x2, x1, 0))
@@ -272,12 +276,13 @@ def _sum_source(terms) -> str:
 
 @lru_cache(maxsize=1)
 def _kernels() -> tuple:
-    """(constants, mul, reversal): straight-line functions written once per
-    process from the structure polynomials.  constants(a, b, c, s, t, u) is
-    the tuple k of a lattice, the values of the non-constant polynomials;
+    """(constants, mul, reversal, phi): straight-line functions written once
+    per process from the structure polynomials.  constants(a, b, c, s, t, u)
+    is the tuple k of a lattice, the values of the non-constant polynomials;
     mul[2 gx + gy](xs, ys, k) multiplies the grade-gx part of xs by the
-    grade-gy part of ys (0 even, 1 odd) and reads no other slot.  Each is
-    compiled on its own, which keeps the compiler's peak memory low."""
+    grade-gy part of ys (0 even, 1 odd) and reads no other slot; phi(xs, k)
+    reads only the even part of xs.  Each is compiled on its own, which keeps
+    the compiler's peak memory low."""
     mult, rev = _structure_polynomials()
     index = {}
 
@@ -287,22 +292,27 @@ def _kernels() -> tuple:
             return f[()], factor
         return 1, f"k{index.setdefault(tuple(sorted(f.items())), len(index))}*{factor}"
 
-    bodies = []
+    bodies = []  # (name, arguments, returned expression)
     for gx, gy in product((EVEN_MASKS, ODD_MASKS), repeat=2):
         slots = [[] for _ in range(DIM)]
         for m1, m3 in product(gx, range(DIM)):  # x_m1 times a sum over y
             inner = [term(f, f"y{m2}") for m2 in gy for m, f in mult[DIM * m1 + m2] if m == m3]
             if inner:
                 slots[m3].append((1, f"x{m1}*({_sum_source(inner)})"))
-        bodies.append(("mul", "xyk", slots))
-    bodies.append(("reversal", "xk", [[term(f, f"x{m}") for m, row in enumerate(rev)
-                                       for m2, f in row if m2 == m3] for m3 in range(DIM)]))
+        bodies.append(("mul", "xyk", f"[{', '.join(map(_sum_source, slots))}]"))
+    slots = [[term(f, f"x{m}") for m, row in enumerate(rev) for m2, f in row if m2 == m3]
+             for m3 in range(DIM)]
+    bodies.append(("reversal", "xk", f"[{', '.join(map(_sum_source, slots))}]"))
+    rows = [", ".join(_sum_source([term(f, f"x{m1}") for m1 in EVEN_MASKS
+                                   for m, f in mult[DIM * m1 + m2] if m == m3])
+                      for m2 in EVEN_MASKS) for m3 in EVEN_MASKS]
+    bodies.append(("phi", "xk", "(" + ", ".join(f"({row})" for row in rows) + ")"))
     size = {"x": DIM, "y": DIM, "k": len(index)}
     sources = [(name, f"def {name}({', '.join(args)}):\n"
                 + "".join(f"    {', '.join(f'{a}{i}' for i in range(size[a]))} = {a}\n"
                           for a in args)
-                + f"    return [{', '.join(map(_sum_source, slots))}]\n")
-               for name, args, slots in bodies]
+                + f"    return {value}\n")
+               for name, args, value in bodies]
     polys = [_sum_source((k, "*".join("abcstu"[i] for i in mono)) for mono, k in f)
              for f in index]
     sources.append(("constants", "def constants(a, b, c, s, t, u):\n"
@@ -312,8 +322,8 @@ def _kernels() -> tuple:
         namespace = {}
         exec(source, namespace)
         functions.append(namespace[name])
-    *mul, reverse, constants = functions
-    return constants, tuple(mul), reverse
+    *mul, reverse, phi, constants = functions
+    return constants, tuple(mul), reverse, phi
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -366,7 +376,7 @@ def trace(x: CliffordElement, params: GramParams):
     s = [a + b for a, b in zip(x.ints, integer_reversal(x.ints, params))]
     if any(s[1:]):
         raise AssertionError("x + x* is not scalar")
-    return _scalar(s[0], x.den)
+    return quotient(s[0], x.den)
 
 
 def integer_norm(xs, params: GramParams) -> int:
@@ -382,21 +392,13 @@ def norm(x: CliffordElement, params: GramParams):
     """N x = x * x^* for a pure even or pure odd element (a scalar)."""
     if _grade(x.ints) is None:
         raise ValueError("norm requires a pure even or pure odd element")
-    return _scalar(integer_norm(x.ints, params), x.den * x.den)
+    return quotient(integer_norm(x.ints, params), x.den * x.den)
 
 
 def integer_phi(xs, params: GramParams):
-    """The 4x4 integer matrix of left multiplication by the even element with
-    integer coordinate list xs, on (e0, e1, e2, e3): x0 I + x1 M1 + x2 M2 +
-    x3 M3 for the printed matrices M_i, so column j holds x e_j."""
-    a, b, c, s, t, u = params
-    x0, x1, x2, x3 = (xs[m] for m in EVEN_MASKS)
-    return ((x0, -b * c * x1 - s * t * x2 + b * t * x3,
-             c * u * x1 - a * c * x2 - t * u * x3,
-             -s * u * x1 + a * s * x2 - a * b * x3),
-            (x1, x0 + s * x1 + t * x2, a * x3, u * x1 - a * x2),
-            (x2, s * x2 - b * x3, x0 + t * x2 + u * x3, b * x1),
-            (x3, c * x2, t * x3 - c * x1, x0 + s * x1 + u * x3))
+    """The 4x4 matrix of left multiplication by the even part of the integer
+    coordinate list xs, on (e0, e1, e2, e3): column j holds x e_j."""
+    return _kernels()[3](xs, _constants(params))
 
 
 def phi_rep(x: CliffordElement, params: GramParams):

@@ -11,10 +11,10 @@ sign of alpha).
 Both directions run in closed form.  For each lattice and grade, the
 entries of alpha E_j alpha* and the norm N(alpha) are integer quadratic
 forms in the four unit coordinates, derived once from the Clifford kernel
-and stacked into a 10 x 10 matrix M over the monomials x_p x_q.  h_alpha
-evaluates the forms and divides by N = +-1; the lift multiplies the entries
-of g by the cached adj(M) and reads the unit off a row of the resulting
-rank-1 matrix (x_p x_q).
+and stacked into a 10 x 10 matrix M over the monomials x_p x_q.  As
+N = +-1, h_alpha, g_alpha and phi_alpha are eps N Q, N Q and Q.  The lift
+multiplies the entries of g by the cached adj(M) and reads the unit off a
+row of the resulting rank-1 matrix (x_p x_q).
 """
 
 from __future__ import annotations
@@ -121,25 +121,20 @@ def _unit_forms(params: GramParams, grade: str):
         raise AssertionError(f"det M = 0 for the {grade} units of {params}") from None
 
 
-def _unit_coords(unit: CliffordUnit) -> list:
-    """The integer coordinates of a unit on the chart of its grade."""
-    return [unit.element.ints[m] for m in _CHARTS[unit.grade]]
-
-
 def _evaluate(forms, x) -> list:
     """[Q_11(x), Q_12(x), ..., Q_33(x), N(x)] at the integer unit coordinates x."""
     monos = [x[p] * x[q] for p, q in _MONOMIALS]
     return [sum(map(mul, row, monos)) for row in forms]
 
 
-def _conjugation(unit: CliffordUnit, eps: int, params: GramParams):
-    """Matrix of v -> eps * alpha v alpha^{-1} on (E1, E2, E3), which is
-    eps * Q_ij(x) / N(x) entry by entry; raises if it is not integral."""
-    vals = _evaluate(_unit_forms(params, unit.grade)[0], _unit_coords(unit))
-    entries = [divmod(eps * v, vals[9]) for v in vals[:9]]
-    if any(r != 0 for _, r in entries):
-        raise AssertionError("conjugation matrix is not integral")
-    return tuple(tuple(q for q, _ in entries[3 * i:3 * i + 3]) for i in range(3))
+def _unit_matrix(unit: CliffordUnit, params: GramParams, c: int):
+    """c (Q_ij(x)) at the coordinates x of a unit, from one evaluation of
+    the unit forms; AssertionError unless N(x) is the unit's norm."""
+    vals = _evaluate(_unit_forms(params, unit.grade)[0],
+                     [unit.element.ints[m] for m in _CHARTS[unit.grade]])
+    if vals[9] != unit.norm:
+        raise AssertionError("the norm form disagrees with N alpha")
+    return tuple(tuple(c * v for v in vals[3 * i:3 * i + 3]) for i in range(3))
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -151,14 +146,14 @@ def _lattice(params: GramParams) -> Lattice:
 def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """The kernel isometry h_alpha: v -> eps_alpha * alpha v alpha^{-1}.
 
-    In closed form: entry (i, j) is eps * Q_ij(x) / N(x), where Q_ij is the
-    integer quadratic form in the unit coordinates x that gives the
-    E_i-coordinate of alpha E_j alpha* (Voight, GTM 288, ch. 22), derived
-    once per lattice and grade.  The image is integral, an isometry, and of
-    determinant eps, or AssertionError is raised.
+    In closed form: entry (i, j) is eps * Q_ij(x) / N(x) = eps * N(x) * Q_ij(x),
+    where Q_ij is the integer quadratic form in the unit coordinates x that
+    gives the E_i-coordinate of alpha E_j alpha* (Voight, GTM 288, ch. 22),
+    derived once per lattice and grade.  The image is an isometry of
+    determinant eps, or an error is raised.
     """
     eps = 1 if unit.grade == "even" else -1
-    iso = Isometry3(_conjugation(unit, eps, params), _lattice(params))
+    iso = Isometry3(_unit_matrix(unit, params, eps * unit.norm), _lattice(params))
     if iso.det != eps:
         raise AssertionError("det(h_alpha) != eps_alpha")
     return iso
@@ -166,14 +161,12 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
 
 def g_alpha(unit: CliffordUnit, params: GramParams):
     """Plain conjugation v -> alpha v alpha^{-1} (determinant +1)."""
-    return _conjugation(unit, 1, params)
+    return _unit_matrix(unit, params, unit.norm)
 
 
 def phi_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """phi_alpha = eps*(N alpha)*h_alpha = (v -> alpha v alpha*); det = N alpha."""
-    vals = _evaluate(_unit_forms(params, unit.grade)[0], _unit_coords(unit))
-    iso = Isometry3(tuple(tuple(vals[3 * i:3 * i + 3]) for i in range(3)),
-                    _lattice(params))
+    iso = Isometry3(_unit_matrix(unit, params, 1), _lattice(params))
     if iso.det != unit.norm:
         raise AssertionError("det(phi_alpha) != N alpha")
     return iso
@@ -219,6 +212,16 @@ def spinor_norm(g, params: GramParams) -> int:
     return squarefree_part(n)
 
 
+def _family_member(alpha, k: int, l: int):
+    """(params, (a, b, c, d)) for alpha = [[a, b], [c, d]] in B_{k,l}, params
+    of U(k) + <2l>; ValueError when k or l is 0 or alpha is not in B_{k,l}."""
+    params = GramParams.family(k, l)
+    if not member(alpha, SubgroupSpec("B_kl_units", k=k, l=l)):
+        raise ValueError("alpha is not in B_{k,l}")
+    (a, b), (c, d) = alpha[0], alpha[1]
+    return params, (a, b, c, d)
+
+
 def p_alpha_matrix(alpha, k: int, l: int) -> Isometry3:
     """The printed ternary matrix P_alpha for alpha in B_{k,l}, det = +-1.
 
@@ -226,14 +229,12 @@ def p_alpha_matrix(alpha, k: int, l: int) -> Isometry3:
     ((k/2) te1, -l te2, (k/2) te3) of the twisted lattice; it satisfies
     P^T Q P = (ad - bc)^2 Q = Q exactly.
     """
-    if not member(alpha, SubgroupSpec("B_kl_units", k=k, l=l)):
-        raise ValueError("alpha is not in B_{k,l}")
-    (a, b), (c, d) = alpha[0], alpha[1]
+    params, (a, b, c, d) = _family_member(alpha, k, l)
     b_l, c_k = b // l, c // k
     rows = ((a * a, 2 * a * b, -k * b_l * b),
             (a * c, a * d + b * c, -k * b_l * d),
             (-l * c_k * c, -2 * l * c_k * d, d * d))
-    return Isometry3(rows, _lattice(GramParams(0, l, 0, 0, k, 0)))
+    return Isometry3(rows, _lattice(params))
 
 
 def family_unit(alpha, k: int, l: int) -> CliffordUnit:
@@ -242,17 +243,13 @@ def family_unit(alpha, k: int, l: int) -> CliffordUnit:
     Under e1 = [[0,l],[0,0]], e2 = [[k,0],[0,0]], e3 = [[0,0],[k,0]] the
     matrix [[a,b],[c,d]] has coordinates (d, b/l, (a-d)/k, c/k).
     """
-    if not member(alpha, SubgroupSpec("B_kl_units", k=k, l=l)):
-        raise ValueError("alpha is not in B_{k,l}")
-    (a, b), (c, d) = alpha[0], alpha[1]
-    params = GramParams(0, l, 0, 0, k, 0)
+    params, (a, b, c, d) = _family_member(alpha, k, l)
     return CliffordUnit.from_element(
         EvenCliffordElement(d, b // l, (a - d) // k, c // k), params)
 
 
 def _check_search(k: int, l: int, bound: int):
-    if k == 0 or l == 0:
-        raise ValueError("k and l must be nonzero")
+    GramParams.family(k, l)
     if bound < 0:
         raise ValueError("bound must be >= 0")
 
@@ -307,7 +304,7 @@ def seeded_units(k: int, l: int, count: int, seed: int):
     length 1 to 5 in them.  Both grades occur whenever the odd coset is
     nonempty.
     """
-    params = GramParams(0, l, 0, 0, k, 0)
+    params = GramParams.family(k, l)
     b = 3
     while True:
         gens = [family_unit(m, k, l) for m in unit_search_even(k, l, b)]

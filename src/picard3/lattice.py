@@ -60,9 +60,7 @@ def family_lattice(k: int, l: int) -> Lattice:
 
 
 def m_n_lattice(n: int) -> Lattice:
-    """M_n = U(n) + <-2n>."""
-    if n == 0:
-        raise ValueError("n must be nonzero")
+    """M_n = U(n) + <-2n>, n nonzero."""
     return family_lattice(n, -n)
 
 

@@ -38,11 +38,17 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def quotient(n: int, d: int):
+    """n / d (integers, d != 0) as an int when it is integral, else as a Fraction."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
+
+
 def mat_div(a: Matrix, d: int) -> Matrix:
-    """The integer matrix a divided by d != 0, left in ints when d = 1."""
+    """The integer matrix a divided by d != 0, entry by entry by quotient."""
     if d == 1:
         return a
-    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
+    return tuple(tuple(quotient(x, d) for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -116,8 +122,7 @@ def det(a: Matrix):
         d, w = clear_denominators(row)
         rows.append(w)
         scale *= d
-    val = Fraction(_bareiss(rows, len(rows)), scale)
-    return val.numerator if val.denominator == 1 else val
+    return quotient(_bareiss(rows, len(rows)), scale)
 
 
 def adjugate(a: Matrix) -> Matrix:

@@ -20,10 +20,12 @@ from .clifford import GramParams
 from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
                          phi_alpha, unit_search_even)
 from .lattice import represents
-from .linalg import char_poly_3x3, mat, sign_normalize
+from .linalg import char_poly_3x3, mat
 from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
                       index_pi_g_n, prime_power, provably_torsion_free,
                       qr_minus_one, torsion_search)
+
+SCHEMA = "picard3-aut/1"  # the schema tag of the JSON outputs
 
 # Entry bound of the torsion search, which runs only for G_1 and G_2; the
 # congruence block and the report's bounds carry it.
@@ -145,7 +147,7 @@ class AutReport:
 
     def to_json(self) -> dict:
         out = {
-            "schema": "picard3-aut/1",
+            "schema": SCHEMA,
             "family": {"k": self.k, "l": self.l},
             "signature": list(self.signature),
             "hypotheses_met": self.hypotheses_met,
@@ -253,7 +255,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
     identity, discriminant-kernel membership, cone preservation, and the
     Clifford lift round trip.
     """
-    params = GramParams(0, l, 0, 0, k, 0)   # Gram of U(k) + <2l>
+    params = GramParams.family(k, l)
     sig = (2, 1) if l > 0 else (1, 2)   # U(k) is (1, 1); <2l> adds sign(l)
     failures = []
     if sig != (1, 2):
@@ -287,7 +289,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
         hypotheses_met=not failures,
         hypothesis_failures=tuple(failures),
         root_free=root_free,
-        disc=-2 * k * k * l,
+        disc=params.disc,
         group_model=model,
         v_coset_present=v_present,
         antisymplectic_exists=antisymplectic,
@@ -314,7 +316,7 @@ def _verify_sample(m, k, l, params, sig) -> SalemDatum:
     lift, nval = clifford_lift(h, params)
     if nval not in (1, -1):
         raise AssertionError("sample lift is not a unit")
-    if sign_normalize(lift.coords) != sign_normalize(u.element.coords):
+    if lift != u.element:
         raise AssertionError("sample lift round trip failed")
     # salem data equals the characteristic polynomial of P_alpha
     datum = salem_poly(m)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from picard3 import verify
 from picard3.cli import build_parser, main
 from picard3.report import analyze_picard
 
@@ -172,6 +173,25 @@ def test_verify_all_suites(capsys):
     assert code == 0
     for name in ("clifford", "exterior", "roundtrip"):
         assert f"suite {name}" in out
+
+
+def test_verify_counts_a_bad_p_alpha_as_one_failed_check(capsys, monkeypatch):
+    argv = ("verify", "--suite", "roundtrip", "--trials", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    passed = json.loads(out)["suites"][0]["passed"]
+
+    def bad_p_alpha(alpha, k, l):
+        raise ValueError("g is not an isometry of L")
+
+    monkeypatch.setattr(verify, "p_alpha_matrix", bad_p_alpha)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    suite = json.loads(out)["suites"][0]
+    # each matrix fails its isometry check and skips the comparison with phi
+    assert suite["failed"] > 0
+    assert suite["passed"] + 2 * suite["failed"] == passed
+    assert all(f.startswith("P_alpha isometry: family") for f in suite["failures"])
 
 
 def test_repeated_main_matches_fresh_interpreter(capsys):

@@ -16,6 +16,7 @@ from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               integer_mul, integer_reversal, norm, phi_rep,
                               reversal, trace)
 from picard3.isometries import CliffordUnit, _lattice
+from picard3.lattice import family_lattice
 from conftest import random_gram_params
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
@@ -87,6 +88,16 @@ def test_gram_params_from_gram():
                 ((2.0, 0, 0), (0, 2, 0), (0, 0, -2))):
         with pytest.raises(ValueError):
             GramParams.from_gram(bad)
+
+
+def test_gram_params_family_is_the_family_lattice():
+    ks = [v for v in range(-6, 7) if v]
+    for k in ks:
+        for l in ks:
+            assert GramParams.family(k, l).gram == family_lattice(k, l).gram
+    for k, l in ((0, 1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="^k and l must be nonzero$"):
+            GramParams.family(k, l)
 
 
 def test_scalar_and_basis_products():

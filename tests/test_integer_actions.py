@@ -16,13 +16,13 @@ from oracles import (alternating_E_by_fractions, eta_matrix_by_fractions,
                      mu_matrix_by_fractions, mu_tilde_matrix_by_fractions,
                      phi_rep_by_fractions, w_form_by_fractions)
 from picard3.cli import main
-from picard3.clifford import (EvenCliffordElement, OddCliffordElement,
-                              alternating_E, element_E, integer_norm, norm,
-                              phi_rep)
+from picard3.clifford import (EvenCliffordElement, GramParams,
+                              OddCliffordElement, alternating_E, element_E,
+                              gram_B, integer_norm, norm, phi_rep, trace)
 from picard3.exterior import (eta_matrix, integer_eta, integer_mu_tilde,
                               lambda_minus_matrix, lambda_plus_matrix,
                               mu_matrix, mu_tilde_matrix, pair_w)
-from picard3.linalg import mat_mul, mat_scale, mat_vec
+from picard3.linalg import det, mat_mul, mat_scale, mat_vec
 from conftest import random_gram_params
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_trials3.json"
@@ -44,6 +44,11 @@ def _all_int(m):
     return all(type(v) is int for row in m for v in row)
 
 
+def _exact(m):
+    """Each entry is an int when it is integral and a Fraction otherwise."""
+    return all(type(v) is (int if v == int(v) else Fraction) for row in m for v in row)
+
+
 def test_integer_paths_match_the_fraction_oracles():
     rng = random.Random(20261018)
     for _ in range(300):
@@ -58,17 +63,37 @@ def test_integer_paths_match_the_fraction_oracles():
                      (one, xs[1]), (xs[0], one)):
             m = mu_matrix(x, y, p)
             assert m == mu_matrix_by_fractions(x, y, p), (p, x, y)
-            assert _all_int(m) == (x.is_integral and y.is_integral)
+            assert _exact(m)
         odds = [_odd_unit_norm(rng, p, 1), _odd_unit_norm(rng, p, 2), element_E(p)]
         for ox in odds:
-            assert mu_tilde_matrix(ox, p) == mu_tilde_matrix_by_fractions(ox, p), (p, ox)
-            assert eta_matrix(ox, p) == eta_matrix_by_fractions(ox, p), (p, ox)
+            mt, eta = mu_tilde_matrix(ox, p), eta_matrix(ox, p)
+            assert mt == mu_tilde_matrix_by_fractions(ox, p), (p, ox)
+            assert eta == eta_matrix_by_fractions(ox, p), (p, ox)
+            assert _exact(mt) and _exact(eta)
         assert _all_int(mu_tilde_matrix(odds[0], p))
         acc, hats = alternating_E(p)
         acc0, hats0 = alternating_E_by_fractions(p)
         assert acc.coeffs == acc0.coeffs
         assert [h.coeffs for h in hats] == [h.coeffs for h in hats0]
         assert _all_int(lambda_plus_matrix(p)) and _all_int(lambda_minus_matrix(p))
+
+
+def test_division_builds_a_fraction_only_for_a_non_integral_entry():
+    # integral eta matrices over a divisor other than 1, the second on a
+    # nondegenerate lattice
+    assert GramParams(1, 1, -1, 1, 0, 1).disc == -8
+    for x, p in ((OddCliffordElement(0, 1, 0, 0), GramParams(1, 0, 0, 0, 0, 0)),
+                 (OddCliffordElement(1, 1, 0, 0), GramParams(1, 1, -1, 1, 0, 1))):
+        assert _all_int(eta_matrix(x, p))
+    p = GramParams(1, 2, 3, 1, 1, 1)
+    mt = mu_tilde_matrix(element_E(p), p)
+    assert _exact(mt) and not _all_int(mt)
+    # the Bareiss tail of det, and norm and trace of a non-integral element
+    assert type(det(gram_B(p))) is Fraction
+    assert type(det(gram_B(GramParams(0, 2, 2, 2, 2, 0)))) is int
+    x = EvenCliffordElement(Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2))
+    assert (norm(x, p), trace(x, p)) == (2, 2)
+    assert type(norm(x, p)) is int and type(trace(x, p)) is int
 
 
 def test_integer_paths_keep_their_errors():

@@ -5,7 +5,7 @@ from picard3.clifford import (EvenCliffordElement, GramParams,
                               OddCliffordElement, norm)
 from oracles import isometry_scan, unit_search_scan, v_set_scan
 from picard3.isometries import (CliffordUnit, Isometry3, clifford_lift,
-                                family_unit, h_alpha, p_alpha_matrix,
+                                family_unit, g_alpha, h_alpha, p_alpha_matrix,
                                 phi_alpha, seeded_units, spinor_norm,
                                 unit_product, unit_search_even, v_set_search)
 from picard3.lattice import Lattice, family_lattice, in_discriminant_kernel
@@ -97,6 +97,16 @@ def test_det_h_equals_grade_sign_on_seeded_units():
         for u in seeded_units(k, l, 50, seed=11):
             eps = 1 if u.grade == "even" else -1
             assert h_alpha(u, params).det == eps
+
+
+def test_unit_maps_reject_a_unit_whose_norm_disagrees_with_its_forms():
+    for k, l in ((1, -1), (2, 3)):
+        params = family_params(k, l)
+        for u in seeded_units(k, l, 10, seed=5):
+            bad = CliffordUnit(u.element, u.grade, -u.norm)
+            for f in (h_alpha, g_alpha, phi_alpha):
+                with pytest.raises(AssertionError, match="norm form"):
+                    f(bad, params)
 
 
 def test_phi_alpha_properties():
@@ -239,7 +249,7 @@ def test_p_alpha_matrix():
         p_alpha_matrix(((2, -2), (2, 2)), 2, -2)    # det 8
     for k, l in ((0, -2), (2, 0)):
         for f in (p_alpha_matrix, family_unit):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="k and l must be nonzero"):
                 f(((1, 0), (0, 1)), k, l)
 
 

@@ -272,3 +272,49 @@ def test_library_has_no_floating_point():
     assert modules
     found = {p.name: inexact_numbers(p.read_text()) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def family_tuple_calls(source: str) -> list:
+    """(line, owner) for each call GramParams(0, _, 0, 0, _, 0), the Gram
+    tuple of U(k) + <2l>, with the dotted name of the class and function
+    around it (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (isinstance(child, ast.Call) and len(child.args) == 6
+                    and getattr(child.func, "id", getattr(child.func, "attr", None))
+                    == "GramParams"
+                    and all(isinstance(child.args[i], ast.Constant)
+                            and child.args[i].value == 0 for i in (0, 2, 3, 5))):
+                found.append((child.lineno, owner))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda call: call[0])
+
+
+def test_family_tuple_calls_are_found():
+    src = ("P = GramParams(0, -1, 0, 0, 1, 0)\n"
+           "class GramParams:\n"
+           "    def family(k, l):\n"
+           "        return GramParams(0, l, 0, 0, k, 0)\n"
+           "def f(k, l):\n"
+           "    return clifford.GramParams(0, l, 0, 0, k, 0), GramParams(1, l, 0, 0, k, 0)\n"
+           "def g(k):\n"
+           "    def h(l):\n"
+           "        return GramParams(0, l, 0, 0, k, 0, 1), GramParams(0, l, 0, 0, k, 0)\n")
+    assert family_tuple_calls(src) == [(1, None), (4, "GramParams.family"),
+                                       (6, "f"), (9, "g.h")]
+
+
+def test_library_builds_the_family_tuple_only_in_gram_params_family():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: [owner for _, owner in family_tuple_calls(p.read_text())]
+             for p in modules}
+    assert {name: owners for name, owners in found.items() if owners} \
+        == {"clifford.py": ["GramParams.family"]}
