@@ -44,7 +44,11 @@ class ModularElement:
 
     @staticmethod
     def from_matrix(m) -> "ModularElement":
-        return ModularElement(m[0][0], m[0][1], m[1][0], m[1][1])
+        try:
+            (a, b), (c, d) = m
+        except (TypeError, ValueError):
+            raise ValueError(f"a 2x2 matrix is required, not {m!r}") from None
+        return ModularElement(a, b, c, d)
 
     def __mul__(self, other: "ModularElement") -> "ModularElement":
         return ModularElement(

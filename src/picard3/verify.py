@@ -166,16 +166,16 @@ def roundtrip_suite(trials: int, seed: int) -> SuiteResult:
         units = seeded_units(k, l, trials, seed)
         tag = f"family ({k},{l})"
         for u in units:
-            try:
-                h = h_alpha(u, params)  # norm form, isometry and det checked
+            try:  # each map checks its own invariants (norm form, isometry, det, lift)
+                h = h_alpha(u, params)
+                lift, n = clifford_lift(h, params)
+                ph = phi_alpha(u, params)
             except AssertionError as exc:
-                res.check(False, f"h_alpha: {tag}: {exc}")
+                res.check(False, f"unit maps: {tag}: {exc}")
                 continue
             res.check(h.in_kernel, f"h_alpha kernel: {tag}")
-            lift, n = clifford_lift(h, params)
             res.check(n in (1, -1), f"lift norm: {tag}")
             res.check(lift == u.element, f"lift = +-alpha: {tag}")
-            ph = phi_alpha(u, params)
             res.check(ph.det == u.norm, f"det phi = N: {tag}")
             if l < 0:   # signature (1, 2)
                 res.check(ph.preserves_cone, f"phi in O+: {tag}")

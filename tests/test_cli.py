@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from picard3 import verify
+from picard3 import report, verify
 from picard3.cli import build_parser, main
 from picard3.report import analyze_picard
 
@@ -192,6 +192,47 @@ def test_verify_counts_a_bad_p_alpha_as_one_failed_check(capsys, monkeypatch):
     assert suite["failed"] > 0
     assert suite["passed"] + 2 * suite["failed"] == passed
     assert all(f.startswith("P_alpha isometry: family") for f in suite["failures"])
+
+
+def test_verify_counts_a_failed_lift_as_one_failed_check(capsys, monkeypatch):
+    def bad_lift(h, params):
+        raise AssertionError("lift does not reproduce g")
+
+    monkeypatch.setattr(verify, "clifford_lift", bad_lift)
+    code, out, err = run_cli(capsys, "verify", "--suite", "roundtrip", "--trials", "1",
+                             "--format", "json")
+    assert code == 2 and err == ""
+    suite = json.loads(out)["suites"][0]
+    # one seeded unit per family, each one failed check
+    assert suite["failed"] == len(verify.FAMILIES)
+    assert suite["failures"] == [f"unit maps: family ({k},{l}): lift does not reproduce g"
+                                 for k, l in verify.FAMILIES]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_invariant_failure_exits_3_with_one_line(capsys, monkeypatch, fmt):
+    def bad_lift(h, params):
+        raise AssertionError("lift does not reproduce g")
+
+    monkeypatch.setattr(report, "clifford_lift", bad_lift)
+    code, out, err = run_cli(capsys, "analyze", "--n", "2", "--format", fmt)
+    assert (code, out, err) == (3, "", "error: invariant failed: lift does not reproduce g\n")
+
+
+STYLED_RUNS = [("analyze", "--n", "2"), ("analyze", "--k", "5", "--l", "1"),
+               ("verify", "--suite", "clifford", "--trials", "1"),
+               ("salem", "--matrix", "1,2,4,9"), ("congruence", "--n", "8")]
+
+
+@pytest.mark.parametrize("argv", STYLED_RUNS)
+def test_header_is_bold_on_a_terminal(capsys, monkeypatch, argv):
+    monkeypatch.setenv("PICARD3_NO_COLOR", "1")
+    code, plain, _ = run_cli(capsys, *argv)
+    header, body = plain.split("\n", 1)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    assert run_cli(capsys, *argv) == (code, plain, "")
+    monkeypatch.delenv("PICARD3_NO_COLOR")
+    assert run_cli(capsys, *argv) == (code, f"\033[1m{header}\033[0m\n{body}", "")
 
 
 def test_repeated_main_matches_fresh_interpreter(capsys):

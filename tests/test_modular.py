@@ -4,10 +4,12 @@ import pytest
 
 from oracles import (element_order, is_torsion, negative_pell_two_stage,
                      order_psl2_zn)
+from picard3.isometries import p_alpha_matrix
 from picard3.modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
                              g_n_class_witness, index_gamma_n, index_pi_g_n,
                              member, negative_pell, prime_power_generator,
                              qr_minus_one, torsion_search)
+from picard3.report import salem_poly
 
 
 def test_modular_element_normalization():
@@ -48,6 +50,18 @@ def test_member_examples():
         g = prime_power_generator(2 ** e)
         assert member(g, SubgroupSpec("G_n", n=2 ** e))
         assert not member(g, SubgroupSpec("Gamma_n", n=2 ** e))
+
+
+@pytest.mark.parametrize("m", [((1, 0, 5), (0, 1, 7), (9, 9, 9)),
+                               ((1, 2, 7), (2, 5, 8))])
+def test_matrix_inputs_must_be_2x2(m):
+    # each top-left 2x2 block has det 1, so reading only that block accepted m
+    with pytest.raises(ValueError, match="a 2x2 matrix is required"):
+        member(m, SubgroupSpec("G_n", n=3))
+    with pytest.raises(ValueError, match="a 2x2 matrix is required"):
+        salem_poly(m)
+    with pytest.raises(ValueError, match="a 2x2 matrix is required"):
+        p_alpha_matrix(m, 1, -1)
 
 
 def test_member_closure_under_product_and_inverse(rng):

@@ -274,27 +274,35 @@ def test_library_has_no_floating_point():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def family_tuple_calls(source: str) -> list:
-    """(line, owner) for each call GramParams(0, _, 0, 0, _, 0), the Gram
-    tuple of U(k) + <2l>, with the dotted name of the class and function
-    around it (None at module level)."""
+def owned_nodes(source: str) -> list:
+    """(node, owner) for each node of a module below its class and function
+    definitions, with the dotted name of the class and function around it
+    (None at module level), in source order."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{owner}.{child.name}" if owner else child.name)
-                continue
-            if (isinstance(child, ast.Call) and len(child.args) == 6
-                    and getattr(child.func, "id", getattr(child.func, "attr", None))
-                    == "GramParams"
-                    and all(isinstance(child.args[i], ast.Constant)
-                            and child.args[i].value == 0 for i in (0, 2, 3, 5))):
-                found.append((child.lineno, owner))
-            visit(child, owner)
+            else:
+                found.append((child, owner))
+                visit(child, owner)
 
     visit(ast.parse(source), None)
-    return sorted(found, key=lambda call: call[0])
+    return found
+
+
+def family_tuple_calls(source: str) -> list:
+    """(line, owner) for each call GramParams(0, _, 0, 0, _, 0), the Gram
+    tuple of U(k) + <2l>, with the dotted name of the class and function
+    around it (None at module level)."""
+    return sorted(((node.lineno, owner) for node, owner in owned_nodes(source)
+                   if isinstance(node, ast.Call) and len(node.args) == 6
+                   and getattr(node.func, "id", getattr(node.func, "attr", None))
+                   == "GramParams"
+                   and all(isinstance(node.args[i], ast.Constant)
+                           and node.args[i].value == 0 for i in (0, 2, 3, 5))),
+                  key=lambda call: call[0])
 
 
 def test_family_tuple_calls_are_found():
@@ -318,3 +326,40 @@ def test_library_builds_the_family_tuple_only_in_gram_params_family():
              for p in modules}
     assert {name: owners for name, owners in found.items() if owners} \
         == {"clifford.py": ["GramParams.family"]}
+
+
+def output_sites(source: str) -> dict:
+    """The owners (as in owned_nodes) of each call of print and json.dumps,
+    each read of SCHEMA and each "--format" string in a module."""
+    found = {"print": [], "json.dumps": [], "SCHEMA": [], "--format": []}
+    for node, owner in owned_nodes(source):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("print", "json.dumps"):
+            found[ast.unparse(node.func)].append(owner)
+        elif isinstance(node, ast.Name) and node.id == "SCHEMA":
+            found["SCHEMA"].append(owner)
+        elif isinstance(node, ast.Constant) and node.value == "--format":
+            found["--format"].append(owner)
+    return found
+
+
+def test_output_sites_are_found():
+    src = ("import json\n"
+           "from .report import SCHEMA\n"
+           "print(json.dumps({'schema': SCHEMA}))\n"
+           "class P:\n"
+           "    def error(self, m):\n"
+           "        print(m, file=sys.stderr)\n"
+           "def build(p):\n"
+           "    p.add_argument('--format')\n"
+           "    def show(doc):\n"
+           "        return p.print(dumps(doc)), '--format x'\n"
+           "    return show\n")
+    assert output_sites(src) == {"print": [None, "P.error"], "json.dumps": [None],
+                                 "SCHEMA": [None], "--format": ["build"]}
+
+
+def test_only_cli_main_prints_and_serializes():
+    sites = output_sites((SRC / "cli.py").read_text())
+    assert set(sites["print"]) == {"_Parser.error", "main"}
+    assert sites["json.dumps"] == sites["SCHEMA"] == ["main"]
+    assert sites["--format"] == ["build_parser"]
