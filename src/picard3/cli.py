@@ -8,6 +8,9 @@ Styling is plain ANSI bold for headers, disabled by PICARD3_NO_COLOR or when
 stdout is not a terminal.  Each ``cmd_*`` returns (exit code, JSON document,
 text header, text body as a function, so a JSON run never renders it) and
 prints nothing; ``main`` alone adds the schema tag, styles and prints.
+``main`` parses argv once, with the named subcommand's parser only; an argv
+that does not start with a subcommand goes to the top-level parser, which
+prints help or a usage error.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("congruence", parents=[fmt], help="congruence data of G_n")
     pc.add_argument("--n", type=int, required=True)
+    p.commands = {"analyze": pa, "verify": pv, "salem": ps, "congruence": pc}
     return p
 
 
@@ -138,7 +142,14 @@ def cmd_congruence(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    if not argv or argv[0] not in parser.commands:
+        parser.parse_args(argv)  # prints top-level help or a usage error, and exits
+    args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
     handler = {
         "analyze": cmd_analyze,
         "verify": cmd_verify,

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from picard3 import report, verify
+from picard3 import cli, report, verify
 from picard3.cli import build_parser, main
 from picard3.report import analyze_picard
 
@@ -83,20 +84,88 @@ def test_analyze_defaults_match_the_library():
     assert args.search_bound == params["search_bound"].default == 20
 
 
+def usage_prog(err):
+    """The prog named by the usage line that starts ``err``."""
+    assert err.startswith("usage: ")
+    return err[len("usage: "):].split(" [-h]")[0]
+
+
 @pytest.mark.parametrize("argv", [("analyze", "--n", "8", "--torsion-bound", "5"),
                                   ("congruence", "--n", "8", "--bound", "5"),
                                   ("verify", "--gram-bound", "5")])
 def test_torsion_bound_options_are_gone(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and not out
-    assert "unrecognized arguments" in err
+    # leftovers are reported by the top-level parser, as argparse does
+    assert usage_prog(err) == "picard3"
+    assert err.splitlines()[-1] == ("picard3: error: unrecognized arguments: "
+                                    + " ".join(argv[-2:]))
+
+
+COMMANDS = "'analyze', 'verify', 'salem', 'congruence'"
+USAGE_ERRORS = [
+    (("analyze",), "picard3 analyze", "one of the arguments --n --k is required"),
+    (("analyze", "--n", "x"), "picard3 analyze", "argument --n: invalid int value: 'x'"),
+    (("nonsense",), "picard3",
+     f"argument command: invalid choice: 'nonsense' (choose from {COMMANDS})"),
+    (("--format", "json", "analyze", "--n", "3"), "picard3",
+     f"argument command: invalid choice: 'json' (choose from {COMMANDS})"),
+    ((), "picard3", "the following arguments are required: command"),
+    (("congruence", "--n", "8", "extra"), "picard3", "unrecognized arguments: extra"),
+]
 
 
 def test_usage_error_exits_1(capsys):
-    code, _, _ = run_cli(capsys, "analyze")
-    assert code == 1
-    code, _, _ = run_cli(capsys, "nonsense")
-    assert code == 1
+    for argv, prog, message in USAGE_ERRORS:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert usage_prog(err) == prog, argv
+        assert err.splitlines()[-1] == f"{prog}: error: {message}", argv
+
+
+@pytest.mark.parametrize("argv, prog", [(("-h",), "picard3"),
+                                        (("analyze", "-h"), "picard3 analyze")])
+def test_help_exits_0(capsys, argv, prog):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert usage_prog(out) == prog
+
+
+@pytest.mark.parametrize("argv", [("analyze", "--n", "7", "--format", "json"),
+                                  ("verify", "--suite", "clifford", "--trials", "1")])
+def test_main_parses_argv_once(capsys, monkeypatch, argv):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--n", "7"),
+    ("analyze", "--k", "2", "--l", "-3", "--search-bound", "5", "--format", "json"),
+    ("analyze", "--format", "text", "--n", "3"),
+    ("verify",),
+    ("verify", "--suite", "roundtrip", "--trials", "3", "--seed", "9", "--format", "text"),
+    ("salem", "--matrix", "1,2,4,9", "--format", "json"),
+    ("congruence", "--n", "8"),
+])
+def test_main_hands_its_handler_the_full_parse(capsys, monkeypatch, argv):
+    seen = []
+
+    def handler(args):
+        seen.append(vars(args))
+        return 0, {}, "header", lambda: "body"
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", handler)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert seen == [vars(build_parser().parse_args(list(argv)))]
+    assert seen[0]["command"] == argv[0]
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -207,6 +276,38 @@ def test_verify_counts_a_failed_lift_as_one_failed_check(capsys, monkeypatch):
     assert suite["failed"] == len(verify.FAMILIES)
     assert suite["failures"] == [f"unit maps: family ({k},{l}): lift does not reproduce g"
                                  for k, l in verify.FAMILIES]
+
+
+@pytest.mark.parametrize("first_bad_call", [1, 2])
+def test_verify_counts_a_failed_homomorphism_as_one_failed_check(capsys, monkeypatch,
+                                                                  first_bad_call):
+    # h_alpha fails for one family: on every call (so the unit maps fail
+    # too), or from its second call on, which is the product's in the
+    # homomorphism check when there is one unit per family
+    bad_params = verify.GramParams.family(*verify.FAMILIES[0])
+    calls = []
+    h_alpha = verify.h_alpha
+
+    def bad_h_alpha(unit, params):
+        if params == bad_params:
+            calls.append(unit)
+            if len(calls) >= first_bad_call:
+                raise AssertionError("h_alpha failed")
+        return h_alpha(unit, params)
+
+    argv = ("verify", "--suite", "roundtrip", "--trials", "1", "--format", "json")
+    passed = json.loads(run_cli(capsys, *argv)[1])["suites"][0]["passed"]
+    monkeypatch.setattr(verify, "h_alpha", bad_h_alpha)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and err == ""
+    suite = json.loads(out)["suites"][0]
+    tag = "family ({},{})".format(*verify.FAMILIES[0])
+    unit_maps = [f"unit maps: {tag}: h_alpha failed"] if first_bad_call == 1 else []
+    assert suite["failures"] == [*unit_maps, f"h homomorphism: {tag}"]
+    # lost passes: the homomorphism check, plus the unit's five map checks
+    # (l < 0) when its h_alpha fails; a unit without h_alpha has no product call
+    assert suite["passed"] == passed - (6 if first_bad_call == 1 else 1)
+    assert len(calls) == first_bad_call
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
