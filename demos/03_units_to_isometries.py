@@ -8,10 +8,10 @@ from picard3 import (GramParams, clifford_lift, family_unit, h_alpha,
                      p_alpha_matrix, phi_alpha, spinor_norm,
                      unit_search_even, v_set_search)
 from picard3.lattice import Lattice, in_discriminant_kernel
-from picard3.linalg import identity, inverse, is_integral, mat_mul, mat_sub
+from picard3.linalg import adjugate, det, identity, mat_mul, mat_sub
 
 k, l = 2, -2                       # the Wehler family U(2) + <-4>
-params = GramParams(0, l, 0, 0, k, 0)
+params = GramParams.family(k, l)
 lat = Lattice(params.gram)
 
 # Even units of Cl+ are the integer matrices [[a,b],[c,d]] with
@@ -27,9 +27,12 @@ print("h_alpha =", h.matrix)
 print("det =", h.det, " in kernel:", h.in_kernel,
       " preserves cone:", h.preserves_cone)
 
-# The kernel test is a one-line integrality criterion:
+# The kernel test is a one-line integrality criterion, (g - I) Q^-1
+# integral, checked in integers as (g - I) adj(Q) = 0 mod det Q:
 diff = mat_sub(h.matrix, identity(3))
-print("(g - I) Q^-1 integral:", is_integral(mat_mul(diff, inverse(lat.gram))))
+d = det(lat.gram)
+print("(g - I) Q^-1 integral:",
+      all(x % d == 0 for row in mat_mul(diff, adjugate(lat.gram)) for x in row))
 
 # phi_alpha = Nr(alpha) * conjugation is always cone-preserving, with
 # det = Nr(alpha); on the twisted basis it is the printed ternary matrix.
@@ -44,7 +47,7 @@ print("\nlift of h_alpha:", lift.coords, " N =", n)
 
 # The odd coset exists only when the halved form represents +-1; the
 # family (1,-1) has it, and odd units give determinant -1 kernel isometries.
-params11 = GramParams(0, -1, 0, 0, 1, 0)
+params11 = GramParams.family(1, -1)
 odd = v_set_search(1, -1, 2)[0]
 print("\nodd unit of U(1) + <-2>:", odd.coords)
 from picard3 import CliffordUnit

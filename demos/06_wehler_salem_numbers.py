@@ -7,7 +7,7 @@
 
 from picard3 import (analyze_picard, p_alpha_matrix, salem_poly,
                      symplectic_split, wehler_trace_classes)
-from picard3.linalg import char_poly_3x3
+from picard3.linalg import char_poly
 
 # The trace law on searched units: trace = 2 mod 4 when det 1,
 # trace = 0 mod 4 when det -1.
@@ -28,7 +28,7 @@ print("Salem factor t^2 -", datum.a_value, "t + 1, Salem:", datum.is_salem)
 # The cubic agrees with the characteristic polynomial of the actual
 # 3x3 action on the Picard lattice:
 p = p_alpha_matrix(alpha, 2, -2)
-print("matches char(P_alpha):", char_poly_3x3(p.matrix) == datum.cubic_coeffs)
+print("matches char(P_alpha):", char_poly(p.matrix) == datum.cubic_coeffs)
 
 # An anti-symplectic example (n = 1): A = 18, the smallest in its family.
 print("\nanti-symplectic n=1:", salem_poly(((1, 2), (2, 3))).to_json())

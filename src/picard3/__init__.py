@@ -18,8 +18,8 @@ from .clifford import (CliffordElement, EvenCliffordElement, GramParams,
 from .exterior import (PBasis, eta_matrix, lambda_minus_matrix,
                        lambda_plus_matrix, mu_matrix, mu_tilde_matrix, p_bases)
 from .isometries import (CliffordUnit, Isometry3, clifford_lift, family_unit,
-                         g_alpha, h_alpha, p_alpha_matrix, phi_alpha,
-                         seeded_units, spinor_norm, unit_product,
+                         g_alpha, h_alpha, p_alpha_and_unit, p_alpha_matrix,
+                         phi_alpha, seeded_units, spinor_norm, unit_product,
                          unit_search_even, v_set_search)
 from .lattice import (DiscriminantGroup, FiniteQuadraticForm, Lattice,
                       disc, discriminant_form, discriminant_group,

@@ -213,13 +213,25 @@ def spinor_norm(g, params: GramParams) -> int:
 
 
 def _family_member(alpha, k: int, l: int):
-    """(params, (a, b, c, d)) for alpha = [[a, b], [c, d]] in B_{k,l}, params
+    """(params, a, b, c, d) for alpha = [[a, b], [c, d]] in B_{k,l}, params
     of U(k) + <2l>; ValueError when k or l is 0 or alpha is not in B_{k,l}."""
     params = GramParams.family(k, l)
     if not member(alpha, SubgroupSpec("B_kl_units", k=k, l=l)):
         raise ValueError("alpha is not in B_{k,l}")
-    (a, b), (c, d) = alpha[0], alpha[1]
-    return params, (a, b, c, d)
+    return (params, *alpha[0], *alpha[1])
+
+
+def _p_alpha(k: int, l: int, params: GramParams, a, b, c, d) -> Isometry3:
+    b_l, c_k = b // l, c // k
+    rows = ((a * a, 2 * a * b, -k * b_l * b),
+            (a * c, a * d + b * c, -k * b_l * d),
+            (-l * c_k * c, -2 * l * c_k * d, d * d))
+    return Isometry3(rows, _lattice(params))
+
+
+def _even_unit(k: int, l: int, params: GramParams, a, b, c, d) -> CliffordUnit:
+    return CliffordUnit.from_element(
+        EvenCliffordElement(d, b // l, (a - d) // k, c // k), params)
 
 
 def p_alpha_matrix(alpha, k: int, l: int) -> Isometry3:
@@ -229,12 +241,7 @@ def p_alpha_matrix(alpha, k: int, l: int) -> Isometry3:
     ((k/2) te1, -l te2, (k/2) te3) of the twisted lattice; it satisfies
     P^T Q P = (ad - bc)^2 Q = Q exactly.
     """
-    params, (a, b, c, d) = _family_member(alpha, k, l)
-    b_l, c_k = b // l, c // k
-    rows = ((a * a, 2 * a * b, -k * b_l * b),
-            (a * c, a * d + b * c, -k * b_l * d),
-            (-l * c_k * c, -2 * l * c_k * d, d * d))
-    return Isometry3(rows, _lattice(params))
+    return _p_alpha(k, l, *_family_member(alpha, k, l))
 
 
 def family_unit(alpha, k: int, l: int) -> CliffordUnit:
@@ -243,9 +250,14 @@ def family_unit(alpha, k: int, l: int) -> CliffordUnit:
     Under e1 = [[0,l],[0,0]], e2 = [[k,0],[0,0]], e3 = [[0,0],[k,0]] the
     matrix [[a,b],[c,d]] has coordinates (d, b/l, (a-d)/k, c/k).
     """
-    params, (a, b, c, d) = _family_member(alpha, k, l)
-    return CliffordUnit.from_element(
-        EvenCliffordElement(d, b // l, (a - d) // k, c // k), params)
+    return _even_unit(k, l, *_family_member(alpha, k, l))
+
+
+def p_alpha_and_unit(alpha, k: int, l: int):
+    """(p_alpha_matrix(alpha, k, l), family_unit(alpha, k, l)), from one
+    membership test of alpha."""
+    fm = _family_member(alpha, k, l)
+    return _p_alpha(k, l, *fm), _even_unit(k, l, *fm)
 
 
 def _check_search(k: int, l: int, bound: int):

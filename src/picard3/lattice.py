@@ -15,9 +15,9 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
-from .linalg import (adjugate, det, factor, is_integral, mat, mat_mul,
-                     mat_vec, primitive_vector, signature_of, smith_normal_form,
-                     symmetric_diagonalize, transpose, vec_dot)
+from .linalg import (adjugate, char_poly, det, factor, identity, is_integral,
+                     mat, mat_mul, mat_vec, smith_normal_form, transpose,
+                     vec_dot)
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,13 @@ def disc(lat: Lattice) -> int:
 
 
 def signature(lat: Lattice):
-    """(s_plus, s_minus), computed exactly by rational symmetric reduction."""
-    return signature_of(lat.gram)
+    """(s_plus, s_minus): the sign changes of det(tI - Q) and of
+    det(-tI - Q).  A symmetric matrix has only real eigenvalues, so
+    Descartes' rule of signs counts its positive and negative ones exactly."""
+    c = char_poly(lat.gram)
+    twin = [-x if i % 2 else x for i, x in enumerate(c)]
+    nonzero = [[x for x in p if x != 0] for p in (c, twin)]
+    return tuple(sum(x * y < 0 for x, y in zip(p, p[1:])) for p in nonzero)
 
 
 @dataclass(frozen=True)
@@ -249,27 +254,49 @@ def in_discriminant_kernel(g, lat: Lattice) -> bool:
     return Isometry3.of(g, lat).in_kernel
 
 
-def preserves_positive_cone(g, lat: Lattice) -> bool:
-    """Cone test for signature (1, n) lattices; (n, 1) is handled by negation.
+def _positive_vector(r) -> tuple:
+    """An integer v with v^T r v > 0 for a symmetric r of signature
+    (1, n - 1), n <= 3, by the first case that applies: (1) e_i for
+    r_ii > 0; (2) w = r_jj e_i - r_ij e_j, of norm r_jj m, for r_jj < 0 and
+    a minor m = r_ii r_jj - r_ij^2 < 0; (3) b (1 - r_kk) w + e_k, of norm at
+    least 2 b^2, for an isotropic w (an e_i with r_ii = 0, or a w of (2)
+    with m = 0) and b = (r w)_k != 0, which exists as r is nondegenerate;
+    (4) else every coordinate plane is negative definite, so n = 3, det r > 0
+    and column 0 of adj(r) has norm det(r) (r_11 r_22 - r_12^2) > 0."""
+    n = len(r)
+    e = identity(n)
+    planes = [(r[i][i] * r[j][j] - r[i][j] ** 2, r[j][j],
+               tuple(r[j][j] * x - r[i][j] * y for x, y in zip(e[i], e[j])))
+              for i in range(n) for j in range(n) if i != j]
+    positive = ([e[i] for i in range(n) if r[i][i] > 0]
+                + [w for m, r_jj, w in planes if r_jj < 0 and m < 0])
+    if positive:
+        return positive[0]
+    isotropic = ([e[i] for i in range(n) if r[i][i] == 0]
+                 + [w for m, r_jj, w in planes if r_jj < 0 and m == 0])
+    if isotropic:
+        w = isotropic[0]
+        k, b = next((k, b) for k, b in enumerate(mat_vec(r, w)) if b != 0)
+        return tuple(b * (1 - r[k][k]) * x + y for x, y in zip(w, e[k]))
+    return tuple(row[0] for row in adjugate(r))
 
-    One diagonalization P^T Q P = D gives the signature and, as the column of
-    P at the single positive entry of D (the single negative one for (n, 1)),
-    a v with eps <v, v> > 0 for eps = +1 (-1); returns sign eps <gv, v> > 0.
-    The signature is checked first, then g (by Isometry3.of).
+
+def preserves_positive_cone(g, lat: Lattice) -> bool:
+    """Cone test in integers, for rank at most 3 and signature (1, n) or
+    (n, 1): with eps = +1 for (1, n) and -1 otherwise, and v from
+    _positive_vector(eps Q), returns eps <gv, v> > 0.  The rank and the
+    signature are checked first, then g (by Isometry3.of).
     """
-    p, d = symmetric_diagonalize(lat.gram)
-    plus = [i for i in range(lat.rank) if d[i][i] > 0]
-    minus = [i for i in range(lat.rank) if d[i][i] < 0]
-    if len(plus) == 1:
-        eps, i = 1, plus[0]
-    elif len(minus) == 1:
-        eps, i = -1, minus[0]
-    else:
-        raise ValueError("cone test unsupported for signature "
-                         f"{(len(plus), len(minus))}")
+    if lat.rank > 3:
+        raise ValueError(f"cone test unsupported for rank {lat.rank}")
+    sig = signature(lat)
+    if 1 not in sig:
+        raise ValueError(f"cone test unsupported for signature {sig}")
+    eps = 1 if sig[0] == 1 else -1
     g = Isometry3.of(g, lat)
-    v = primitive_vector(tuple(row[i] for row in p))
-    val = eps * vec_dot(mat_vec(g.matrix, v), mat_vec(lat.gram, v))
+    r = tuple(tuple(eps * x for x in row) for row in lat.gram)
+    v = _positive_vector(r)
+    val = vec_dot(mat_vec(g.matrix, v), mat_vec(r, v))
     if val == 0:
         raise AssertionError("degenerate cone pairing")  # impossible for isometries
     return val > 0

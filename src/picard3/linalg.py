@@ -281,62 +281,20 @@ def smith_normal_form(a: Matrix):
     return d, mat(u), mat(v)
 
 
-def symmetric_diagonalize(q: Matrix):
-    """Rational congruence diagonalization: returns (p, d) with p^T q p = d.
-
-    p is invertible over Q and d is diagonal.  Used for exact signatures and
-    for producing vectors of known sign.
-    """
-    n = len(q)
-    m = [[Fraction(x) for x in row] for row in q]
-    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def col_axpy(dst, src, f):  # col dst += f * col src, on m (both sides) and p
-        for r in range(n):
-            m[r][dst] += f * m[r][src]
-        for r in range(n):
-            m[dst][r] += f * m[src][r]
-        for r in range(n):
-            p[r][dst] += f * p[r][src]
-
-    def col_swap(i, j):
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        m[i], m[j] = m[j], m[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
-            if j is not None:
-                col_swap(i, j)
-            else:
-                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
-                if j is None:
-                    continue  # row/col i entirely zero
-                col_axpy(i, j, Fraction(1))  # now m[i][i] = 2*m[i][j] != 0
-        for j in range(i + 1, n):
-            if m[i][j] != 0:
-                col_axpy(j, i, -m[i][j] / m[i][i])
-    return mat(p), mat(m)
-
-
-def signature_of(q: Matrix):
-    """(s_plus, s_minus) of a symmetric rational matrix, exactly."""
-    _, d = symmetric_diagonalize(q)
-    plus = sum(1 for i in range(len(d)) if d[i][i] > 0)
-    minus = sum(1 for i in range(len(d)) if d[i][i] < 0)
-    return plus, minus
-
-
-def char_poly_3x3(a: Matrix):
-    """Coefficients (c3, c2, c1, c0) of det(tI - a) = c3 t^3 + c2 t^2 + c1 t + c0."""
-    tr = a[0][0] + a[1][1] + a[2][2]
-    m01 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    m02 = a[0][0] * a[2][2] - a[0][2] * a[2][0]
-    m12 = a[1][1] * a[2][2] - a[1][2] * a[2][1]
-    return (1, -tr, m01 + m02 + m12, -det(a))
+def char_poly(a: Matrix):
+    """Coefficients (1, c_{n-1}, ..., c_0) of det(tI - a), descending, for a
+    square integer matrix, by Faddeev-LeVerrier: with M_1 = I,
+    c_{n-k} = -tr(a M_k) / k and M_{k+1} = a M_k + c_{n-k} I, where each
+    division by k is exact."""
+    n = len(a)
+    coeffs, m = [1], identity(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c = -sum(am[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        m = tuple(tuple(x + c * (i == j) for j, x in enumerate(row))
+                  for i, row in enumerate(am))
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=32)

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clifford import GramParams
-from .isometries import (clifford_lift, family_unit, h_alpha, p_alpha_matrix,
-                         phi_alpha, unit_search_even)
+from .isometries import (clifford_lift, h_alpha, p_alpha_and_unit, phi_alpha,
+                         unit_search_even)
 from .lattice import represents
-from .linalg import char_poly_3x3, mat
+from .linalg import char_poly, mat
 from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
                       index_pi_g_n, prime_power, provably_torsion_free,
                       qr_minus_one, torsion_search)
@@ -304,8 +304,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
 def _verify_sample(m, k, l, params, sig) -> SalemDatum:
     """Hard checks every report sample must pass (raise on failure); returns
     the sample's Salem datum."""
-    p = p_alpha_matrix(m, k, l)  # isometry identity checked on construction
-    u = family_unit(m, k, l)
+    p, u = p_alpha_and_unit(m, k, l)  # isometry identity checked on construction
     h = h_alpha(u, params)
     if not h.in_kernel:
         raise AssertionError("sample h_alpha left the discriminant kernel")
@@ -320,7 +319,7 @@ def _verify_sample(m, k, l, params, sig) -> SalemDatum:
         raise AssertionError("sample lift round trip failed")
     # salem data equals the characteristic polynomial of P_alpha
     datum = salem_poly(m)
-    if char_poly_3x3(p.matrix) != datum.cubic_coeffs:
+    if char_poly(p.matrix) != datum.cubic_coeffs:
         raise AssertionError("salem coefficients disagree with char(P_alpha)")
     return datum
 

@@ -23,8 +23,8 @@ from .clifford import (CliffordElement, EvenCliffordElement, GramParams,
                        OddCliffordElement, alternating_E, clifford_mul,
                        element_E, gram_B, norm, phi_rep, reversal, trace)
 from .isometries import (clifford_lift, family_unit, g_alpha, h_alpha,
-                         p_alpha_matrix, phi_alpha, seeded_units, unit_product,
-                         unit_search_even)
+                         p_alpha_and_unit, phi_alpha, seeded_units,
+                         unit_product, unit_search_even)
 from .linalg import det, mat, mat_mul, mat_scale, mat_vec
 
 FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
@@ -193,13 +193,13 @@ def roundtrip_suite(trials: int, seed: int) -> SuiteResult:
             res.check(ok, f"h homomorphism: {tag}")
         for m in unit_search_even(k, l, 6)[:20]:
             try:
-                pal = p_alpha_matrix(m, k, l)  # the isometry identity
+                pal, u = p_alpha_and_unit(m, k, l)  # the isometry identity
                 res.check(True, "")
             except ValueError:
                 res.check(False, f"P_alpha isometry: {tag}")
                 continue
             s = mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
-            ph = phi_alpha(family_unit(m, k, l), params)
+            ph = phi_alpha(u, params)
             res.check(mat_mul(mat_mul(s, ph.matrix), s) == pal.matrix,
                       f"P_alpha = phi_alpha: {tag}")
         # Claim 1 round trip through the exterior square

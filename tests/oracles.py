@@ -20,8 +20,7 @@ from picard3.lattice import (Lattice, _element_order, discriminant_group,
                              is_isometry)
 from picard3.linalg import (det, identity, inverse, kernel_basis, mat,
                             mat_mul, mat_scale, mat_vec, primitive_vector,
-                            signature_of, smith_normal_form,
-                            symmetric_diagonalize, transpose, vec_dot)
+                            smith_normal_form, transpose, vec_dot)
 from picard3.modular import ModularElement, SubgroupSpec, member
 
 
@@ -445,6 +444,52 @@ def gram_half(params):
 def dual_basis_vectors(params):
     """Columns of Q_{L0}^{-1}: the dual basis of (Ei) for the halved form."""
     return inverse(gram_half(params))
+
+
+def symmetric_diagonalize(q):
+    """Rational congruence diagonalization: returns (p, d) with p^T q p = d,
+    p invertible over Q and d diagonal."""
+    n = len(q)
+    m = [[Fraction(x) for x in row] for row in q]
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def col_axpy(dst, src, f):  # col dst += f * col src, on m (both sides) and p
+        for r in range(n):
+            m[r][dst] += f * m[r][src]
+        for r in range(n):
+            m[dst][r] += f * m[src][r]
+        for r in range(n):
+            p[r][dst] += f * p[r][src]
+
+    def col_swap(i, j):
+        for r in range(n):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        m[i], m[j] = m[j], m[i]
+        for r in range(n):
+            p[r][i], p[r][j] = p[r][j], p[r][i]
+
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if j is not None:
+                col_swap(i, j)
+            else:
+                j = next((k for k in range(i + 1, n) if m[i][k] != 0), None)
+                if j is None:
+                    continue  # row/col i entirely zero
+                col_axpy(i, j, Fraction(1))  # now m[i][i] = 2*m[i][j] != 0
+        for j in range(i + 1, n):
+            if m[i][j] != 0:
+                col_axpy(j, i, -m[i][j] / m[i][i])
+    return mat(p), mat(m)
+
+
+def signature_of(q):
+    """(s_plus, s_minus) of a symmetric rational matrix, from the signs of
+    a diagonalization."""
+    _, d = symmetric_diagonalize(q)
+    diag = [d[i][i] for i in range(len(d))]
+    return sum(x > 0 for x in diag), sum(x < 0 for x in diag)
 
 
 def positive_vector(q):

@@ -15,7 +15,7 @@ from picard3.isometries import (CliffordUnit, clifford_lift, h_alpha,
                                 unit_search_even, v_set_search)
 from picard3.lattice import (Lattice, discriminant_form,
                              form_orthogonal_group, represents)
-from picard3.linalg import char_poly_3x3
+from picard3.linalg import char_poly
 from picard3.modular import (delta_n, free_rank, index_gamma_n, index_pi_g_n,
                              negative_pell)
 from picard3.report import salem_poly
@@ -130,7 +130,7 @@ def test_criterion_7_salem():
             for m, datum in ((((1, 2), (2 * n, 4 * n + 1)), s),
                              (((1, 2), (2 * n, 4 * n - 1)), t)):
                 p = p_alpha_matrix(m, 2, -2)
-                assert char_poly_3x3(p.matrix) == datum.cubic_coeffs
+                assert char_poly(p.matrix) == datum.cubic_coeffs
 
 
 def test_criterion_8_appendix_fixtures():

@@ -253,7 +253,7 @@ def test_verify_counts_a_bad_p_alpha_as_one_failed_check(capsys, monkeypatch):
     def bad_p_alpha(alpha, k, l):
         raise ValueError("g is not an isometry of L")
 
-    monkeypatch.setattr(verify, "p_alpha_matrix", bad_p_alpha)
+    monkeypatch.setattr(verify, "p_alpha_and_unit", bad_p_alpha)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 2
     suite = json.loads(out)["suites"][0]

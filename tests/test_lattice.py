@@ -4,11 +4,12 @@ import pytest
 
 from oracles import (cone_test_by_two_diagonalizations,
                      form_orthogonal_group_bijective,
-                     generator_lifts_by_inverse, induced_action_trivial)
+                     generator_lifts_by_inverse, induced_action_trivial,
+                     isometry_scan, signature_of)
 from picard3 import linalg as la
 from picard3.clifford import GramParams
 from picard3.isometries import Isometry3, phi_alpha, seeded_units
-from picard3.lattice import (Lattice, disc, discriminant_form,
+from picard3.lattice import (Lattice, _positive_vector, disc, discriminant_form,
                              discriminant_group, family_lattice,
                              form_orthogonal_group, in_discriminant_kernel,
                              m_n_lattice, preserves_positive_cone, represents,
@@ -280,13 +281,81 @@ def test_cone_test_matches_two_diagonalizations():
 
 
 def test_cone_action_is_homomorphism(rng):
-    from oracles import isometry_scan
     lat = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, -6)))
     isos = isometry_scan(lat, 2)
     for _ in range(60):
         g1, g2 = rng.choice(isos), rng.choice(isos)
         both = preserves_positive_cone(la.mat_mul(g1.matrix, g2.matrix), lat)
         assert both == (g1.preserves_cone == g2.preserves_cone)
+
+
+def random_even_gram(rng, n, bound=4):
+    """A random even symmetric integer n x n matrix of nonzero determinant."""
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-bound // 2, bound // 2)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-bound, bound)
+        if la.det(g) != 0:
+            return la.mat(g)
+
+
+def negated(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def test_signature_matches_diagonalization(rng):
+    for n in (1, 2, 3, 4):
+        for _ in range(300):
+            g = random_even_gram(rng, n)
+            assert signature(Lattice(g)) == signature_of(g), g
+
+
+# One signature-(1, 2) Gram matrix per case of _positive_vector, with its
+# vector; Lattice(r) and Lattice(-r) both give eps Q = r.
+POSITIVE_VECTOR_CASES = (
+    (((2, 1, 0), (1, -2, 0), (0, 0, -2)), (1, 0, 0)),         # r_00 > 0
+    (((-2, 3, 0), (3, -2, 0), (0, 0, -2)), (-2, -3, 0)),      # negative minor
+    (family_lattice(2, -2).gram, (2, 0, 1)),                  # r_00 = 0
+    (((0, 1, 0), (1, 0, 0), (0, 0, -2)), (1, 1, 0)),          # U + <-2>
+    (((-2, 2, 2), (2, -2, 2), (2, 2, -2)), (48, 48, 1)),      # zero minors
+    (((-6, 4, 4), (4, -6, 4), (4, 4, -6)), (20, 40, 40)),     # adj(r) column
+)
+
+
+def test_positive_vector_cases():
+    for r, v in POSITIVE_VECTOR_CASES:
+        assert signature_of(r) == (1, 2)
+        assert _positive_vector(r) == v
+        assert la.vec_dot(v, la.mat_vec(r, v)) > 0
+        for lat in (Lattice(r), Lattice(negated(r))):
+            for g in isometry_scan(lat, 1):
+                assert preserves_positive_cone(g, lat) == \
+                    cone_test_by_two_diagonalizations(g.matrix, lat), (r, g)
+
+
+def test_cone_test_matches_the_oracle_on_random_lattices(rng):
+    i3 = la.identity(3)
+    for sig in ((1, 2), (2, 1)):
+        count = 0
+        while count < 300:
+            g = random_even_gram(rng, 3)
+            if signature_of(g) != sig:
+                continue
+            count += 1
+            lat, r = Lattice(g), g if sig == (1, 2) else negated(g)
+            v = _positive_vector(r)
+            assert la.vec_dot(v, la.mat_vec(r, v)) > 0, g
+            for m in (i3, negated(i3)):
+                assert preserves_positive_cone(m, lat) == \
+                    cone_test_by_two_diagonalizations(m, lat) == (m == i3), g
+
+
+def test_cone_test_refuses_rank_4():
+    lat = Lattice(((2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
+    with pytest.raises(ValueError, match="rank"):
+        preserves_positive_cone(la.identity(4), lat)
 
 
 def test_represents():

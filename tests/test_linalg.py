@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import positive_vector
+from oracles import positive_vector, signature_of, symmetric_diagonalize
 from picard3 import linalg as la
 
 
@@ -69,13 +69,13 @@ def test_symmetric_diagonalize(rng):
         n = rng.randint(1, 5)
         b = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         q = la.mat([[b[i][j] + b[j][i] for j in range(n)] for i in range(n)])
-        p, d = la.symmetric_diagonalize(q)
+        p, d = symmetric_diagonalize(q)
         assert la.mat_mul(la.mat_mul(la.transpose(p), q), p) == d
 
 
 def test_signature_and_positive_vector():
     q = la.mat([[0, 0, 2], [0, -4, 0], [2, 0, 0]])
-    assert la.signature_of(q) == (1, 2)
+    assert signature_of(q) == (1, 2)
     v = positive_vector(q)
     assert la.vec_dot(v, la.mat_vec(q, v)) > 0
 
@@ -87,9 +87,19 @@ def test_primitive_vector():
         la.primitive_vector((0, 0))
 
 
-def test_char_poly_3x3():
+def test_char_poly(rng):
     a = la.mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    assert la.char_poly_3x3(a) == (1, -6, 11, -6)
+    assert la.char_poly(a) == (1, -6, 11, -6)
+    assert la.char_poly(la.mat([[5]])) == (1, -5)
+    # det(tI - a) at n + 1 points pins the degree-n polynomial
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        a = la.mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        c = la.char_poly(a)
+        for t in range(-n, 1):
+            shifted = [[t * (i == j) - x for j, x in enumerate(row)]
+                       for i, row in enumerate(a)]
+            assert sum(x * t ** (n - i) for i, x in enumerate(c)) == la.det(shifted)
 
 
 def test_squarefree_part():

@@ -1,10 +1,10 @@
 import pytest
 
-from picard3 import report
+from picard3 import isometries, report
 from picard3.lattice import family_lattice, represents, signature
-from picard3.linalg import char_poly_3x3
+from picard3.linalg import char_poly
 from picard3.isometries import p_alpha_matrix
-from picard3.modular import qr_minus_one
+from picard3.modular import member, qr_minus_one
 from picard3.report import (TORSION_SEARCH_BOUND, analyze_picard,
                             congruence_data, salem_poly, symplectic_split,
                             wehler_trace_classes)
@@ -124,7 +124,20 @@ def test_salem_cubic_matches_p_alpha_char_poly():
             m = ((1, 2), (2 * n, d))
             s = salem_poly(m)
             p = p_alpha_matrix(m, 2, -2)
-            assert char_poly_3x3(p.matrix) == s.cubic_coeffs
+            assert char_poly(p.matrix) == s.cubic_coeffs
+
+
+def test_each_sample_reads_its_membership_once(monkeypatch):
+    seen = []
+
+    def counting_member(x, spec):
+        seen.append(x)
+        return member(x, spec)
+
+    monkeypatch.setattr(isometries, "member", counting_member)
+    r = analyze_picard(2, -3)
+    assert len(r.samples) == 3
+    assert sorted(seen) == sorted(s.matrix for s in r.samples)
 
 
 def test_salem_edge_cases():

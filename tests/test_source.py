@@ -363,3 +363,57 @@ def test_only_cli_main_prints_and_serializes():
     assert set(sites["print"]) == {"_Parser.error", "main"}
     assert sites["json.dumps"] == sites["SCHEMA"] == ["main"]
     assert sites["--format"] == ["build_parser"]
+
+
+def unreferenced_functions(modules: dict, exported: set) -> list:
+    """The module-level functions of ``modules`` (module name -> source) that
+    no module reads by name or as an attribute outside their own body, and
+    that are not in ``exported``, as sorted "module.function" strings.  Reads
+    are matched by name alone, so a read of a method or local of the same
+    name counts too."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    defined = {(name, node) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr, top)
+             for tree in trees.values() for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Attribute)]
+    return sorted(f"{name}.{fn.name}" for name, fn in defined
+                  if f"{name}.{fn.name}" not in exported
+                  and not any(read == fn.name and top is not fn for read, top in reads))
+
+
+def package_exports(source: str) -> set:
+    """The "module.name" of each name that ``from .module import name``
+    brings into a package's __init__."""
+    return {f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_unreferenced_functions_are_found():
+    modules = {"a": ("def used(): return 1\n"
+                     "def dead(): return dead()\n"
+                     "def shown(): pass\n"
+                     "X = used()\n"),
+               "b": ("from . import a\n"
+                     "def f(): return a.helper\n"
+                     "def helper(): pass\n"
+                     "def g(n):\n"
+                     "    def inner(): return n\n"
+                     "    return inner\n")}
+    exported = package_exports("from .a import shown\nfrom .b import f\nfrom math import g\n")
+    assert exported == {"a.shown", "b.f"}
+    assert unreferenced_functions(modules, exported) == ["a.dead", "b.g"]
+
+
+def test_library_has_no_new_unreferenced_functions():
+    # inverse, kernel_basis and iota_inverse_matrix serve only the tests and
+    # the benchmark's tracer; mat_sub serves demo 03
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    assert modules
+    exported = package_exports((SRC / "__init__.py").read_text())
+    assert unreferenced_functions(modules, exported) == [
+        "exterior.iota_inverse_matrix", "linalg.inverse", "linalg.kernel_basis",
+        "linalg.mat_sub"]
