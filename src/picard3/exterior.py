@@ -111,14 +111,21 @@ def _pairing_matrix(params: GramParams):
                  for e in _EVEN_BASIS)
 
 
+def _wedge(v, w):
+    """v ^ w for 4-vectors v, w: its coordinates on the e_k ^ e_l, (k, l) in
+    WEDGE_PAIRS."""
+    v0, v1, v2, v3 = v
+    w0, w1, w2, w3 = w
+    return (v0 * w1 - v1 * w0, v0 * w2 - v2 * w0, v0 * w3 - v3 * w0,
+            v2 * w3 - v3 * w2, v3 * w1 - v1 * w3, v1 * w2 - v2 * w1)
+
+
 def _compound_matrix(t):
     """Second compound: entry ((i,j),(k,l)) = t[i][k] t[j][l] - t[i][l] t[j][k],
-    so column (k, l) holds the wedge of columns k and l of t."""
-    rows = []
-    for i, j in WEDGE_PAIRS:
-        ti, tj = t[i], t[j]
-        rows.append(tuple(ti[k] * tj[l] - ti[l] * tj[k] for k, l in WEDGE_PAIRS))
-    return tuple(rows)
+    so row (i, j) is the wedge of rows i and j of t, (i, j) in WEDGE_PAIRS."""
+    r0, r1, r2, r3 = t
+    return (_wedge(r0, r1), _wedge(r0, r2), _wedge(r0, r3),
+            _wedge(r2, r3), _wedge(r3, r1), _wedge(r1, r2))
 
 
 def iota_inverse_matrix(params: GramParams):

@@ -51,6 +51,27 @@ class Lattice:
         """<x, y> extended to rational coordinate vectors."""
         return vec_dot(x, mat_vec(self.gram, y))
 
+    @cached_property
+    def _signature(self) -> tuple:
+        """signature(self), computed once per lattice."""
+        c = char_poly(self.gram)
+        twin = [-x if i % 2 else x for i, x in enumerate(c)]
+        nonzero = [[x for x in p if x != 0] for p in (c, twin)]
+        return tuple(sum(x * y < 0 for x, y in zip(p, p[1:])) for p in nonzero)
+
+    @cached_property
+    def _cone_vectors(self) -> tuple:
+        """(v, eps Q v) of preserves_positive_cone, computed once per lattice."""
+        if self.rank > 3:
+            raise ValueError(f"cone test unsupported for rank {self.rank}")
+        sig = self._signature
+        if 1 not in sig:
+            raise ValueError(f"cone test unsupported for signature {sig}")
+        eps = 1 if sig[0] == 1 else -1
+        r = tuple(tuple(eps * x for x in row) for row in self.gram)
+        v = _positive_vector(r)
+        return v, mat_vec(r, v)
+
 
 def family_lattice(k: int, l: int) -> Lattice:
     """U(k) + <2l> with Gram [[0,0,k],[0,2l,0],[k,0,0]]."""
@@ -72,11 +93,9 @@ def disc(lat: Lattice) -> int:
 def signature(lat: Lattice):
     """(s_plus, s_minus): the sign changes of det(tI - Q) and of
     det(-tI - Q).  A symmetric matrix has only real eigenvalues, so
-    Descartes' rule of signs counts its positive and negative ones exactly."""
-    c = char_poly(lat.gram)
-    twin = [-x if i % 2 else x for i, x in enumerate(c)]
-    nonzero = [[x for x in p if x != 0] for p in (c, twin)]
-    return tuple(sum(x * y < 0 for x, y in zip(p, p[1:])) for p in nonzero)
+    Descartes' rule of signs counts its positive and negative ones exactly.
+    Computed once per lattice."""
+    return lat._signature
 
 
 @dataclass(frozen=True)
@@ -285,18 +304,11 @@ def preserves_positive_cone(g, lat: Lattice) -> bool:
     """Cone test in integers, for rank at most 3 and signature (1, n) or
     (n, 1): with eps = +1 for (1, n) and -1 otherwise, and v from
     _positive_vector(eps Q), returns eps <gv, v> > 0.  The rank and the
-    signature are checked first, then g (by Isometry3.of).
+    signature are checked first, then g (by Isometry3.of).  v and eps Q v
+    are computed once per lattice.
     """
-    if lat.rank > 3:
-        raise ValueError(f"cone test unsupported for rank {lat.rank}")
-    sig = signature(lat)
-    if 1 not in sig:
-        raise ValueError(f"cone test unsupported for signature {sig}")
-    eps = 1 if sig[0] == 1 else -1
-    g = Isometry3.of(g, lat)
-    r = tuple(tuple(eps * x for x in row) for row in lat.gram)
-    v = _positive_vector(r)
-    val = vec_dot(mat_vec(g.matrix, v), mat_vec(r, v))
+    v, rv = lat._cone_vectors
+    val = vec_dot(mat_vec(Isometry3.of(g, lat).matrix, v), rv)
     if val == 0:
         raise AssertionError("degenerate cone pairing")  # impossible for isometries
     return val > 0

@@ -3,7 +3,11 @@
 Everything in this package runs on Python ints and ``fractions.Fraction``;
 no floating point is used anywhere.  Matrices are immutable tuples of tuples,
 vectors are tuples.  The matrices that occur are tiny (at most 6x6), so the
-implementations favour clarity over asymptotics.
+implementations favour clarity over asymptotics.  The one exception is the
+inner product of :func:`mat_mul` for the engine's own dimensions, 3 (the
+lattice L), 4 (the even Clifford part) and 6 (the exterior square W): there
+an unrolled dot product saves the per-entry ``sum``/``map`` overhead that
+dominates products of matrices this small.
 """
 
 from __future__ import annotations
@@ -51,17 +55,40 @@ def mat_div(a: Matrix, d: int) -> Matrix:
     return tuple(tuple(quotient(x, d) for x in row) for row in a)
 
 
+def vec_dot(u: Vector, v: Vector):
+    return sum(map(mul, u, v))
+
+
+def _dot3(u: Vector, v: Vector):
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u0 * v0 + u1 * v1 + u2 * v2
+
+
+def _dot4(u: Vector, v: Vector):
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3
+
+
+def _dot6(u: Vector, v: Vector):
+    u0, u1, u2, u3, u4, u5 = u
+    v0, v1, v2, v3, v4, v5 = v
+    return u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 + u4 * v4 + u5 * v5
+
+
+_DOTS = {3: _dot3, 4: _dot4, 6: _dot6}
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a b, with the dot product chosen once from the inner dimension len(b)."""
+    dot = _DOTS.get(len(b), vec_dot)
     bt = transpose(b)
-    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+    return tuple([tuple([dot(row, col) for col in bt]) for row in a])
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def vec_dot(u: Vector, v: Vector):
-    return sum(map(mul, u, v))
 
 
 def is_integral(a) -> bool:

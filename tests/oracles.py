@@ -14,7 +14,7 @@ from operator import mul
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               OddCliffordElement, clifford_mul, element_E,
                               norm, reversal)
-from picard3.exterior import GRAM_W, WEDGE_PAIRS, iota_inverse_matrix
+from picard3.exterior import GRAM_W, WEDGE_PAIRS
 from picard3.isometries import Isometry3
 from picard3.lattice import (Lattice, _element_order, discriminant_group,
                              is_isometry)
@@ -364,6 +364,12 @@ def kernel_lift(g, params):
     return elem, _norm(full, params)
 
 
+def mat_mul_reference(a, b):
+    """a b with each entry a generic sum of products over the inner index."""
+    bt = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
+
+
 def det_by_fractions(a):
     """Determinant by Gaussian elimination in Fractions."""
     n = len(a)
@@ -566,6 +572,27 @@ def wedge_of_even(p: tuple, q: tuple) -> tuple:
     return tuple(p[i] * q[j] - p[j] * q[i] for i, j in WEDGE_PAIRS)
 
 
+def compound_by_definition(t):
+    """Second compound of a 4x4 matrix: entry ((i,j),(k,l)) =
+    t[i][k] t[j][l] - t[i][l] t[j][k], for (i, j), (k, l) in WEDGE_PAIRS."""
+    rows = []
+    for i, j in WEDGE_PAIRS:
+        ti, tj = t[i], t[j]
+        rows.append(tuple(ti[k] * tj[l] - ti[l] * tj[k] for k, l in WEDGE_PAIRS))
+    return tuple(rows)
+
+
+def iota_inverse_by_definition(params):
+    """iota^{-1} = G_W^{-1} C(T) for the pairing matrix T[i][j] = (e_i, F_j)_E,
+    the E1E2E3-coordinate of e_i F_j* in Fractions, on the bases (e_i) and
+    (F_j) = (E1E2E3, E1, E2, E3); G_W^{-1} = G_W swaps the row halves."""
+    odd = [OddCliffordElement(*(int(i == j) for j in range(4))) for i in range(4)]
+    t = [[clifford_mul(e, reversal(f, params), params).coeffs[7] for f in odd]
+         for e in _even_basis()]
+    c = compound_by_definition(t)
+    return c[3:] + c[:3]
+
+
 def w_form_by_fractions(v: tuple, w: tuple):
     """<v, w>_W = v^T G_W w, summed in Fractions over the Gram matrix."""
     return sum(Fraction(v[i]) * GRAM_W[i][j] * Fraction(w[j])
@@ -589,11 +616,10 @@ def mu_tilde_matrix_by_fractions(x, params):
     if norm(x, params) == 0:
         raise ValueError("mu~ requires N x != 0")
     imgs = [clifford_mul(e, x, params).coords for e in _even_basis()]
-    ioinv = iota_inverse_matrix(params)
+    ioinv = iota_inverse_by_definition(params)
     cols = []
     for i, j in WEDGE_PAIRS:
-        xi = tuple(imgs[i][k] * imgs[j][l] - imgs[i][l] * imgs[j][k]
-                   for k, l in WEDGE_PAIRS)
+        xi = wedge_of_even(imgs[i], imgs[j])
         cols.append(tuple(sum(ioinv[r][m] * xi[m] for m in range(6))
                           for r in range(6)))
     return mat(tuple(zip(*cols)))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from picard3 import exterior as ext
@@ -10,6 +12,8 @@ from picard3.exterior import (GRAM_W, eta_matrix, iota_inverse_matrix,
                               mu_tilde_matrix, p_bases, pair_w)
 from picard3.verify import exterior_suite
 from conftest import random_gram_params
+from oracles import (compound_by_definition, iota_inverse_by_definition,
+                     mat_mul_reference, wedge_of_even)
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 ONE = EvenCliffordElement(1, 0, 0, 0)
@@ -20,9 +24,10 @@ def iota_matrix(params: GramParams):
 
     iota(w) is the unique xi with (v, xi) = <v, w>_W for all v, where (,) is
     the wedge-square of the duality pairing C; in coordinates C^{-1} G_W,
-    the inverse of iota_inverse_matrix.
+    the inverse of the oracle's iota^{-1}, which does not go through the
+    library's compound.
     """
-    return la.inverse(iota_inverse_matrix(params))
+    return la.inverse(iota_inverse_by_definition(params))
 
 
 def test_w_form_values():
@@ -84,6 +89,43 @@ def test_mu_functoriality_and_scaling(rng):
         w2 = tuple(rng.randint(-3, 3) for _ in range(6))
         assert pair_w(la.mat_vec(mm, w1), la.mat_vec(mm, w2)) == \
             n1 * n1 * n2 * n2 * pair_w(w1, w2)
+
+
+def test_wedge_matches_the_oracle(rng):
+    for _ in range(300):
+        v, w = ([rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)] for _ in range(2))
+        assert ext._wedge(v, w) == wedge_of_even(v, w)
+        assert ext._wedge(tuple(v), w) == ext._wedge(v, tuple(w))
+    assert ext._wedge((1, 0, 0, 0), (0, 1, 0, 0)) == (1, 0, 0, 0, 0, 0)   # e01
+    assert ext._wedge((0, 0, 0, 1), (0, 1, 0, 0)) == (0, 0, 0, 0, 1, 0)   # e31
+
+
+def random_4x4(rng, fractions=False):
+    t = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(4)]
+    if fractions:
+        t = [[Fraction(x, rng.randint(1, 7)) for x in row] for row in t]
+    return t
+
+
+def test_compound_matches_the_definition(rng):
+    for _ in range(200):
+        for t in (random_4x4(rng), random_4x4(rng, fractions=True)):
+            want = compound_by_definition(t)
+            for m in (t, la.mat(t)):
+                got = ext._compound_matrix(m)
+                assert got == want
+                assert type(got) is tuple and all(type(row) is tuple for row in got)
+                assert [type(x) for row in got for x in row] \
+                    == [type(x) for row in want for x in row]
+
+
+def test_compound_is_multiplicative(rng):
+    # Cauchy-Binet: C2(AB) = C2(A) C2(B)
+    for _ in range(100):
+        for frac in (False, True):
+            a, b = random_4x4(rng, frac), random_4x4(rng, frac)
+            assert ext._compound_matrix(mat_mul_reference(a, b)) == mat_mul_reference(
+                ext._compound_matrix(a), ext._compound_matrix(b))
 
 
 def test_iota_sample(rng):

@@ -6,6 +6,7 @@ from oracles import (cone_test_by_two_diagonalizations,
                      form_orthogonal_group_bijective,
                      generator_lifts_by_inverse, induced_action_trivial,
                      isometry_scan, signature_of)
+from picard3 import lattice as lattice_module
 from picard3 import linalg as la
 from picard3.clifford import GramParams
 from picard3.isometries import Isometry3, phi_alpha, seeded_units
@@ -265,6 +266,29 @@ def test_positive_cone():
                      Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))))
     with pytest.raises(ValueError, match="not an isometry"):
         preserves_positive_cone(swap, lat)
+
+
+def test_cone_test_reads_the_signature_once_per_lattice(monkeypatch):
+    calls = {"char_poly": 0, "_positive_vector": 0}
+
+    def counted(name):
+        real = getattr(lattice_module, name)
+
+        def wrapper(a):
+            calls[name] += 1
+            return real(a)
+        monkeypatch.setattr(lattice_module, name, wrapper)
+
+    counted("char_poly")
+    counted("_positive_vector")
+    lat = family_lattice(2, -6)
+    i3 = la.identity(3)
+    neg = la.mat_scale(-1, i3)
+    assert [preserves_positive_cone(g, lat) for g in (i3, neg, i3, neg, i3)] \
+        == [True, False, True, False, True]
+    assert signature(lat) == (1, 2)
+    assert calls == {"char_poly": 1, "_positive_vector": 1}
+    assert signature(family_lattice(2, -6)) == (1, 2) and calls["char_poly"] == 2
 
 
 def test_cone_test_matches_two_diagonalizations():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import positive_vector, signature_of, symmetric_diagonalize
+from oracles import (mat_mul_reference, positive_vector, signature_of,
+                     symmetric_diagonalize)
 from picard3 import linalg as la
 
 
@@ -11,6 +12,26 @@ def test_identity_and_mul():
     assert la.mat_mul(a, la.identity(2)) == a
     assert la.mat_mul(la.identity(2), a) == a
     assert la.transpose(a) == la.mat([[1, 3], [2, 4]])
+
+
+def test_mat_mul_matches_the_reference(rng):
+    # inner dimensions 3, 4 and 6 take the unrolled dot products, the others
+    # (0 included) the generic one
+    for inner in range(8):
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                a = [[rng.randint(-99, 99) for _ in range(inner)] for _ in range(rows)]
+                b = [[rng.randint(-99, 99) for _ in range(cols)] for _ in range(inner)]
+                af = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in a]
+                bf = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in b]
+                for x, y in ((a, b), (af, b), (a, bf), (af, bf)):
+                    for x2, y2 in ((x, y), (la.mat(x), la.mat(y))):
+                        got, want = la.mat_mul(x2, y2), mat_mul_reference(x2, y2)
+                        assert got == want, (inner, rows, cols)
+                        assert type(got) is tuple and len(got) == rows
+                        assert all(type(row) is tuple for row in got)
+                        assert [type(v) for row in got for v in row] \
+                            == [type(v) for row in want for v in row]
 
 
 def test_det_small():

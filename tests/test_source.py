@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import picard3
+from picard3.clifford import PARAMS_CACHE_SIZE
 
 SRC = Path(picard3.__file__).parent
 TESTS = Path(__file__).resolve().parent
@@ -162,6 +163,63 @@ def test_library_modules_import_no_private_names_from_each_other():
     assert modules
     found = {p.name: private_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+LRU_CACHE = ("lru_cache", "functools.lru_cache")
+
+
+def _bounded(node) -> bool:
+    return (isinstance(node, ast.Constant) and type(node.value) is int and node.value >= 0
+            or isinstance(node, ast.Name) and node.id == "PARAMS_CACHE_SIZE")
+
+
+def unbounded_caches(source: str) -> list:
+    """The lines of the caches without an explicit bound: each import or
+    read of functools.cache, each bare lru_cache decorator, and each
+    lru_cache call whose maxsize is not a non-negative int literal or
+    PARAMS_CACHE_SIZE (maxsize=None among them)."""
+    tree = ast.parse(source)
+    called = {node.func for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "functools.cache":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in LRU_CACHE:
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if not (size and _bounded(size[0])):
+                found.append(node.lineno)
+        elif (isinstance(node, (ast.Name, ast.Attribute)) and node not in called
+              and ast.unparse(node) in LRU_CACHE):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_unbounded_caches_are_found():
+    src = ("import functools\n"
+           "from functools import cache, lru_cache\n"
+           "@lru_cache(maxsize=32)\n"
+           "def f(x): return x\n"
+           "@lru_cache(maxsize=PARAMS_CACHE_SIZE)\n"
+           "def g(x): return x\n"
+           "@functools.lru_cache(maxsize=None)\n"
+           "def h(x): return x\n"
+           "@lru_cache\n"
+           "def i(x): return x\n"
+           "@functools.cache\n"
+           "def j(x): return x\n"
+           "k = lru_cache(8)(len), functools.lru_cache(typed=True)(len)\n"
+           "m = lru_cache(SIZE)(len), lru_cache(None)(len), lru_cache(-1)(len)\n")
+    assert unbounded_caches(src) == [2, 7, 9, 11, 13, 14, 14, 14]
+
+
+def test_library_caches_are_bounded():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: unbounded_caches(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert type(PARAMS_CACHE_SIZE) is int and PARAMS_CACHE_SIZE > 0
 
 
 DATACLASS_DUNDERS = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"}
