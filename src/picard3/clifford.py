@@ -16,11 +16,17 @@ and an element is stored by 8 coordinates on the monomials
 1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3, as integers over one common
 denominator.  Both grades are then slices of the 8 slots: EVEN_MASKS on
 (e0, e1, e2, e3) and ODD_MASKS on (E1E2E3, E1, E2, E3).  Products, the
-reversal and the matrix ``phi_rep`` of the even part run on integers through
-straight-line kernels.  The rewriting rules derive the structure constants
-once per process, as integer polynomials in (a, b, c, s, t, u), and the
-kernels are written from them; a lattice keeps only the values of the 25
-non-constant ones.  Every product sign is produced by the rules.
+reversal and four 4x4 multiplication matrices run on integers through
+straight-line kernels: left multiplication by an even element on the even
+part (``phi_rep``), right multiplication by an even element on the even
+part, right multiplication by an odd element from the even part to the odd
+part, and left multiplication by an odd element from the odd part to the
+even part.  The exterior-square actions are products of these matrices.
+The rewriting rules derive the structure constants once per process, as
+integer polynomials in (a, b, c, s, t, u), and the kernels are written from
+them in two groups, the products and the matrices, each compiled on its
+first use; a lattice keeps only the values of the 25 non-constant
+polynomials.  Every product sign is produced by the rules.
 
 The module also gives the reduced trace/norm and the central odd element E
 with E^2 = -D0 where D0 = disc(L)/8.  Three closed forms stay printed, each
@@ -274,62 +280,86 @@ def _sum_source(terms) -> str:
     return (s[3:] if s[1] == "+" else "-" + s[3:]) if s else "0"
 
 
-@lru_cache(maxsize=1)
-def _kernels() -> tuple:
-    """(constants, mul, reversal, phi): straight-line functions written once
-    per process from the structure polynomials.  constants(a, b, c, s, t, u)
-    is the tuple k of a lattice, the values of the non-constant polynomials;
-    mul[2 gx + gy](xs, ys, k) multiplies the grade-gx part of xs by the
-    grade-gy part of ys (0 even, 1 odd) and reads no other slot; phi(xs, k)
-    reads only the even part of xs.  Each is compiled on its own, which keeps
-    the compiler's peak memory low."""
+# The matrix kernels, as (name, left, factor grade, grade acted on): column j
+# of name(xs, k) is the product of the factor-grade part of xs, on the left
+# or on the right, with the j-th basis vector of the grade acted on, in the
+# chart of the product's grade.
+_MATRIX_KERNELS = (("phi", True, EVEN_MASKS, EVEN_MASKS),
+                   ("right_even", False, EVEN_MASKS, EVEN_MASKS),
+                   ("right_odd", False, ODD_MASKS, EVEN_MASKS),
+                   ("left_odd", True, ODD_MASKS, ODD_MASKS))
+
+
+@lru_cache(maxsize=2)
+def _kernels(group: str) -> tuple:
+    """The straight-line functions of one group, written once per process
+    from the structure polynomials and compiled on first use of the group.
+    "products" gives (constants, mul, reversal): constants(a, b, c, s, t, u)
+    is the tuple k of a lattice, the values of the non-constant polynomials,
+    and mul[2 gx + gy](xs, ys, k) multiplies the grade-gx part of xs by the
+    grade-gy part of ys (0 even, 1 odd) and reads no other slot.  "matrices"
+    gives the 4x4 matrices (phi, right_even, right_odd, left_odd)(xs, k) of
+    _MATRIX_KERNELS, each reading one grade of xs.  Each function is
+    compiled on its own, which keeps the compiler's peak memory low."""
     mult, rev = _structure_polynomials()
-    index = {}
+    index = {}  # both groups read k in this order
+    for terms in mult + rev:
+        for _, f in terms:
+            if set(f) != {()}:
+                index.setdefault(tuple(sorted(f.items())), len(index))
 
     def term(f, factor):
         """(c, source) of f * factor, with c = f when f is constant."""
         if set(f) == {()}:
             return f[()], factor
-        return 1, f"k{index.setdefault(tuple(sorted(f.items())), len(index))}*{factor}"
+        return 1, f"k{index[tuple(sorted(f.items()))]}*{factor}"
 
-    bodies = []  # (name, arguments, returned expression)
-    for gx, gy in product((EVEN_MASKS, ODD_MASKS), repeat=2):
-        slots = [[] for _ in range(DIM)]
-        for m1, m3 in product(gx, range(DIM)):  # x_m1 times a sum over y
-            inner = [term(f, f"y{m2}") for m2 in gy for m, f in mult[DIM * m1 + m2] if m == m3]
-            if inner:
-                slots[m3].append((1, f"x{m1}*({_sum_source(inner)})"))
-        bodies.append(("mul", "xyk", f"[{', '.join(map(_sum_source, slots))}]"))
-    slots = [[term(f, f"x{m}") for m, row in enumerate(rev) for m2, f in row if m2 == m3]
-             for m3 in range(DIM)]
-    bodies.append(("reversal", "xk", f"[{', '.join(map(_sum_source, slots))}]"))
-    rows = [", ".join(_sum_source([term(f, f"x{m1}") for m1 in EVEN_MASKS
-                                   for m, f in mult[DIM * m1 + m2] if m == m3])
-                      for m2 in EVEN_MASKS) for m3 in EVEN_MASKS]
-    bodies.append(("phi", "xk", "(" + ", ".join(f"({row})" for row in rows) + ")"))
+    bodies, sources = [], []  # bodies: (name, arguments, returned expression)
+    if group == "products":
+        polys = [_sum_source((k, "*".join("abcstu"[i] for i in mono)) for mono, k in f)
+                 for f in index]
+        sources.append(("constants", "def constants(a, b, c, s, t, u):\n"
+                        f"    return ({', '.join(polys)},)\n"))
+        for gx, gy in product((EVEN_MASKS, ODD_MASKS), repeat=2):
+            slots = [[] for _ in range(DIM)]
+            for m1, m3 in product(gx, range(DIM)):  # x_m1 times a sum over y
+                inner = [term(f, f"y{m2}") for m2 in gy
+                         for m, f in mult[DIM * m1 + m2] if m == m3]
+                if inner:
+                    slots[m3].append((1, f"x{m1}*({_sum_source(inner)})"))
+            bodies.append(("mul", "xyk", f"[{', '.join(map(_sum_source, slots))}]"))
+        slots = [[term(f, f"x{m}") for m, row in enumerate(rev) for m2, f in row if m2 == m3]
+                 for m3 in range(DIM)]
+        bodies.append(("reversal", "xk", f"[{', '.join(map(_sum_source, slots))}]"))
+    else:
+        for name, left, gx, ga in _MATRIX_KERNELS:
+            rows = [", ".join(_sum_source([term(f, f"x{m1}") for m1 in gx for m, f in
+                                           mult[DIM * m1 + m2 if left else DIM * m2 + m1]
+                                           if m == m3])
+                              for m2 in ga)
+                    for m3 in (EVEN_MASKS if gx == ga else ODD_MASKS)]
+            bodies.append((name, "xk", "(" + ", ".join(f"({row})" for row in rows) + ")"))
     size = {"x": DIM, "y": DIM, "k": len(index)}
-    sources = [(name, f"def {name}({', '.join(args)}):\n"
-                + "".join(f"    {', '.join(f'{a}{i}' for i in range(size[a]))} = {a}\n"
-                          for a in args)
-                + f"    return {value}\n")
-               for name, args, value in bodies]
-    polys = [_sum_source((k, "*".join("abcstu"[i] for i in mono)) for mono, k in f)
-             for f in index]
-    sources.append(("constants", "def constants(a, b, c, s, t, u):\n"
-                    f"    return ({', '.join(polys)},)\n"))
+    sources += [(name, f"def {name}({', '.join(args)}):\n"
+                 + "".join(f"    {', '.join(f'{a}{i}' for i in range(size[a]))} = {a}\n"
+                           for a in args)
+                 + f"    return {value}\n")
+                for name, args, value in bodies]
     functions = []
     for name, source in sources:
         namespace = {}
         exec(source, namespace)
         functions.append(namespace[name])
-    *mul, reverse, phi, constants = functions
-    return constants, tuple(mul), reverse, phi
+    if group == "products":
+        constants, *mul, reverse = functions
+        return constants, tuple(mul), reverse
+    return tuple(functions)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _constants(params: GramParams) -> tuple:
     """The constants k of the kernels at the fields of params."""
-    return _kernels()[0](*params)
+    return _kernels("products")[0](*params)
 
 
 def _grade(xs):
@@ -344,7 +374,7 @@ def integer_mul(xs, ys, params: GramParams) -> list:
     """The product of two elements given by integer coordinate lists, by the
     kernel of their grades.  A factor with both grades splits into its two
     parts, and the four graded products are summed."""
-    k, mul = _constants(params), _kernels()[1]
+    k, mul = _constants(params), _kernels("products")[1]
     gx, gy = _grade(xs), _grade(ys)
     if gx is None or gy is None:
         return [sum(c) for c in zip(*(f(xs, ys, k) for f in mul))]
@@ -361,7 +391,7 @@ def clifford_mul(x: CliffordElement, y: CliffordElement,
 
 def integer_reversal(xs, params: GramParams) -> list:
     """The reversal of an element given by an integer coordinate list."""
-    return _kernels()[2](xs, _constants(params))
+    return _kernels("products")[2](xs, _constants(params))
 
 
 def reversal(x: CliffordElement, params: GramParams) -> CliffordElement:
@@ -381,8 +411,10 @@ def trace(x: CliffordElement, params: GramParams):
 
 def integer_norm(xs, params: GramParams) -> int:
     """x x^* for a pure even or pure odd element given by an integer
-    coordinate list."""
-    p = integer_mul(xs, integer_reversal(xs, params), params)
+    coordinate list, by the product kernel of its grade."""
+    k = _constants(params)
+    _, mul, reverse = _kernels("products")
+    p = mul[3 if xs[1] or xs[2] or xs[4] or xs[7] else 0](xs, reverse(xs, k), k)
     if any(p[1:]):
         raise AssertionError("x * x^* is not scalar")
     return p[0]
@@ -398,7 +430,26 @@ def norm(x: CliffordElement, params: GramParams):
 def integer_phi(xs, params: GramParams):
     """The 4x4 matrix of left multiplication by the even part of the integer
     coordinate list xs, on (e0, e1, e2, e3): column j holds x e_j."""
-    return _kernels()[3](xs, _constants(params))
+    return _kernels("matrices")[0](xs, _constants(params))
+
+
+def integer_right_even(xs, params: GramParams):
+    """The 4x4 matrix of right multiplication by the even part of xs, on
+    (e0, e1, e2, e3): column j holds e_j x."""
+    return _kernels("matrices")[1](xs, _constants(params))
+
+
+def integer_right_odd(xs, params: GramParams):
+    """The 4x4 matrix of right multiplication by the odd part of xs, from
+    (e0, e1, e2, e3) to (E1E2E3, E1, E2, E3): column j holds e_j x."""
+    return _kernels("matrices")[2](xs, _constants(params))
+
+
+def integer_left_odd(xs, params: GramParams):
+    """The 4x4 matrix of left multiplication by the odd part of xs, from
+    (E1E2E3, E1, E2, E3) to (e0, e1, e2, e3): column j holds x F_j for the
+    j-th odd basis vector F_j."""
+    return _kernels("matrices")[3](xs, _constants(params))
 
 
 def phi_rep(x: CliffordElement, params: GramParams):
@@ -410,14 +461,19 @@ def phi_rep(x: CliffordElement, params: GramParams):
     return mat_div(integer_phi(x.ints, params), x.den)
 
 
+def integer_gram_B(params: GramParams):
+    """2 Q_B, the integer matrix of Tr(x y*) on (e0, e1, e2, e3); its
+    determinant is 16 D0^2 = disc^2 / 4."""
+    a, b, c, s, t, u = params
+    return ((2, s, t, u),
+            (s, 2 * b * c, s * t - c * u, s * u - b * t),
+            (t, s * t - c * u, 2 * a * c, t * u - a * s),
+            (u, s * u - b * t, t * u - a * s, 2 * a * b))
+
+
 def gram_B(params: GramParams):
     """Gram matrix of <x,y>_B = Tr(x y*)/2 on (e0, e1, e2, e3); det = D0^2."""
-    a, b, c, s, t, u = params
-    m = [[2, s, t, u],
-         [s, 2 * b * c, s * t - c * u, s * u - b * t],
-         [t, s * t - c * u, 2 * a * c, t * u - a * s],
-         [u, s * u - b * t, t * u - a * s, 2 * a * b]]
-    return mat([[Fraction(x, 2) for x in row] for row in m])
+    return mat([[Fraction(x, 2) for x in row] for row in integer_gram_B(params)])
 
 
 def element_E(params: GramParams) -> CliffordElement:

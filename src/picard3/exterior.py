@@ -14,17 +14,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
-                       PARAMS_CACHE_SIZE, CliffordElement, GramParams,
-                       integer_mul, integer_norm, integer_phi, integer_reversal,
+from .clifford import (DIM, ODD_MASKS, PARAMS_CACHE_SIZE, CliffordElement,
+                       GramParams, integer_left_odd, integer_norm, integer_phi,
+                       integer_reversal, integer_right_even, integer_right_odd,
                        norm, reversal)
 from .linalg import det, mat, mat_div, mat_mul, transpose
 
 # index pairs (i, j) for the basis e_i ^ e_j of W, and for F_i ^ F_j of W'
 WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
 
-# The bases (e0, e1, e2, e3) and (E1E2E3, E1, E2, E3) as integer coordinates.
-_EVEN_BASIS = tuple(tuple(int(m == s) for m in range(DIM)) for s in EVEN_MASKS)
+# The basis (E1E2E3, E1, E2, E3) as integer coordinates.
 _ODD_BASIS = tuple(tuple(int(m == s) for m in range(DIM)) for s in ODD_MASKS)
 
 # Gram matrix of <,>_W: dual pairs (e01,e23), (e02,e31), (e03,e12)
@@ -85,30 +84,24 @@ def mu_matrix(x: CliffordElement, y: CliffordElement, params: GramParams):
     """Matrix of mu(x, y): h1 ^ h2 -> x h1 y ^ x h2 y on the e_ij basis, for
     even x and y.
 
-    The images of the e_i under the integer coordinates of x and y, and
-    their wedges, are integers, divided by (dx dy)^2 once for the
-    denominators dx, dy.  The products x e_i are the columns of
-    :func:`integer_phi`, so only the right factor y is multiplied out.
+    h -> x h y has the integer matrix Phi(x) P(y) on the integer coordinates
+    of x and y, for the left and right multiplication matrices
+    :func:`integer_phi` and :func:`integer_right_even`.  Its second
+    compound is divided once by (dx dy)^2 for the denominators dx, dy.
     """
     if not (x.is_even and y.is_even):
         raise ValueError("mu requires even elements")
-    imgs = []
-    for col in zip(*integer_phi(x.ints, params)):
-        xe = [0] * DIM
-        for m, v in zip(EVEN_MASKS, col):
-            xe[m] = v
-        imgs.append(integer_mul(xe, y.ints, params))
-    return mat_div(_compound_matrix([[w[m] for w in imgs] for m in EVEN_MASKS]),
-                   (x.den * y.den) ** 2)
+    t = mat_mul(integer_phi(x.ints, params), integer_right_even(y.ints, params))
+    return mat_div(_compound_matrix(t), (x.den * y.den) ** 2)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _pairing_matrix(params: GramParams):
     """T[i][j] = (e_i, F_j)_E on the bases (e_i) and (E1E2E3, E1, E2, E3):
-    the E1E2E3-coordinate of e_i F_j*."""
-    stars = [integer_reversal(f, params) for f in _ODD_BASIS]
-    return tuple(tuple(integer_mul(e, f, params)[7] for f in stars)
-                 for e in _EVEN_BASIS)
+    the E1E2E3-coordinate of e_i F_j*, so column j of T is the E1E2E3 row
+    of the right multiplication matrix of F_j*."""
+    return transpose([integer_right_odd(integer_reversal(f, params), params)[0]
+                      for f in _ODD_BASIS])
 
 
 def _wedge(v, w):
@@ -146,27 +139,25 @@ def _odd_norm(x: CliffordElement, params: GramParams) -> int:
 
 def integer_mu_tilde(xs, params: GramParams):
     """M with mu~(x) = M / d^2, for x = xs / d odd with N x != 0 (unchecked).
-    A holds the images e_i xs, and M is G_W^{-1} C(T) C(A) = G_W C(T A) by
-    Cauchy-Binet, for the pairing matrix T of iota^{-1} = G_W^{-1} C(T): the
-    row halves of C(T A) swapped."""
-    imgs = [integer_mul(e, xs, params) for e in _EVEN_BASIS]
+    The right multiplication matrix A of xs holds the images e_i xs, and M
+    is G_W^{-1} C(T) C(A) = G_W C(T A) by Cauchy-Binet, for the pairing
+    matrix T of iota^{-1} = G_W^{-1} C(T): the row halves of C(T A) swapped."""
     c = _compound_matrix(mat_mul(_pairing_matrix(params),
-                                 [[w[k] for w in imgs] for k in ODD_MASKS]))
+                                 integer_right_odd(xs, params)))
     return c[3:] + c[:3]
 
 
 def integer_eta(xs, params: GramParams):
     """T with eta_x = T / (-n), for x = xs / d odd with N x != 0 (unchecked)
-    and n = N xs.  T has the columns -xs* v xs for v = E1, E2, E3, so the
-    image -x^{-1} v x is T v / (-n)."""
-    xstar = integer_reversal(xs, params)
-    cols = []
-    for v in _ODD_BASIS[1:]:    # E1, E2, E3
-        img = integer_mul(integer_mul(xstar, v, params), xs, params)
-        if img[7] != 0:
-            raise AssertionError("eta image left L (x) Q")
-        cols.append([img[k] for k in GEN_MASKS])
-    return transpose(cols)
+    and n = N xs.  T has the columns xs* v xs for v = E1, E2, E3, so the
+    image -x^{-1} v x is T v / (-n).  The odd map v -> xs* v xs is the
+    product of the right multiplication matrix of xs and the left one of
+    xs*; T is its block on (E1, E2, E3)."""
+    e, *rows = mat_mul(integer_right_odd(xs, params),
+                       integer_left_odd(integer_reversal(xs, params), params))
+    if e[1] or e[2] or e[3]:
+        raise AssertionError("eta image left L (x) Q")
+    return tuple(row[1:] for row in rows)
 
 
 def mu_tilde_matrix(x: CliffordElement, params: GramParams):

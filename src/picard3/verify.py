@@ -19,9 +19,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import exterior as ext
-from .clifford import (CliffordElement, EvenCliffordElement, GramParams,
+from .clifford import (DIM, CliffordElement, EvenCliffordElement, GramParams,
                        OddCliffordElement, alternating_E, clifford_mul,
-                       element_E, gram_B, norm, phi_rep, reversal, trace)
+                       element_E, integer_gram_B, integer_mul, norm, phi_rep,
+                       reversal, trace)
 from .isometries import (clifford_lift, family_unit, g_alpha, h_alpha,
                          p_alpha_and_unit, phi_alpha, seeded_units,
                          unit_product, unit_search_even)
@@ -29,6 +30,8 @@ from .linalg import det, mat, mat_mul, mat_scale, mat_vec
 
 FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
 GRAM_BOUND = 5   # |entries| of the clifford and exterior suites' Gram tuples
+# The monomials 1, E1, ..., E1E2E3 as integer coordinates.
+_BASIS = tuple(tuple(int(m == i) for m in range(DIM)) for i in range(DIM))
 
 
 @dataclass
@@ -73,13 +76,14 @@ def clifford_suite(trials: int, seed: int) -> SuiteResult:
         p = _random_params(rng)
         tag = f"params {p}"
         E = element_E(p)
-        res.check(all(clifford_mul(E, CliffordElement.basis(m), p)
-                      == clifford_mul(CliffordElement.basis(m), E, p)
-                      for m in range(8)), f"E central: {tag}")
+        # E e and e E share the denominator of E: equal integer lists
+        res.check(all(integer_mul(E.ints, e, p) == integer_mul(e, E.ints, p)
+                      for e in _BASIS), f"E central: {tag}")
         res.check(reversal(E, p) == -E, f"E* = -E: {tag}")
         res.check(clifford_mul(E, E, p) == CliffordElement.scalar(-p.disc_half),
                   f"E^2 = -D0: {tag}")
-        res.check(det(gram_B(p)) == p.disc_half ** 2, f"det Q_B: {tag}")
+        # det Q_B = det(2 Q_B) / 16 and D0^2 = disc^2 / 64
+        res.check(4 * det(integer_gram_B(p)) == p.disc ** 2, f"det Q_B: {tag}")
         try:
             alternating_E(p)
             res.check(True, "")

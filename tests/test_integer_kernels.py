@@ -2,18 +2,27 @@
 the Bareiss and cofactor determinants against the Fraction paths they
 replaced (tests/oracles.py)."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+
+import picard3
 
 from oracles import (ascending, conjugation_matrix, det_by_fractions,
                      isometry_scan, kernel_lift, monomial_product, rewrite_mul,
                      rewrite_reversal)
 from picard3 import linalg as la
 from picard3.clifford import (EVEN_MASKS, ODD_MASKS, CliffordElement,
-                              GramParams, clifford_mul, integer_mul,
-                              integer_reversal, reversal)
+                              GramParams, clifford_mul, integer_left_odd,
+                              integer_mul, integer_norm, integer_phi,
+                              integer_reversal, integer_right_even,
+                              integer_right_odd, norm, reversal)
 from picard3.exterior import _pairing_matrix
 from picard3.isometries import (_unit_forms, clifford_lift, g_alpha, h_alpha,
                                 seeded_units)
@@ -151,6 +160,82 @@ def test_structure_constants_match_the_rewriting_rules_on_every_slot(rng):
             for m2, y in enumerate(monos):
                 assert (asc(integer_mul(x, y, p))
                         == monomial_product(m1, m2, p)), (p, m1, m2)
+
+
+def _graded(xs, masks):
+    """The part of the coordinate list xs on the slots masks."""
+    return [v if m in masks else 0 for m, v in enumerate(xs)]
+
+
+def test_matrix_kernels_are_the_products_with_each_basis_vector():
+    # column j of each multiplication matrix is the product of one graded
+    # part of x, on its side, with the j-th basis vector of the grade acted
+    # on; the kernels get x with both grades and read only their own
+    rng = random.Random(20261019)
+    even = [[int(m == s) for m in range(8)] for s in EVEN_MASKS]
+    odd = [[int(m == s) for m in range(8)] for s in ODD_MASKS]
+    for _ in range(200):
+        p = random_gram_params(rng)
+        xs = [rng.randint(-9, 9) for _ in range(8)]
+        xe, xo = _graded(xs, EVEN_MASKS), _graded(xs, ODD_MASKS)
+        # (kernel, basis acted on, chart of the image, other chart, image)
+        cases = ((integer_phi, even, EVEN_MASKS, ODD_MASKS,
+                  lambda b: integer_mul(xe, b, p)),
+                 (integer_right_even, even, EVEN_MASKS, ODD_MASKS,
+                  lambda b: integer_mul(b, xe, p)),
+                 (integer_right_odd, even, ODD_MASKS, EVEN_MASKS,
+                  lambda b: integer_mul(b, xo, p)),
+                 (integer_left_odd, odd, EVEN_MASKS, ODD_MASKS,
+                  lambda b: integer_mul(xo, b, p)))
+        for kernel, basis, rows, other, image in cases:
+            cols = [image(b) for b in basis]
+            assert all(c[m] == 0 for c in cols for m in other), (p, xs)
+            assert kernel(xs, p) == tuple(tuple(c[m] for c in cols) for m in rows), \
+                (kernel.__name__, p, xs)
+
+
+def test_integer_norm_is_the_scalar_part_of_x_times_its_reversal():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        p = random_gram_params(rng)
+        xs = [rng.randint(-9, 9) for _ in range(8)]
+        for masks in (EVEN_MASKS, ODD_MASKS):
+            x = _graded(xs, masks)
+            assert integer_norm(x, p) == integer_mul(x, integer_reversal(x, p), p)[0]
+        if any(_graded(xs, EVEN_MASKS)) and any(_graded(xs, ODD_MASKS)):
+            with pytest.raises(ValueError):
+                norm(CliffordElement(tuple(xs)), p)
+
+
+LAZY_MATRIX_KERNELS = """
+from picard3 import clifford
+from picard3.clifford import EvenCliffordElement, GramParams
+from picard3.exterior import mu_matrix
+from picard3.isometries import clifford_lift, family_unit, h_alpha, unit_search_even
+
+k, l = 2, -3
+params = GramParams.family(k, l)
+unit = family_unit(unit_search_even(k, l, 6)[0], k, l)
+clifford_lift(h_alpha(unit, params), params)
+after_maps = clifford._kernels.cache_info()
+clifford._kernels("products")
+products_hit = clifford._kernels.cache_info().misses == after_maps.misses
+x = EvenCliffordElement(1, 1, 0, 2)
+mu_matrix(x, x, params)
+print(after_maps.currsize, products_hit, clifford._kernels.cache_info().currsize)
+"""
+
+
+def test_matrix_kernels_compile_only_when_a_matrix_is_asked_for():
+    # h_alpha and clifford_lift use the product kernels alone, so a process
+    # that only maps units never compiles the multiplication matrices
+    src = str(Path(picard3.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", LAZY_MATRIX_KERNELS], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "True", "2"]
 
 
 def test_bareiss_det_matches_fraction_elimination(rng):
