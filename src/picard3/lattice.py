@@ -172,53 +172,32 @@ def _element_order(coeffs, factors):
 
 
 def form_orthogonal_group(form: FiniteQuadraticForm):
-    """All automorphisms of A(L) preserving q, by backtracking over images.
+    """All automorphisms of A(L) preserving q, found one generator at a time.
 
     Each automorphism is an m x m integer matrix whose column i is the image
-    of generator i in exponent coordinates.  A map found here preserves the
-    discriminant bilinear form b, which is nondegenerate, so its kernel lies
-    in the radical of b: it is injective, hence bijective.  Raises
-    ValueError when |A(L)| > 1000.
+    of generator i in exponent coordinates.  The partial maps (images of
+    generators 0..i-1) are extended by every element with the order and
+    q-value of generator i whose pairings with the earlier images equal
+    those of generator i; the result is in lexicographic order of the
+    images.  A map found here preserves the discriminant bilinear form b,
+    which is nondegenerate, so its kernel lies in the radical of b: it is
+    injective, hence bijective.  Raises ValueError when |A(L)| > 1000.
     """
     group = form.group
     factors = group.invariant_factors
-    m = len(factors)
     if group.order > 1000:
         raise ValueError(f"|A(L)| = {group.order} exceeds cap 1000")
-    if m == 0:
-        return (mat([]),)
-
-    gens = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     elements = list(group.elements())
-
-    # candidate images per generator: matching order, q-value preserved
-    candidates = []
-    for i in range(m):
-        want_q = form.q_of(gens[i])
-        cand = [e for e in elements
-                if _element_order(e, factors) == factors[i]
-                and form.q_of(e) == want_q]
-        candidates.append(cand)
-
-    auts = []
-
-    def bilinear_ok(imgs, new):
-        i = len(imgs)
-        for j, old in enumerate(imgs):
-            if form.bilinear(new, old) != form.bilinear(gens[i], gens[j]):
-                return False
-        return True
-
-    def backtrack(imgs):
-        if len(imgs) == m:
-            auts.append(mat(transpose(imgs)))
-            return
-        for cand in candidates[len(imgs)]:
-            if bilinear_ok(imgs, cand):
-                backtrack(imgs + [cand])
-
-    backtrack([])
-    return tuple(auts)
+    gens = identity(len(factors))
+    maps = [()]
+    for i, (gen, d) in enumerate(zip(gens, factors)):
+        want_q = form.q_of(gen)
+        want_b = [form.bilinear(gen, old) for old in gens[:i]]
+        cands = [e for e in elements
+                 if _element_order(e, factors) == d and form.q_of(e) == want_q]
+        maps = [imgs + (e,) for imgs in maps for e in cands
+                if all(form.bilinear(e, old) == b for old, b in zip(imgs, want_b))]
+    return tuple(mat(transpose(imgs)) for imgs in maps)
 
 
 def is_isometry(g, lat: Lattice) -> bool:

@@ -233,33 +233,21 @@ def smith_normal_form(a: Matrix):
     """Smith normal form with transforms: returns (d, u, v) with u*a*v = d.
 
     u and v are unimodular; d is diagonal with nonnegative entries satisfying
-    d[i] | d[i+1].
+    d[i] | d[i+1].  The elimination runs on the block matrix
+    b = [[a, I_rows], [I_cols, 0]]: an operation on its top rows carries u
+    along, and one on its left columns carries v, so d, u and v are its three
+    nonzero blocks at the end.  Swapping each remainder up as the new pivot
+    can blow up the coefficients of larger matrices: a 4 x 4 one with
+    six-digit entries runs for more than a minute.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m = [list(row) for row in a]
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for r in range(rows):
-            m[r][i] -= q * m[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+    b = ([list(r) + [1 if i == j else 0 for j in range(rows)] for i, r in enumerate(a)]
+         + [[1 if i == j else 0 for j in range(cols + rows)] for i in range(cols)])
 
     def swap_cols(i, j):
-        for r in range(rows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for r in b:
+            r[i], r[j] = r[j], r[i]
 
     t = 0
     while t < min(rows, cols):
@@ -267,45 +255,43 @@ def smith_normal_form(a: Matrix):
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                if b[i][j] != 0 and (best is None or abs(b[i][j]) < abs(b[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        b[t], b[best[0]] = b[best[0]], b[t]
         swap_cols(t, best[1])
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
-                    if m[i][t] != 0:  # remainder smaller than pivot: swap up
-                        swap_rows(t, i)
+                if b[i][t] != 0:
+                    q = b[i][t] // b[t][t]
+                    b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                    if b[i][t] != 0:  # remainder smaller than pivot: swap up
+                        b[t], b[i] = b[i], b[t]
                         dirty = True
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    if m[t][j] != 0:
+                if b[t][j] != 0:
+                    q = b[t][j] // b[t][t]
+                    for r in b:
+                        r[j] -= q * r[t]
+                    if b[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
         # pivot must divide the remaining block
+        p = b[t][t]
         for i in range(t + 1, rows):
-            bad = next((j for j in range(t + 1, cols) if m[i][j] % m[t][t] != 0), None)
-            if bad is not None:
-                row_op(t, i, -1)  # add row i to row t, then restart reduction
+            if any(x % p for x in b[i][t + 1:cols]):
+                b[t] = [x + y for x, y in zip(b[t], b[i])]  # add row i, then restart
                 break
         else:
             t += 1
-            continue
-    # normalize signs
-    for i in range(min(rows, cols)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
-    d = mat(m)
-    return d, mat(u), mat(v)
+    for i in range(min(rows, cols)):  # normalize signs
+        if b[i][i] < 0:
+            b[i] = [-x for x in b[i]]
+    return (mat(r[:cols] for r in b[:rows]), mat(r[cols:] for r in b[:rows]),
+            mat(r[:cols] for r in b[rows:]))
 
 
 def char_poly(a: Matrix):
