@@ -48,9 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "via even Clifford units")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="text")
+    # each subparser carries its name and handler; the handler looks cmd_* up
+    # when it runs, so a replaced module attribute reaches this cached parser
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", parents=[fmt], help="report Aut(X) for U(k) + <2l>")
+    pa.set_defaults(command="analyze", handler=lambda args: cmd_analyze(args))
     group = pa.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="shorthand for (k, l) = (n, -n)")
     group.add_argument("--k", type=int)
@@ -58,18 +61,21 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--search-bound", type=int, default=20)
 
     pv = sub.add_parser("verify", parents=[fmt], help="run the seeded property suites")
+    pv.set_defaults(command="verify", handler=lambda args: cmd_verify(args))
     pv.add_argument("--suite", choices=sorted(ALL_SUITES), default=None,
                     help="run a single suite (default: all)")
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=0)
 
     ps = sub.add_parser("salem", parents=[fmt], help="salem data of a 2x2 matrix a,b,c,d")
+    ps.set_defaults(command="salem", handler=lambda args: cmd_salem(args))
     ps.add_argument("--matrix", required=True,
                     help="four comma-separated integers, row major")
 
     pc = sub.add_parser("congruence", parents=[fmt], help="congruence data of G_n")
+    pc.set_defaults(command="congruence", handler=lambda args: cmd_congruence(args))
     pc.add_argument("--n", type=int, required=True)
-    p.commands = {"analyze": pa, "verify": pv, "salem": ps, "congruence": pc}
+    p.commands = sub.choices
     return p
 
 
@@ -149,15 +155,8 @@ def main(argv=None) -> int:
     args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    handler = {
-        "analyze": cmd_analyze,
-        "verify": cmd_verify,
-        "salem": cmd_salem,
-        "congruence": cmd_congruence,
-    }[args.command]
     try:
-        code, doc, header, body = handler(args)
+        code, doc, header, body = args.handler(args)
         if args.format == "json":
             text = json.dumps({**doc, "schema": SCHEMA}, sort_keys=True)
         elif os.environ.get("PICARD3_NO_COLOR") or not sys.stdout.isatty():

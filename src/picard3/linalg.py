@@ -236,22 +236,21 @@ def smith_normal_form(a: Matrix):
     d[i] | d[i+1].  The elimination runs on the block matrix
     b = [[a, I_rows], [I_cols, 0]]: an operation on its top rows carries u
     along, and one on its left columns carries v, so d, u and v are its three
-    nonzero blocks at the end.  Swapping each remainder up as the new pivot
-    can blow up the coefficients of larger matrices: a 4 x 4 one with
-    six-digit entries runs for more than a minute.
+    nonzero blocks at the end.  One pivot rule fills slot t: move a nonzero
+    entry p of least |p| in the remaining block (the first in row-major
+    order) to (t, t), then subtract floor(x / p) times row t from each row
+    below and times column t from each column to its right.  If a remainder
+    is left in row or column t, pick again; otherwise, if p does not divide
+    some entry of the remaining block, add that entry's row to row t and
+    pick again.  Remainders are smaller than |p|, so |p| falls within two
+    picks, and the loop ends.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     b = ([list(r) + [1 if i == j else 0 for j in range(rows)] for i, r in enumerate(a)]
          + [[1 if i == j else 0 for j in range(cols + rows)] for i in range(cols)])
-
-    def swap_cols(i, j):
-        for r in b:
-            r[i], r[j] = r[j], r[i]
-
     t = 0
     while t < min(rows, cols):
-        # move a smallest-magnitude nonzero entry to the pivot slot
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
@@ -259,31 +258,27 @@ def smith_normal_form(a: Matrix):
                     best = (i, j)
         if best is None:
             break
-        b[t], b[best[0]] = b[best[0]], b[t]
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if b[i][t] != 0:
-                    q = b[i][t] // b[t][t]
-                    b[i] = [x - q * y for x, y in zip(b[i], b[t])]
-                    if b[i][t] != 0:  # remainder smaller than pivot: swap up
-                        b[t], b[i] = b[i], b[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if b[t][j] != 0:
-                    q = b[t][j] // b[t][t]
-                    for r in b:
-                        r[j] -= q * r[t]
-                    if b[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # pivot must divide the remaining block
-        p = b[t][t]
+        i, j = best
+        b[t], b[i] = b[i], b[t]
+        for r in b:
+            r[t], r[j] = r[j], r[t]
+        p, left = b[t][t], False
+        for i in range(t + 1, rows):
+            if b[i][t] != 0:
+                q = b[i][t] // p
+                b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                left |= b[i][t] != 0
+        for j in range(t + 1, cols):
+            if b[t][j] != 0:
+                q = b[t][j] // p
+                for r in b:
+                    r[j] -= q * r[t]
+                left |= b[t][j] != 0
+        if left:  # a remainder is left in row or column t
+            continue
         for i in range(t + 1, rows):
             if any(x % p for x in b[i][t + 1:cols]):
-                b[t] = [x + y for x, y in zip(b[t], b[i])]  # add row i, then restart
+                b[t] = [x + y for x, y in zip(b[t], b[i])]
                 break
         else:
             t += 1

@@ -124,7 +124,7 @@ def _group_presentation(n: int) -> str:
     return f"<Gamma({n}), S_a> with a^2 = -1 mod {n} (det -1 generator)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AutReport:
     """Structured description of Aut(X) for a U(k) + <2l> Picard lattice."""
 
@@ -142,7 +142,7 @@ class AutReport:
     antisymplectic_exists: bool
     image_order_m: int
     congruence: dict | None
-    samples: list
+    samples: tuple
     bounds: dict
 
     def to_json(self) -> dict:
@@ -280,8 +280,8 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
         congruence = {**congruence_data(n),
                       "presentation": _group_presentation(n)}
 
-    samples = [_verify_sample(m, k, l, params, sig)
-               for m in _sample_units(k, l, search_bound)]
+    samples = tuple(_verify_sample(m, k, l, params, sig)
+                    for m in _sample_units(k, l, search_bound))
 
     return AutReport(
         k=k, l=l, is_m_n=is_m_n, n=n,

@@ -7,7 +7,7 @@ tests check that the two agree.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, isqrt
 from operator import mul
 
@@ -390,6 +390,21 @@ def det_by_fractions(a):
     for i in range(n):
         out *= m[i][i]
     return out
+
+
+def determinantal_divisors(a) -> tuple:
+    """(D_1, ..., D_r), r = min(rows, cols), with D_k the gcd of all k x k
+    minors of the integer matrix a (0 when all vanish).  Each minor is a
+    cofactor expansion along its first row over the (k - 1) x (k - 1) minors,
+    kept by row and column sets."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    minors, out = {((), ()): 1}, []
+    for k in range(1, min(rows, cols) + 1):
+        minors = {(rs, cs): sum((-1) ** j * a[rs[0]][c] * minors[rs[1:], cs[:j] + cs[j + 1:]]
+                                for j, c in enumerate(cs))
+                  for rs in combinations(range(rows), k) for cs in combinations(range(cols), k)}
+        out.append(gcd(*minors.values()))
+    return tuple(out)
 
 
 # ------------------------------------------------ brute-force counts and checks

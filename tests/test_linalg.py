@@ -2,13 +2,14 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import picard3
-from oracles import (mat_mul_reference, positive_vector, signature_of,
-                     symmetric_diagonalize)
+from oracles import (determinantal_divisors, mat_mul_reference, positive_vector,
+                     signature_of, symmetric_diagonalize)
 from picard3 import linalg as la
 
 
@@ -90,6 +91,9 @@ def _check_smith(a):
                 assert d[i][j] == 0
     if not any(map(any, a)):
         assert d == a
+    # d_1 ... d_k is the gcd of the k x k minors
+    assert tuple(prod(diag[:k]) for k in range(1, len(diag) + 1)) \
+        == determinantal_divisors(a)
 
 
 def test_smith_normal_form(rng):
@@ -100,36 +104,60 @@ def test_smith_normal_form(rng):
         _check_smith(((),) * n)
         for m in range(1, 7):
             _check_smith(la.mat([[0] * m for _ in range(n)]))
-    # random entries up to 9, a third of them rank-deficient (the last row a
-    # multiple of the first), and entries up to 10**6.  The elimination order
-    # blows up on larger shapes (see the expected failure below), so these
-    # stay at n + m <= 10 and at min(n, m) <= 2 respectively.
-    for _ in range(150):
-        n, m = rng.choice([(n, m) for n in range(1, 7) for m in range(1, 7) if n + m <= 10])
-        a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        if n > 1 and rng.random() < 1 / 3:
-            a[-1] = [rng.randint(-3, 3) * x for x in a[0]]
-        _check_smith(la.mat(a))
-        n, m = rng.choice([(n, m) for n in range(1, 7) for m in range(1, 7) if min(n, m) <= 2])
-        _check_smith(la.mat([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(m)] for _ in range(n)]))
+    # on every shape, random entries up to 9, a third of them rank-deficient
+    # (the last row a multiple of the first), and entries up to 10**6
+    for n in range(1, 7):
+        for m in range(1, 7):
+            for _ in range(4):
+                a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+                if n > 1 and rng.random() < 1 / 3:
+                    a[-1] = [rng.randint(-3, 3) * x for x in a[0]]
+                _check_smith(la.mat(a))
+                _check_smith(la.mat([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(m)]
+                                     for _ in range(n)]))
 
 
-# A 4 x 4 matrix with six-digit entries, on which the elimination runs for
-# more than a minute: swapping each remainder up as the new pivot, while row
-# and column passes alternate, makes the coefficients blow up.  A few per cent
-# of 6 x 6 matrices with one-digit entries do the same.
+def _run_within(code, seconds):
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    picard3; raises subprocess.TimeoutExpired after ``seconds``."""
+    src = str(Path(picard3.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], check=True, timeout=seconds,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              filter(None, [src, os.environ.get("PYTHONPATH")]))}).stdout
+
+
+# Two matrices on which an elimination order that swaps each remainder up as
+# the new pivot, while row and column passes alternate, blows up its
+# coefficients: a 4 x 4 one with six-digit entries (over a minute) and a 6 x 5
+# one with one-digit entries (15 s).
 SMITH_BLOW_UP = ((-504972, -363937, -783646, 512501), (-169406, 4280, -675000, -811047),
                  (-860508, -958441, -157803, 152179), (925091, -393136, 678670, 604662))
+SMITH_BLOW_UP_6X5 = ((5, 6, 3, 8, -9), (-8, 6, 1, -2, -6), (-9, 2, -7, -4, 6),
+                     (-6, -2, -5, 5, -7), (-4, -1, 6, 2, -4), (-2, -8, 0, 5, 8))
 
 
-@pytest.mark.xfail(raises=subprocess.TimeoutExpired, strict=True,
-                   reason="coefficient blow-up in the elimination order")
-def test_smith_normal_form_finishes_fast_on_large_entries():
-    src = str(Path(picard3.__file__).resolve().parents[1])
-    code = f"from picard3.linalg import smith_normal_form; smith_normal_form({SMITH_BLOW_UP!r})"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=1,
-                   env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")]))})
+@pytest.mark.parametrize("a", [SMITH_BLOW_UP, SMITH_BLOW_UP_6X5], ids=["4x4", "6x5"])
+def test_smith_normal_form_finishes_fast(a):
+    _run_within(f"from picard3.linalg import smith_normal_form; smith_normal_form({a!r})", 1)
+    _check_smith(a)
+
+
+def test_discriminant_form_finishes_fast_on_rank_4_lattices(rng):
+    # A(L) of even rank-4 lattices with Gram entries up to 2,000; order |det|
+    grams = []
+    while len(grams) < 20:
+        g = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            g[i][i] = 2 * rng.randint(-1000, 1000)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-2000, 2000)
+        if la.det(g) != 0:
+            grams.append(la.mat(g))
+    out = _run_within("from picard3.lattice import Lattice, discriminant_form\n"
+                      f"for g in {grams!r}:\n"
+                      "    print(discriminant_form(Lattice(g)).group.order)", 5)
+    assert [int(x) for x in out.split()] == [abs(la.det(g)) for g in grams]
 
 
 def test_symmetric_diagonalize(rng):

@@ -34,6 +34,19 @@ def test_wehler_report():
     assert "M_2" in text and "C2 * C2 * C2" in text
 
 
+def test_report_is_immutable_and_its_dicts_are_its_own():
+    r = analyze_picard(2, -2)
+    with pytest.raises(AttributeError):
+        r.k = 3
+    with pytest.raises(AttributeError):
+        r.samples.append(r.samples[0])
+    # congruence and bounds are plain JSON dicts, built afresh on each call
+    fresh = analyze_picard(2, -2)
+    r.congruence["torsion_bounded_search"]["found"].clear()
+    r.bounds.clear()
+    assert analyze_picard(2, -2) == fresh != r
+
+
 def test_g8_report():
     r = analyze_picard(8, -8)
     assert r.congruence["index_in_Pi"] == 192
