@@ -83,6 +83,8 @@ def cmd_analyze(args):
     if args.n is not None:
         if args.l is not None:
             raise _Refusal("--n and --l are mutually exclusive")
+        if args.n < 1:
+            raise _Refusal("n must be positive")
         k, l = args.n, -args.n
     else:
         if args.l is None:

@@ -38,13 +38,13 @@ test_p_bases_rows_and_certificates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, lcm
-from typing import NamedTuple
 
+from ._value import Value
 from .lattice import Lattice
 from .linalg import clear_denominators, mat, mat_div, quotient
 
@@ -61,15 +61,10 @@ GEN_MASKS = (1, 2, 4)  # E1, E2, E3
 PARAMS_CACHE_SIZE = 32
 
 
-class GramParams(NamedTuple):
+class GramParams(namedtuple("GramParams", "a b c s t u")):
     """The six integers (a, b, c, s, t, u) determining a rank-3 even lattice."""
 
-    a: int
-    b: int
-    c: int
-    s: int
-    t: int
-    u: int
+    __slots__ = ()
 
     @staticmethod
     def from_gram(q) -> "GramParams":
@@ -103,8 +98,7 @@ class GramParams(NamedTuple):
         return Fraction(self.disc, 8)
 
 
-@dataclass(frozen=True, slots=True)
-class CliffordElement:
+class CliffordElement(Value):
     """An element of Cl(L) tensor Q: 8 rational coordinates on the monomials
     1, E1, E2, E1E2, E3, E3E1, E2E3, E1E2E3 (slots 0-7), stored as the
     integers ``ints`` over the positive common denominator ``den``, in lowest
@@ -114,8 +108,7 @@ class CliffordElement:
     pure-grade element, ``coords`` give the coordinates as Fractions.
     """
 
-    ints: tuple
-    den: int
+    __slots__ = _fields = ("ints", "den")
 
     def __init__(self, coeffs):
         if len(coeffs) != DIM:

@@ -10,10 +10,10 @@ Vectors of W are integer 6-tuples on this basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
+from ._value import Value
 from .clifford import (DIM, ODD_MASKS, PARAMS_CACHE_SIZE, CliffordElement,
                        GramParams, integer_left_odd, integer_norm, integer_phi,
                        integer_reversal, integer_right_even, integer_right_odd,
@@ -41,12 +41,15 @@ def pair_w(v, w):
     return sum(map(mul, v, w[3:] + w[:3]))
 
 
-@dataclass(frozen=True)
-class PBasis:
-    """The printed integral bases w_i^+ and w_i^- of P+ and P-."""
+class PBasis(Value):
+    """The printed integral bases w_i^+ and w_i^- of P+ and P-, each three
+    integer 6-tuples."""
 
-    plus: tuple   # three integer 6-tuples
-    minus: tuple
+    _fields = ("plus", "minus")
+
+    def __init__(self, plus: tuple, minus: tuple):
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)

@@ -20,10 +20,10 @@ row of the resulting rank-1 matrix (x_p x_q).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
+from ._value import Value
 from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
                        GramParams, OddCliffordElement, clifford_mul,
@@ -37,17 +37,19 @@ from .modular import SubgroupSpec, member
 _CHARTS = {"even": EVEN_MASKS, "odd": ODD_MASKS}
 
 
-@dataclass(frozen=True)
-class CliffordUnit:
+class CliffordUnit(Value):
     """A unit of Cl+-(L): integral pure-grade element with N = +-1, mod sign.
 
     The stored element is the sign-class representative whose first nonzero
-    coordinate is positive.
+    coordinate is positive; ``grade`` is "even" or "odd".
     """
 
-    element: CliffordElement
-    grade: str       # "even" | "odd"
-    norm: int
+    _fields = ("element", "grade", "norm")
+
+    def __init__(self, element: CliffordElement, grade: str, norm: int):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "grade", grade)
+        object.__setattr__(self, "norm", norm)
 
     @staticmethod
     def from_element(elem: CliffordElement, params: GramParams) -> "CliffordUnit":

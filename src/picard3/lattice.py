@@ -9,25 +9,24 @@ the diagonal and Q/Z off it, stored as reduced ``Fraction`` representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
+from ._value import Value
 from .linalg import (adjugate, char_poly, det, factor, identity, is_integral,
                      mat, mat_mul, mat_vec, smith_normal_form, transpose,
                      vec_dot)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     """An even non-degenerate lattice, identified with its Gram matrix."""
 
-    gram: tuple
+    _fields = ("gram",)
 
-    def __post_init__(self):
-        g = mat(self.gram)
+    def __init__(self, gram):
+        g = mat(gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -98,16 +97,18 @@ def signature(lat: Lattice):
     return lat._signature
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Value):
     """A(L) = L^v / L with invariant factors d1 | d2 | ... (each > 1).
 
     ``generator_lifts`` are rational coordinate vectors in L (x) Q whose
     classes generate the cyclic summands, lift i having order d_i.
     """
 
-    invariant_factors: tuple
-    generator_lifts: tuple
+    _fields = ("invariant_factors", "generator_lifts")
+
+    def __init__(self, invariant_factors: tuple, generator_lifts: tuple):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "generator_lifts", generator_lifts)
 
     @property
     def order(self) -> int:
@@ -131,8 +132,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
         tuple(tuple(Fraction(row[i], d[i][i]) for row in v) for i in kept))
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(Value):
     """The discriminant form q(L): A(L) -> Q/2Z.
 
     ``values`` is the Gram matrix of the generator lifts, reduced mod 2Z on
@@ -140,8 +140,11 @@ class FiniteQuadraticForm:
     matrices (and the invariant factors) agree.
     """
 
-    group: DiscriminantGroup
-    values: tuple
+    _fields = ("group", "values")
+
+    def __init__(self, group: DiscriminantGroup, values: tuple):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
 
     def _pairing(self, c1, c2) -> Fraction:
         """sum_ij c1_i c2_j values_ij: <x, y> mod Z, and <x, x> mod 2Z when
@@ -206,17 +209,16 @@ def is_isometry(g, lat: Lattice) -> bool:
             and mat_mul(mat_mul(transpose(gm), lat.gram), gm) == lat.gram)
 
 
-@dataclass(frozen=True)
-class Isometry3:
+class Isometry3(Value):
     """An integer isometry g of a rank-3 even lattice, with cached flags; the
     one place where g^T Q g = Q is checked."""
 
-    matrix: tuple
-    lattice: Lattice
+    _fields = ("matrix", "lattice")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", mat(self.matrix))
-        if not is_isometry(self.matrix, self.lattice):
+    def __init__(self, matrix, lattice: Lattice):
+        object.__setattr__(self, "matrix", mat(matrix))
+        object.__setattr__(self, "lattice", lattice)
+        if not is_isometry(self.matrix, lattice):
             raise ValueError("g is not an isometry of L")
 
     @classmethod

@@ -8,25 +8,21 @@ B_{k,l}, the scalar-congruence groups G_n and Gamma_0(k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
+from ._value import Value
 from .linalg import factor, factor_pairs, mat, sign_normalize
 
 
-@dataclass(frozen=True)
-class ModularElement:
+class ModularElement(Value):
     """An element of PGL2(Z): integer matrix mod +-1, det = +-1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.det not in (1, -1):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c not in (1, -1):
             raise ValueError("determinant must be +-1")
-        for name, x in zip("abcd", sign_normalize((self.a, self.b, self.c, self.d))):
+        for name, x in zip("abcd", sign_normalize((a, b, c, d))):
             object.__setattr__(self, name, x)
 
     @property
@@ -64,22 +60,22 @@ class ModularElement:
                               -dt * self.c, dt * self.a)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(Value):
     """A congruence predicate: one of Pi_n, Gamma_n, B_kl_units, G_n,
     Gamma0_k, with its parameters."""
 
-    kind: str
-    n: int = 0
-    k: int = 0
-    l: int = 0
+    _fields = ("kind", "n", "k", "l")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n: int = 0, k: int = 0, l: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
         kinds = ("Pi_n", "Gamma_n", "B_kl_units", "G_n", "Gamma0_k")
-        if self.kind not in kinds:
+        if kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}")
         if 0 in self.moduli:
-            raise ValueError(f"the parameters of {self.kind} must be nonzero")
+            raise ValueError(f"the parameters of {kind} must be nonzero")
 
     @property
     def moduli(self) -> tuple:

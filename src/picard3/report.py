@@ -14,8 +14,7 @@ never as a theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .clifford import GramParams
 from .isometries import (clifford_lift, h_alpha, p_alpha_and_unit, phi_alpha,
                          unit_search_even)
@@ -32,8 +31,7 @@ SCHEMA = "picard3-aut/1"  # the schema tag of the JSON outputs
 TORSION_SEARCH_BOUND = 30
 
 
-@dataclass(frozen=True)
-class SalemDatum:
+class SalemDatum(Value):
     """The cubic char.poly. data (t - nr)(t^2 - A t + 1) of a unit.
 
     A = Tr(alpha)^2 - 2 Nr(alpha).  The quadratic factor is a Salem
@@ -41,11 +39,15 @@ class SalemDatum:
     root of t^2 - |A| t + 1 (reported as not-Salem).
     """
 
-    matrix: tuple
-    nr: int
-    a_value: int
-    is_salem: bool
-    symplectic: bool
+    _fields = ("matrix", "nr", "a_value", "is_salem", "symplectic")
+
+    def __init__(self, matrix: tuple, nr: int, a_value: int, is_salem: bool,
+                 symplectic: bool):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "nr", nr)
+        object.__setattr__(self, "a_value", a_value)
+        object.__setattr__(self, "is_salem", is_salem)
+        object.__setattr__(self, "symplectic", symplectic)
 
     @property
     def cubic_coeffs(self):
@@ -124,26 +126,36 @@ def _group_presentation(n: int) -> str:
     return f"<Gamma({n}), S_a> with a^2 = -1 mod {n} (det -1 generator)"
 
 
-@dataclass(frozen=True)
-class AutReport:
+class AutReport(Value):
     """Structured description of Aut(X) for a U(k) + <2l> Picard lattice."""
 
-    k: int
-    l: int
-    is_m_n: bool
-    n: int | None
-    signature: tuple
-    hypotheses_met: bool
-    hypothesis_failures: tuple
-    root_free: bool
-    disc: int
-    group_model: str
-    v_coset_present: bool
-    antisymplectic_exists: bool
-    image_order_m: int
-    congruence: dict | None
-    samples: tuple
-    bounds: dict
+    _fields = ("k", "l", "is_m_n", "n", "signature", "hypotheses_met",
+               "hypothesis_failures", "root_free", "disc", "group_model",
+               "v_coset_present", "antisymplectic_exists", "image_order_m",
+               "congruence", "samples", "bounds")
+
+    def __init__(self, k: int, l: int, is_m_n: bool, n: int | None,
+                 signature: tuple, hypotheses_met: bool,
+                 hypothesis_failures: tuple, root_free: bool, disc: int,
+                 group_model: str, v_coset_present: bool,
+                 antisymplectic_exists: bool, image_order_m: int,
+                 congruence: dict | None, samples: tuple, bounds: dict):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "is_m_n", is_m_n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "hypotheses_met", hypotheses_met)
+        object.__setattr__(self, "hypothesis_failures", hypothesis_failures)
+        object.__setattr__(self, "root_free", root_free)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "group_model", group_model)
+        object.__setattr__(self, "v_coset_present", v_coset_present)
+        object.__setattr__(self, "antisymplectic_exists", antisymplectic_exists)
+        object.__setattr__(self, "image_order_m", image_order_m)
+        object.__setattr__(self, "congruence", congruence)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "bounds", bounds)
 
     def to_json(self) -> dict:
         out = {

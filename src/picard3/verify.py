@@ -16,7 +16,6 @@ Every suite is reproducible from (trials, seed) alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from . import exterior as ext
 from .clifford import (DIM, CliffordElement, EvenCliffordElement, GramParams,
@@ -34,12 +33,13 @@ GRAM_BOUND = 5   # |entries| of the clifford and exterior suites' Gram tuples
 _BASIS = tuple(tuple(int(m == i) for m in range(DIM)) for i in range(DIM))
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)
+    """The counts of one suite's checks and its first 20 failure labels."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = self.failed = 0
+        self.failures = []
 
     def check(self, ok: bool, label: str):
         if ok:

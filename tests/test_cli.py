@@ -61,6 +61,12 @@ def test_analyze_invalid_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "congruence"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_n_below_1_is_refused(capsys, command, n):
+    assert run_cli(capsys, command, "--n", n) == (1, "", "error: n must be positive\n")
+
+
 def test_analyze_hypotheses_not_met_exits_2(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--k", "5", "--l", "1")
     assert code == 2

@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import picard3
@@ -265,11 +267,58 @@ def test_hand_written_dunders_are_found():
         (12, "B.__delattr__"), (14, "C.__reduce__")]
 
 
-def test_library_classes_leave_equality_and_freezing_to_dataclass():
+def test_library_writes_equality_and_freezing_once():
+    # one owner: the value types inherit these from _value.Value
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    found = {p.name: hand_written_dunders(p.read_text()) for p in modules}
+    found = {p.name: sorted(name for _, name in hand_written_dunders(p.read_text()))
+             for p in modules}
+    assert {name: names for name, names in found.items() if names} == {
+        "_value.py": sorted(f"Value.{name}" for name in DATACLASS_DUNDERS)}
+
+
+# Importing any of these costs a fresh process milliseconds: dataclasses
+# pulls in inspect, ast, dis and tokenize.
+CLASS_MACHINERY = {"dataclasses", "typing", "inspect"}
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the absolute imports in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    src = ("import os.path, json as j\n"
+           "from typing import NamedTuple\n"
+           "from . import linalg\n"
+           "from .dataclasses import x\n"
+           "def f():\n"
+           "    import inspect\n")
+    assert imported_modules(src) == {"os", "json", "typing", "inspect"}
+
+
+def test_library_imports_no_class_machinery():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: imported_modules(p.read_text()) & CLASS_MACHINERY for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_cli_import_loads_no_class_machinery():
+    # -S keeps site-packages out: a .pth file there may import typing itself
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import picard3.cli; "
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent),
+                          *sorted(CLASS_MACHINERY | {"ast"})],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
 
 
 DYNAMIC_CODE = {"exec", "eval", "compile"}
