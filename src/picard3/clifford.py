@@ -22,11 +22,12 @@ part (``phi_rep``), right multiplication by an even element on the even
 part, right multiplication by an odd element from the even part to the odd
 part, and left multiplication by an odd element from the odd part to the
 even part.  The exterior-square actions are products of these matrices.
-The rewriting rules derive the structure constants once per process, as
-integer polynomials in (a, b, c, s, t, u), and the kernels are written from
-them in two groups, the products and the matrices, each compiled on its
-first use; a lattice keeps only the values of the 25 non-constant
-polynomials.  Every product sign is produced by the rules.
+The kernels are the generated module ``_kernels``: tests/kernelgen.py
+derives the structure constants from the rewriting rules, as integer
+polynomials in (a, b, c, s, t, u), and writes each kernel from them; a
+lattice keeps only the values of the 25 non-constant polynomials.  Every
+product sign is produced by the rules, and a test regenerates the module
+and compares it with the shipped one.
 
 The module also gives the reduced trace/norm and the central odd element E
 with E^2 = -D0 where D0 = disc(L)/8.  Three closed forms stay printed, each
@@ -41,9 +42,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd, lcm
 
+from . import _kernels
 from ._value import Value
 from .lattice import Lattice
 from .linalg import clear_denominators, mat, mat_div, quotient
@@ -218,141 +220,10 @@ def OddCliffordElement(x4, x1, x2, x3) -> CliffordElement:  # noqa: N802
     return CliffordElement((0, x1, x2, 0, x3, 0, 0, x4))
 
 
-# The generators E1, E2, E3 (as 0, 1, 2) of each monomial; E3E1 in slot 5.
-_WORDS = ((), (0,), (1,), (0, 1), (2,), (2, 0), (1, 2), (0, 1, 2))
-# The structure constants are integer polynomials {monomial: int} in the
-# fields (a, b, c, s, t, u) of GramParams, a monomial being the sorted tuple
-# of field numbers 0-5: <Ei, Ej> (<Ei, Ei>/2 for i = j) is _GRAM_FIELDS[i][j].
-_GRAM_FIELDS = ((0, 5, 4), (5, 1, 3), (4, 3, 2))
-
-
-def _rewrite(word: tuple, mono: tuple, c: int, out: list):
-    """Add c * mono times the product of the generators in word to the list
-    out of 8 polynomials, reducing to the monomials of _WORDS by the
-    rewriting rules Ei Ei = <Ei, Ei>/2 and Ei Ej = <Ei, Ej> - Ej Ei."""
-    for k in range(len(word) - 1):
-        i, j = word[k], word[k + 1]
-        if i == j:
-            return _rewrite(word[:k] + word[k + 2:], mono + (_GRAM_FIELDS[i][i],), c, out)
-        if i > j:
-            _rewrite(word[:k] + word[k + 2:], mono + (_GRAM_FIELDS[i][j],), c, out)
-            return _rewrite(word[:k] + (j, i) + word[k + 2:], mono, -c, out)
-    if word == (0, 2):  # E1E3 = <E1, E3> - E3E1
-        _rewrite((), mono + (_GRAM_FIELDS[0][2],), c, out)
-        c = -c
-    poly, mono = out[sum(1 << i for i in word)], tuple(sorted(mono))
-    poly[mono] = poly.get(mono, 0) + c
-
-
-def _polynomial_terms(word: tuple) -> tuple:
-    """(m, f) for each monomial E_m with polynomial coefficient f != 0 in the
-    product of the generators in word; f has no zero coefficient."""
-    out = [{} for _ in range(DIM)]
-    _rewrite(word, (), 1, out)
-    return tuple((m, f) for m, f in enumerate(
-        {mono: k for mono, k in f.items() if k} for f in out) if f)
-
-
-@lru_cache(maxsize=1)
-def _structure_polynomials() -> tuple:
-    """(mult, rev): mult[8 m1 + m2] holds the terms (m3, f) of E_m1 * E_m2
-    and rev[m] those of the reversal of E_m.  Derived once per process, on
-    first use, by the rewriting rules."""
-    mult = tuple(_polynomial_terms(_WORDS[m1] + _WORDS[m2])
-                 for m1 in range(DIM) for m2 in range(DIM))
-    return mult, tuple(_polynomial_terms(w[::-1]) for w in _WORDS)
-
-
-def _sum_source(terms) -> str:
-    """Python source of the sum of c * f over the terms (c, f): an int c and
-    the source f of a product, '' for 1."""
-    s = ""
-    for c, f in terms:
-        s += " - " if c < 0 else " + "
-        s += f if abs(c) == 1 and f else f"{abs(c)}*{f}" if f else str(abs(c))
-    return (s[3:] if s[1] == "+" else "-" + s[3:]) if s else "0"
-
-
-# The matrix kernels, as (name, left, factor grade, grade acted on): column j
-# of name(xs, k) is the product of the factor-grade part of xs, on the left
-# or on the right, with the j-th basis vector of the grade acted on, in the
-# chart of the product's grade.
-_MATRIX_KERNELS = (("phi", True, EVEN_MASKS, EVEN_MASKS),
-                   ("right_even", False, EVEN_MASKS, EVEN_MASKS),
-                   ("right_odd", False, ODD_MASKS, EVEN_MASKS),
-                   ("left_odd", True, ODD_MASKS, ODD_MASKS))
-
-
-@lru_cache(maxsize=2)
-def _kernels(group: str) -> tuple:
-    """The straight-line functions of one group, written once per process
-    from the structure polynomials and compiled on first use of the group.
-    "products" gives (constants, mul, reversal): constants(a, b, c, s, t, u)
-    is the tuple k of a lattice, the values of the non-constant polynomials,
-    and mul[2 gx + gy](xs, ys, k) multiplies the grade-gx part of xs by the
-    grade-gy part of ys (0 even, 1 odd) and reads no other slot.  "matrices"
-    gives the 4x4 matrices (phi, right_even, right_odd, left_odd)(xs, k) of
-    _MATRIX_KERNELS, each reading one grade of xs.  Each function is
-    compiled on its own, which keeps the compiler's peak memory low."""
-    mult, rev = _structure_polynomials()
-    index = {}  # both groups read k in this order
-    for terms in mult + rev:
-        for _, f in terms:
-            if set(f) != {()}:
-                index.setdefault(tuple(sorted(f.items())), len(index))
-
-    def term(f, factor):
-        """(c, source) of f * factor, with c = f when f is constant."""
-        if set(f) == {()}:
-            return f[()], factor
-        return 1, f"k{index[tuple(sorted(f.items()))]}*{factor}"
-
-    bodies, sources = [], []  # bodies: (name, arguments, returned expression)
-    if group == "products":
-        polys = [_sum_source((k, "*".join("abcstu"[i] for i in mono)) for mono, k in f)
-                 for f in index]
-        sources.append(("constants", "def constants(a, b, c, s, t, u):\n"
-                        f"    return ({', '.join(polys)},)\n"))
-        for gx, gy in product((EVEN_MASKS, ODD_MASKS), repeat=2):
-            slots = [[] for _ in range(DIM)]
-            for m1, m3 in product(gx, range(DIM)):  # x_m1 times a sum over y
-                inner = [term(f, f"y{m2}") for m2 in gy
-                         for m, f in mult[DIM * m1 + m2] if m == m3]
-                if inner:
-                    slots[m3].append((1, f"x{m1}*({_sum_source(inner)})"))
-            bodies.append(("mul", "xyk", f"[{', '.join(map(_sum_source, slots))}]"))
-        slots = [[term(f, f"x{m}") for m, row in enumerate(rev) for m2, f in row if m2 == m3]
-                 for m3 in range(DIM)]
-        bodies.append(("reversal", "xk", f"[{', '.join(map(_sum_source, slots))}]"))
-    else:
-        for name, left, gx, ga in _MATRIX_KERNELS:
-            rows = [", ".join(_sum_source([term(f, f"x{m1}") for m1 in gx for m, f in
-                                           mult[DIM * m1 + m2 if left else DIM * m2 + m1]
-                                           if m == m3])
-                              for m2 in ga)
-                    for m3 in (EVEN_MASKS if gx == ga else ODD_MASKS)]
-            bodies.append((name, "xk", "(" + ", ".join(f"({row})" for row in rows) + ")"))
-    size = {"x": DIM, "y": DIM, "k": len(index)}
-    sources += [(name, f"def {name}({', '.join(args)}):\n"
-                 + "".join(f"    {', '.join(f'{a}{i}' for i in range(size[a]))} = {a}\n"
-                           for a in args)
-                 + f"    return {value}\n")
-                for name, args, value in bodies]
-    functions = []
-    for name, source in sources:
-        namespace = {}
-        exec(source, namespace)
-        functions.append(namespace[name])
-    if group == "products":
-        constants, *mul, reverse = functions
-        return constants, tuple(mul), reverse
-    return tuple(functions)
-
-
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _constants(params: GramParams) -> tuple:
     """The constants k of the kernels at the fields of params."""
-    return _kernels("products")[0](*params)
+    return _kernels.constants(*params)
 
 
 def _grade(xs):
@@ -367,11 +238,11 @@ def integer_mul(xs, ys, params: GramParams) -> list:
     """The product of two elements given by integer coordinate lists, by the
     kernel of their grades.  A factor with both grades splits into its two
     parts, and the four graded products are summed."""
-    k, mul = _constants(params), _kernels("products")[1]
+    k = _constants(params)
     gx, gy = _grade(xs), _grade(ys)
     if gx is None or gy is None:
-        return [sum(c) for c in zip(*(f(xs, ys, k) for f in mul))]
-    return mul[2 * gx + gy](xs, ys, k)
+        return [sum(c) for c in zip(*(f(xs, ys, k) for f in _kernels.MUL))]
+    return _kernels.MUL[2 * gx + gy](xs, ys, k)
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement,
@@ -384,7 +255,7 @@ def clifford_mul(x: CliffordElement, y: CliffordElement,
 
 def integer_reversal(xs, params: GramParams) -> list:
     """The reversal of an element given by an integer coordinate list."""
-    return _kernels("products")[2](xs, _constants(params))
+    return _kernels.reversal(xs, _constants(params))
 
 
 def reversal(x: CliffordElement, params: GramParams) -> CliffordElement:
@@ -406,8 +277,8 @@ def integer_norm(xs, params: GramParams) -> int:
     """x x^* for a pure even or pure odd element given by an integer
     coordinate list, by the product kernel of its grade."""
     k = _constants(params)
-    _, mul, reverse = _kernels("products")
-    p = mul[3 if xs[1] or xs[2] or xs[4] or xs[7] else 0](xs, reverse(xs, k), k)
+    mul = _kernels.MUL[3 if xs[1] or xs[2] or xs[4] or xs[7] else 0]
+    p = mul(xs, _kernels.reversal(xs, k), k)
     if any(p[1:]):
         raise AssertionError("x * x^* is not scalar")
     return p[0]
@@ -423,26 +294,26 @@ def norm(x: CliffordElement, params: GramParams):
 def integer_phi(xs, params: GramParams):
     """The 4x4 matrix of left multiplication by the even part of the integer
     coordinate list xs, on (e0, e1, e2, e3): column j holds x e_j."""
-    return _kernels("matrices")[0](xs, _constants(params))
+    return _kernels.phi(xs, _constants(params))
 
 
 def integer_right_even(xs, params: GramParams):
     """The 4x4 matrix of right multiplication by the even part of xs, on
     (e0, e1, e2, e3): column j holds e_j x."""
-    return _kernels("matrices")[1](xs, _constants(params))
+    return _kernels.right_even(xs, _constants(params))
 
 
 def integer_right_odd(xs, params: GramParams):
     """The 4x4 matrix of right multiplication by the odd part of xs, from
     (e0, e1, e2, e3) to (E1E2E3, E1, E2, E3): column j holds e_j x."""
-    return _kernels("matrices")[2](xs, _constants(params))
+    return _kernels.right_odd(xs, _constants(params))
 
 
 def integer_left_odd(xs, params: GramParams):
     """The 4x4 matrix of left multiplication by the odd part of xs, from
     (E1E2E3, E1, E2, E3) to (e0, e1, e2, e3): column j holds x F_j for the
     j-th odd basis vector F_j."""
-    return _kernels("matrices")[3](xs, _constants(params))
+    return _kernels.left_odd(xs, _constants(params))
 
 
 def phi_rep(x: CliffordElement, params: GramParams):

@@ -20,6 +20,9 @@ class ModularElement(Value):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if not (isinstance(a, int) and isinstance(b, int)
+                and isinstance(c, int) and isinstance(d, int)):
+            raise ValueError(f"entries must be integers, not {(a, b, c, d)!r}")
         if a * d - b * c not in (1, -1):
             raise ValueError("determinant must be +-1")
         for name, x in zip("abcd", sign_normalize((a, b, c, d))):
@@ -60,22 +63,37 @@ class ModularElement(Value):
                               -dt * self.c, dt * self.a)
 
 
+# Which of the parameters (n, k, l) each kind of SubgroupSpec reads.
+_READS = {"Pi_n": (True, False, False), "Gamma_n": (True, False, False),
+          "B_kl_units": (False, True, True), "G_n": (True, False, False),
+          "Gamma0_k": (False, True, False)}
+
+
 class SubgroupSpec(Value):
     """A congruence predicate: one of Pi_n, Gamma_n, B_kl_units, G_n,
-    Gamma0_k, with its parameters."""
+    Gamma0_k, with its parameters.  A kind takes the nonzero integer
+    parameters it reads and no other; each is stored as its absolute value,
+    which defines the same group, so specs of one group compare and hash
+    equal."""
 
     _fields = ("kind", "n", "k", "l")
 
     def __init__(self, kind: str, n: int = 0, k: int = 0, l: int = 0):
+        reads = _READS.get(kind)
+        if reads is None:
+            raise ValueError(f"kind must be one of {tuple(_READS)}")
+        if not (isinstance(n, int) and isinstance(k, int) and isinstance(l, int)):
+            raise ValueError(f"the parameters of {kind} must be integers")
+        given = (n != 0, k != 0, l != 0)
+        if given != reads:
+            if not all(g for g, r in zip(given, reads) if r):
+                raise ValueError(f"the parameters of {kind} must be nonzero")
+            raise ValueError(f"{kind} does not read "
+                             + ", ".join(p for p, g, r in zip("nkl", given, reads) if g > r))
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        kinds = ("Pi_n", "Gamma_n", "B_kl_units", "G_n", "Gamma0_k")
-        if kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}")
-        if 0 in self.moduli:
-            raise ValueError(f"the parameters of {kind} must be nonzero")
+        object.__setattr__(self, "n", abs(n))
+        object.__setattr__(self, "k", abs(k))
+        object.__setattr__(self, "l", abs(l))
 
     @property
     def moduli(self) -> tuple:
@@ -83,10 +101,10 @@ class SubgroupSpec(Value):
         m_c | c for every member [[a, b], [c, d]]: (n, n, n) for Pi_n,
         Gamma_n and G_n, (k, l, k) for B_kl_units, (1, 1, k) for Gamma0_k."""
         if self.kind == "B_kl_units":
-            return abs(self.k), abs(self.l), abs(self.k)
+            return self.k, self.l, self.k
         if self.kind == "Gamma0_k":
-            return 1, 1, abs(self.k)
-        return (abs(self.n),) * 3
+            return 1, 1, self.k
+        return (self.n,) * 3
 
 
 def member(x, spec: SubgroupSpec) -> bool:

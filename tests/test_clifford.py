@@ -11,13 +11,13 @@ from picard3 import linalg as la
 from picard3.cli import main
 from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               GramParams, OddCliffordElement, _constants,
-                              _kernels, _structure_polynomials, _WORDS,
                               alternating_E, clifford_mul, element_E, gram_B,
                               integer_mul, integer_reversal, norm, phi_rep,
                               reversal, trace)
 from picard3.isometries import CliffordUnit, _lattice
 from picard3.lattice import family_lattice
 from conftest import random_gram_params
+from kernelgen import WORDS
 
 WEHLER = GramParams.from_gram(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
 
@@ -370,7 +370,7 @@ def test_alternating_E_basis_change_invariance(rng):
         vecs = [CliffordElement.vector(tuple(s_mat[r][i] for r in range(3)))
                 for i in range(3)]
         mapped = CliffordElement.zero()
-        for word, c in zip(_WORDS, e_new.coeffs):   # E'_i -> sum_r S_ri E_r
+        for word, c in zip(WORDS, e_new.coeffs):   # E'_i -> sum_r S_ri E_r
             term = CliffordElement.scalar(c)
             for i in word:
                 term = clifford_mul(term, vecs[i], p)
@@ -477,17 +477,13 @@ def test_per_tuple_caches_stay_bounded():
     assert ext.p_bases.cache_info().currsize == ext.p_bases.cache_info().maxsize
 
 
-def test_structure_constants_are_derived_once_on_first_use():
-    # analyze --n builds no kernel; 100 fresh Gram tuples evaluate the
-    # constants of kernels built once, one compilation per kernel group
-    for cache in (_structure_polynomials, _kernels, _constants):
-        cache.cache_clear()
+def test_lattice_constants_are_evaluated_once_per_tuple_and_never_by_analyze_n():
+    # analyze --n evaluates no kernel constants; 100 fresh Gram tuples
+    # evaluate them once each
+    _constants.cache_clear()
     with redirect_stdout(io.StringIO()):
         assert main(["analyze", "--n", "65003", "--format", "json"]) == 0
-        assert _structure_polynomials.cache_info().misses == 0
-        assert _kernels.cache_info().misses == 0
+        assert _constants.cache_info().misses == 0
         assert main(["verify", "--suite", "clifford", "--trials", "100",
                      "--format", "json"]) == 0
     assert _constants.cache_info().misses == 100
-    assert _kernels.cache_info().misses == 2
-    assert _structure_polynomials.cache_info().misses == 1

@@ -1,25 +1,23 @@
-"""The integer Clifford kernel, the closed-form unit <-> isometry maps and
-the Bareiss and cofactor determinants against the Fraction paths they
-replaced (tests/oracles.py)."""
+"""The integer Clifford kernels (and the shipped kernel module against its
+generator), the closed-form unit <-> isometry maps and the Bareiss and
+cofactor determinants against the Fraction paths they replaced
+(tests/oracles.py)."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-import picard3
-
+import kernelgen
 from oracles import (ascending, conjugation_matrix, det_by_fractions,
                      isometry_scan, kernel_lift, monomial_product, rewrite_mul,
                      rewrite_reversal)
+from picard3 import _kernels
 from picard3 import linalg as la
-from picard3.clifford import (EVEN_MASKS, ODD_MASKS, CliffordElement,
-                              GramParams, clifford_mul, integer_left_odd,
+from picard3.clifford import (DIM, EVEN_MASKS, ODD_MASKS, CliffordElement,
+                              GramParams, _constants, clifford_mul, integer_left_odd,
                               integer_mul, integer_norm, integer_phi,
                               integer_reversal, integer_right_even,
                               integer_right_odd, norm, reversal)
@@ -207,35 +205,59 @@ def test_integer_norm_is_the_scalar_part_of_x_times_its_reversal():
                 norm(CliffordElement(tuple(xs)), p)
 
 
-LAZY_MATRIX_KERNELS = """
-from picard3 import clifford
-from picard3.clifford import EvenCliffordElement, GramParams
-from picard3.exterior import mu_matrix
-from picard3.isometries import clifford_lift, family_unit, h_alpha, unit_search_even
-
-k, l = 2, -3
-params = GramParams.family(k, l)
-unit = family_unit(unit_search_even(k, l, 6)[0], k, l)
-clifford_lift(h_alpha(unit, params), params)
-after_maps = clifford._kernels.cache_info()
-clifford._kernels("products")
-products_hit = clifford._kernels.cache_info().misses == after_maps.misses
-x = EvenCliffordElement(1, 1, 0, 2)
-mu_matrix(x, x, params)
-print(after_maps.currsize, products_hit, clifford._kernels.cache_info().currsize)
-"""
+def test_shipped_kernels_are_the_generated_text():
+    # every sign and coefficient of the kernels comes from the rewriting
+    # rules: tests/kernelgen.py writes the module on the chart of clifford
+    assert (kernelgen.DIM, kernelgen.EVEN_MASKS, kernelgen.ODD_MASKS) == \
+        (DIM, EVEN_MASKS, ODD_MASKS)
+    assert Path(_kernels.__file__).read_text() == kernelgen.module_source()
 
 
-def test_matrix_kernels_compile_only_when_a_matrix_is_asked_for():
-    # h_alpha and clifford_lift use the product kernels alone, so a process
-    # that only maps units never compiles the multiplication matrices
-    src = str(Path(picard3.__file__).resolve().parents[1])
-    res = subprocess.run(
-        [sys.executable, "-c", LAZY_MATRIX_KERNELS], capture_output=True, text=True,
-        timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))})
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["1", "True", "2"]
+def test_kernelgen_check_fails_on_a_missing_or_stale_module(tmp_path, monkeypatch, capsys):
+    module = tmp_path / "_kernels.py"
+    monkeypatch.setattr(kernelgen, "MODULE", module)
+    assert kernelgen.main(["--check"]) == 1
+    assert kernelgen.main([]) == 0
+    assert kernelgen.main(["--check"]) == 0
+    module.write_text(module.read_text().replace("k22*x7", "-k22*x7", 1))
+    assert kernelgen.main(["--check"]) == 1
+    assert "is stale" in capsys.readouterr().err
+    assert kernelgen.main(["--bad"]) == 2
+
+
+class Poison:
+    """The value of a slot that a kernel must not read: arithmetic on it
+    raises, and it equals no number."""
+
+    def _raise(self, *args):
+        raise AssertionError("a kernel read a slot outside its grades")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _raise
+
+
+def _poisoned(xs, masks):
+    """xs with a Poison in every slot outside masks."""
+    return [v if m in masks else Poison() for m, v in enumerate(xs)]
+
+
+def test_kernels_read_only_the_slots_of_their_grades():
+    # MUL[2 gx + gy] reads the grade-gx slots of x and the grade-gy slots of
+    # y, and each matrix kernel one grade of x: a poisoned slot outside them
+    # neither enters the arithmetic nor reaches the result
+    rng = random.Random(20261021)
+    matrices = ((_kernels.phi, EVEN_MASKS), (_kernels.right_even, EVEN_MASKS),
+                (_kernels.right_odd, ODD_MASKS), (_kernels.left_odd, ODD_MASKS))
+    grade_pairs = list(product((EVEN_MASKS, ODD_MASKS), repeat=2))
+    assert len(grade_pairs) == len(_kernels.MUL)
+    for _ in range(50):
+        k = _constants(random_gram_params(rng))
+        xs, ys = ([rng.randint(-9, 9) for _ in range(8)] for _ in range(2))
+        for (gx, gy), mul in zip(grade_pairs, _kernels.MUL):
+            assert mul(_poisoned(xs, gx), _poisoned(ys, gy), k) == \
+                mul(_graded(xs, gx), _graded(ys, gy), k), mul.__name__
+        for kernel, masks in matrices:
+            assert kernel(_poisoned(xs, masks), k) == kernel(_graded(xs, masks), k), \
+                kernel.__name__
 
 
 def test_bareiss_det_matches_fraction_elimination(rng):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,44 @@ def test_subgroup_spec_rejects_zero_parameters():
                          ("Gamma0_k", {"l": 3})):
         with pytest.raises(ValueError, match=f"parameters of {kind} must be nonzero"):
             SubgroupSpec(kind, **params)
+
+
+def test_modular_element_entries_must_be_integers():
+    # a rational matrix of det 1 is not in GL2(Z), so it gets no Salem verdict
+    for bad in ((Fraction(1, 2), 0, 0, 2), (1.0, 0, 0, 1), (Fraction(1), 0, 0, 1)):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            ModularElement(*bad)
+    with pytest.raises(ValueError, match="entries must be integers"):
+        salem_poly([[Fraction(1, 2), 0], [0, 2]])
+    with pytest.raises(ValueError, match="entries must be integers"):
+        member(((1, Fraction(3, 2)), (0, 1)), SubgroupSpec("G_n", n=3))
+
+
+def test_subgroup_spec_refuses_unread_or_non_integer_parameters():
+    for kind, params, unread in (("G_n", {"n": 3, "k": 5}, "k"),
+                                 ("Pi_n", {"n": 3, "k": 1, "l": 2}, "k, l"),
+                                 ("Gamma_n", {"n": 4, "l": -1}, "l"),
+                                 ("B_kl_units", {"n": 2, "k": 2, "l": 3}, "n"),
+                                 ("Gamma0_k", {"k": 3, "n": 3}, "n")):
+        with pytest.raises(ValueError, match=f"^{kind} does not read {unread}$"):
+            SubgroupSpec(kind, **params)
+    # with n = 5/2 an entry b = 5 would pass as a multiple of the modulus
+    for kind, params in (("G_n", {"n": Fraction(5, 2)}), ("Pi_n", {"n": 3.0}),
+                         ("B_kl_units", {"k": 2, "l": Fraction(3)})):
+        with pytest.raises(ValueError, match=f"parameters of {kind} must be integers"):
+            SubgroupSpec(kind, **params)
+
+
+def test_subgroup_specs_of_one_group_compare_equal():
+    pairs = ((SubgroupSpec("G_n", n=-3), SubgroupSpec("G_n", n=3)),
+             (SubgroupSpec("Pi_n", n=-5), SubgroupSpec("Pi_n", n=5)),
+             (SubgroupSpec("B_kl_units", k=-2, l=-3), SubgroupSpec("B_kl_units", k=2, l=3)),
+             (SubgroupSpec("Gamma0_k", k=-4), SubgroupSpec("Gamma0_k", k=4)))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y) and x.moduli == y.moduli
+        assert (x.n, x.k, x.l) == (y.n, y.k, y.l) and min(x.n, x.k, x.l) >= 0
+    assert len({x for pair in pairs for x in pair}) == len(pairs)
+    assert SubgroupSpec("G_n", n=3) != SubgroupSpec("Pi_n", n=3)
 
 
 def test_member_examples():
