@@ -124,12 +124,6 @@ def _compound_matrix(t):
             _wedge(r2, r3), _wedge(r3, r1), _wedge(r1, r2))
 
 
-def iota_inverse_matrix(params: GramParams):
-    """G_W^{-1} C, where G_W^{-1} = G_W swaps the two halves of the rows."""
-    c = _compound_matrix(_pairing_matrix(params))
-    return c[3:] + c[:3]
-
-
 def _odd_norm(x: CliffordElement, params: GramParams) -> int:
     """The norm of x.ints; ValueError unless x is odd with N x != 0."""
     if not x.is_odd:

@@ -15,9 +15,8 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from ._value import Value
-from .linalg import (adjugate, char_poly, det, factor, identity, is_integral,
-                     mat, mat_mul, mat_vec, smith_normal_form, transpose,
-                     vec_dot)
+from .linalg import (adjugate, char_poly, det, factor, identity, mat, mat_mul,
+                     mat_vec, smith_normal_form, transpose, vec_dot)
 
 
 class Lattice(Value):
@@ -35,7 +34,7 @@ class Lattice(Value):
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-                if not isinstance(g[i][j], int):
+                if type(g[i][j]) is not int:
                     raise ValueError("Gram entries must be integers")
             if g[i][i] % 2 != 0:
                 raise ValueError("lattice must be even (even diagonal)")
@@ -204,8 +203,10 @@ def form_orthogonal_group(form: FiniteQuadraticForm):
 
 
 def is_isometry(g, lat: Lattice) -> bool:
+    """Is g an int matrix with g^T Q g = Q?  A Fraction or bool entry is
+    not an int, so such a g is not one."""
     gm = mat(g)
-    return ((all(type(x) is int for row in gm for x in row) or is_integral(gm))
+    return (all(type(x) is int for row in gm for x in row)
             and mat_mul(mat_mul(transpose(gm), lat.gram), gm) == lat.gram)
 
 
@@ -231,7 +232,7 @@ class Isometry3(Value):
 
     @cached_property
     def det(self) -> int:
-        return int(det(self.matrix))
+        return det(self.matrix)
 
     @cached_property
     def in_kernel(self) -> bool:

@@ -91,12 +91,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def is_integral(a) -> bool:
-    """True if every entry of a matrix or vector is an integer."""
-    rows = a if a and isinstance(a[0], tuple) else (a,)
-    return all(Fraction(x).denominator == 1 for row in rows for x in row)
-
-
 def clear_denominators(v) -> tuple:
     """(d, w): the least common denominator d of the int or Fraction
     entries of v, and the integers w = d * v."""
@@ -163,48 +157,6 @@ def adjugate(a: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     s = d // rows[0][0]  # the left block is now +-d times the identity
     return tuple(tuple(s * x for x in r[n:]) for r in rows)
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse adj(A) D / det(A), where A = D a has integer rows and D
-    is diagonal; raises ValueError if singular."""
-    ds, rows = zip(*map(clear_denominators, a))
-    adj = adjugate(rows)
-    d = sum(x * r[0] for x, r in zip(rows[0], adj))
-    return tuple(tuple(Fraction(x * dj, d) for x, dj in zip(row, ds)) for row in adj)
-
-
-def kernel_basis(a: Matrix) -> tuple:
-    """Basis of the right null space of a (rows x cols), as exact vectors."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def primitive_vector(v: Vector) -> Vector:

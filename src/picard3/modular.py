@@ -20,8 +20,7 @@ class ModularElement(Value):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        if not (isinstance(a, int) and isinstance(b, int)
-                and isinstance(c, int) and isinstance(d, int)):
+        if not type(a) is type(b) is type(c) is type(d) is int:
             raise ValueError(f"entries must be integers, not {(a, b, c, d)!r}")
         if a * d - b * c not in (1, -1):
             raise ValueError("determinant must be +-1")

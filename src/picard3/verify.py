@@ -29,6 +29,7 @@ from .linalg import det, mat, mat_mul, mat_scale, mat_vec
 
 FAMILIES = ((1, -1), (2, -2), (3, -3), (2, 3), (5, -7))
 GRAM_BOUND = 5   # |entries| of the clifford and exterior suites' Gram tuples
+ACTIONS_PER_TRIAL = 5   # random x, ox of the exterior suite per Gram tuple
 # The monomials 1, E1, ..., E1E2E3 as integer coordinates.
 _BASIS = tuple(tuple(int(m == i) for m in range(DIM)) for i in range(DIM))
 
@@ -102,8 +103,7 @@ def clifford_suite(trials: int, seed: int) -> SuiteResult:
     return res
 
 
-def exterior_suite(trials: int, seed: int,
-                   actions_per_trial: int = 5) -> SuiteResult:
+def exterior_suite(trials: int, seed: int) -> SuiteResult:
     rng = _rng(seed, "exterior")
     res = SuiteResult("exterior")
     one = EvenCliffordElement(1, 0, 0, 0)
@@ -117,7 +117,7 @@ def exterior_suite(trials: int, seed: int,
             res.check(False, f"P bases: {tag}: {exc}")
             continue
         lp, lm = ext.lambda_plus_matrix(p), ext.lambda_minus_matrix(p)
-        for _ in range(actions_per_trial):
+        for _ in range(ACTIONS_PER_TRIAL):
             x = EvenCliffordElement(*(rng.randint(-3, 3) for _ in range(4)))
             nx = norm(x, p)
             res.check(mat_mul(ext.mu_matrix(x, one, p), lp)

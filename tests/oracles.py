@@ -18,7 +18,7 @@ from picard3.exterior import GRAM_W, WEDGE_PAIRS
 from picard3.isometries import Isometry3
 from picard3.lattice import (Lattice, _element_order, discriminant_group,
                              is_isometry)
-from picard3.linalg import (det, identity, inverse, kernel_basis, mat,
+from picard3.linalg import (adjugate, clear_denominators, det, identity, mat,
                             mat_mul, mat_scale, mat_vec, primitive_vector,
                             smith_normal_form, transpose, vec_dot)
 from picard3.modular import ModularElement, SubgroupSpec, member
@@ -340,7 +340,9 @@ def conjugation_matrix(alpha: CliffordElement, eps: int, params):
 def kernel_lift(g, params):
     """Solve alpha * Ei = det(g) * g(Ei) * alpha over the even (det g = 1)
     or odd (det g = -1) part as a 12 x 4 homogeneous system; returns the
-    primitive solution (first nonzero coordinate positive) and its norm."""
+    primitive solution (first nonzero coordinate positive) and its norm.
+    The system has rank 3, so for its Smith form u A w = d the solutions
+    are the multiples of column 3 of the unimodular w."""
     iso = g if isinstance(g, Isometry3) else Isometry3(g, Lattice(params.gram))
     eps = iso.det
     cls = EvenCliffordElement if eps == 1 else OddCliffordElement
@@ -356,12 +358,22 @@ def kernel_lift(g, params):
             cols.append(ascending(term, params).coords)
         for r in range(4):
             rows.append(tuple(col[r] for col in cols))
-    ker = kernel_basis(mat(rows))
-    assert len(ker) == 1, f"lift space has dimension {len(ker)}"
-    elem = cls(*primitive_vector(ker[0]))
+    d, _, w = smith_normal_form([clear_denominators(row)[1] for row in rows])
+    rank = sum(d[i][i] != 0 for i in range(4))
+    assert rank == 3, f"lift space has dimension {4 - rank}"
+    elem = cls(*primitive_vector([row[3] for row in w]))
     full = ascending(elem, params)
     assert conjugation_matrix(full, eps, params) == iso.matrix, "lift does not reproduce g"
     return elem, _norm(full, params)
+
+
+def inverse(a):
+    """Exact inverse adj(A) D / det(A), where A = D a has integer rows and D
+    is diagonal; raises ValueError if singular."""
+    ds, rows = zip(*map(clear_denominators, a))
+    adj = adjugate(rows)
+    d = sum(x * r[0] for x, r in zip(rows[0], adj))
+    return tuple(tuple(Fraction(x * dj, d) for x, dj in zip(row, ds)) for row in adj)
 
 
 def mat_mul_reference(a, b):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dual_basis_vectors, gram_half
+from oracles import dual_basis_vectors, gram_half, inverse
 from picard3 import exterior as ext
 from picard3 import linalg as la
 from picard3.cli import main
@@ -276,7 +276,7 @@ def test_tilde_e_and_v_dot_E(rng):
             col = tuple(dual[r][i] for r in range(3))
             assert v_dot_E(col, p).coeffs == tes[i].coeffs
         # gram of (te_i) equals D0 * Q_L0^{-1}
-        q0inv = la.inverse(gram_half(p))
+        q0inv = inverse(gram_half(p))
         for i in range(3):
             for j in range(3):
                 prod = clifford_mul(tes[i], reversal(tes[j], p), p)
@@ -325,7 +325,7 @@ def test_odd_gram(rng):
             for j in range(3):
                 assert og[i + 1][j + 1] == Fraction(p.gram[i][j], 2)
         assert odd_gram(p, "dual") == \
-            la.mat_scale(p.disc_half, la.inverse(gram_B(p)))
+            la.mat_scale(p.disc_half, inverse(gram_B(p)))
     with pytest.raises(ValueError):
         odd_gram(WEHLER, "other")
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from picard3 import linalg as la
@@ -34,6 +36,19 @@ def test_isometry3_validation():
     same = Isometry3([[1, 0, 0], [0, 1, 0], [0, 0, 1]], family_lattice(2, -2))
     assert same == iso and hash(same) == hash(iso)
     assert iso != Isometry3(la.identity(3), family_lattice(2, -3))
+
+
+def test_isometry_paths_refuse_non_int_entries():
+    # the identity with one entry 1 written as Fraction(1, 1) or True
+    params = family_params(2, -2)
+    lat = family_lattice(2, -2)
+    for one in (Fraction(1, 1), True):
+        g = ((one, 0, 0), (0, 1, 0), (0, 0, 1))
+        for check in (lambda: Isometry3(g, lat),
+                      lambda: in_discriminant_kernel(g, lat),
+                      lambda: clifford_lift(g, params)):
+            with pytest.raises(ValueError, match="g is not an isometry of L"):
+                check()
 
 
 def test_unit_search_even_examples():

@@ -32,6 +32,13 @@ def test_construction_rejects_bad_lattices():
         family_lattice(0, 1)
 
 
+def test_gram_entries_must_be_ints():
+    for gram in (((False, True), (True, False)),
+                 ((Fraction(2), 0), (0, Fraction(2)))):
+        with pytest.raises(ValueError, match="Gram entries must be integers"):
+            Lattice(gram)
+
+
 def test_disc():
     assert disc(Lattice(((4,),))) == 4
     assert disc(WEHLER) == 16

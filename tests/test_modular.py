@@ -44,12 +44,15 @@ def test_subgroup_spec_rejects_zero_parameters():
 
 
 def test_modular_element_entries_must_be_integers():
-    # a rational matrix of det 1 is not in GL2(Z), so it gets no Salem verdict
-    for bad in ((Fraction(1, 2), 0, 0, 2), (1.0, 0, 0, 1), (Fraction(1), 0, 0, 1)):
+    # a rational matrix of det 1 is not in GL2(Z), so it gets no Salem
+    # verdict; bool is a subclass of int, but True is no matrix entry
+    for bad in ((Fraction(1, 2), 0, 0, 2), (1.0, 0, 0, 1), (Fraction(1), 0, 0, 1),
+                (True, 0, 0, 1)):
         with pytest.raises(ValueError, match="entries must be integers"):
             ModularElement(*bad)
-    with pytest.raises(ValueError, match="entries must be integers"):
-        salem_poly([[Fraction(1, 2), 0], [0, 2]])
+    for m in ([[Fraction(1, 2), 0], [0, 2]], [[True, 0], [0, True]]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            salem_poly(m)
     with pytest.raises(ValueError, match="entries must be integers"):
         member(((1, Fraction(3, 2)), (0, 1)), SubgroupSpec("G_n", n=3))
 
