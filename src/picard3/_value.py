@@ -1,6 +1,13 @@
-"""The base of the frozen value types."""
+"""The base of the frozen value types, and the integer rule of the exact API."""
 
 from operator import attrgetter
+
+
+def check_ints(*xs):
+    """Raise TypeError unless type(x) is int for each x (so no bool either)."""
+    for x in xs:
+        if type(x) is not int:
+            raise TypeError(f"int arguments required, not {x!r}")
 
 
 def _restore(cls, values):

@@ -46,7 +46,7 @@ from itertools import permutations
 from math import gcd, lcm
 
 from . import _kernels
-from ._value import Value
+from ._value import Value, check_ints
 from .lattice import Lattice
 from .linalg import clear_denominators, mat, mat_div, quotient
 
@@ -64,9 +64,14 @@ PARAMS_CACHE_SIZE = 32
 
 
 class GramParams(namedtuple("GramParams", "a b c s t u")):
-    """The six integers (a, b, c, s, t, u) determining a rank-3 even lattice."""
+    """The six integers (a, b, c, s, t, u) determining a rank-3 even lattice;
+    any other field type raises TypeError."""
 
     __slots__ = ()
+
+    def __new__(cls, a, b, c, s, t, u):
+        check_ints(a, b, c, s, t, u)
+        return super().__new__(cls, a, b, c, s, t, u)
 
     @staticmethod
     def from_gram(q) -> "GramParams":
@@ -189,12 +194,14 @@ class CliffordElement(Value):
                          for m, x in enumerate(self.ints)], self.den)
 
     @property
-    def is_even(self) -> bool:
-        return not any(self.ints[m] for m in ODD_MASKS)
+    def is_even(self) -> bool:   # no odd slot (ODD_MASKS) is set
+        xs = self.ints
+        return not (xs[7] or xs[1] or xs[2] or xs[4])
 
     @property
-    def is_odd(self) -> bool:
-        return not any(self.ints[m] for m in EVEN_MASKS)
+    def is_odd(self) -> bool:   # no even slot (EVEN_MASKS) is set
+        xs = self.ints
+        return not (xs[0] or xs[6] or xs[5] or xs[3])
 
     @property
     def is_integral(self) -> bool:
@@ -360,17 +367,18 @@ def alternating_E(params: GramParams):
     raises AssertionError.
     """
     gens = [[int(m == g) for m in range(DIM)] for g in GEN_MASKS]
+    # the six ordered products E_a E_b, a != b, each computed once
+    pairs = {(a, b): integer_mul(gens[a], gens[b], params)
+             for a, b in permutations(range(3), 2)}
     acc6 = [0] * DIM
-    for perm, sign in zip(permutations(range(3)), (1, -1, -1, 1, 1, -1)):
-        term = integer_mul(integer_mul(gens[perm[0]], gens[perm[1]], params),
-                           gens[perm[2]], params)
+    for (a, b, c), sign in zip(permutations(range(3)), (1, -1, -1, 1, 1, -1)):
+        term = integer_mul(pairs[a, b], gens[c], params)
         acc6 = [x + sign * y for x, y in zip(acc6, term)]
     E = _element(acc6, 6)
     if E != element_E(params):
         raise AssertionError("alternating sum disagrees with the closed form of E")
 
-    hats2 = [[x - y for x, y in zip(integer_mul(gens[a], gens[b], params),
-                                    integer_mul(gens[b], gens[a], params))]
+    hats2 = [[x - y for x, y in zip(pairs[a, b], pairs[b, a])]
              for a, b in ((1, 2), (2, 0), (0, 1))]
     q = params.gram
     for i in range(3):

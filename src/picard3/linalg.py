@@ -3,10 +3,11 @@
 Everything in this package runs on Python ints and ``fractions.Fraction``;
 no floating point is used anywhere.  Matrices are immutable tuples of tuples,
 vectors are tuples.  The matrices that occur are tiny (at most 6x6), so the
-implementations favour clarity over asymptotics.  The one exception is the
-inner product of :func:`mat_mul` for the engine's own dimensions, 3 (the
-lattice L), 4 (the even Clifford part) and 6 (the exterior square W): there
-an unrolled dot product saves the per-entry ``sum``/``map`` overhead that
+implementations favour clarity over asymptotics.  The one exception is
+:func:`mat_mul` and :func:`mat_vec` for the engine's own dimensions: a 4x4
+right factor (the even Clifford part) takes one unrolled product, and the
+inner dimensions 3 (the lattice L) and 6 (the exterior square W) an unrolled
+dot product, which saves the per-entry ``sum``/``map`` overhead that
 dominates products of matrices this small.
 """
 
@@ -65,30 +66,41 @@ def _dot3(u: Vector, v: Vector):
     return u0 * v0 + u1 * v1 + u2 * v2
 
 
-def _dot4(u: Vector, v: Vector):
-    u0, u1, u2, u3 = u
-    v0, v1, v2, v3 = v
-    return u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3
-
-
 def _dot6(u: Vector, v: Vector):
     u0, u1, u2, u3, u4, u5 = u
     v0, v1, v2, v3, v4, v5 = v
     return u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 + u4 * v4 + u5 * v5
 
 
-_DOTS = {3: _dot3, 4: _dot4, 6: _dot6}
+_DOTS = {3: _dot3, 6: _dot6}
+
+
+def _mul4(a: Matrix, b: Matrix) -> Matrix:
+    """a b for a 4x4 matrix b, unrolled; a loop, not a comprehension, keeps
+    the entries of b in fast locals rather than closure cells."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = b
+    out = []
+    for x0, x1, x2, x3 in a:
+        out.append((x0 * p0 + x1 * q0 + x2 * r0 + x3 * s0,
+                    x0 * p1 + x1 * q1 + x2 * r1 + x3 * s1,
+                    x0 * p2 + x1 * q2 + x2 * r2 + x3 * s2,
+                    x0 * p3 + x1 * q3 + x2 * r3 + x3 * s3))
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b, with the dot product chosen once from the inner dimension len(b)."""
+    """a b, by :func:`_mul4` for a 4x4 b and else by the dot product chosen
+    once from the inner dimension len(b)."""
+    if len(b) == 4 and len(b[0]) == 4:
+        return _mul4(a, b)
     dot = _DOTS.get(len(b), vec_dot)
     bt = transpose(b)
     return tuple([tuple([dot(row, col) for col in bt]) for row in a])
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(map(mul, row, v)) for row in a)
+    dot = _DOTS.get(len(v), vec_dot)
+    return tuple([dot(row, v) for row in a])
 
 
 def clear_denominators(v) -> tuple:
@@ -155,8 +167,8 @@ def adjugate(a: Matrix) -> Matrix:
     d = _bareiss(rows, n, jordan=True)
     if d == 0:
         raise ValueError("matrix is singular")
-    s = d // rows[0][0]  # the left block is now +-d times the identity
-    return tuple(tuple(s * x for x in r[n:]) for r in rows)
+    # the left block is now +-d times the identity
+    return mat_scale(d // rows[0][0], [r[n:] for r in rows])
 
 
 def primitive_vector(v: Vector) -> Vector:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from ._value import Value
+from ._value import Value, check_ints
 from .linalg import factor, factor_pairs, mat, sign_normalize
 
 
@@ -131,6 +131,7 @@ def _totient_like_index(n: int) -> int:
 
 def index_gamma_n(n: int) -> int:
     """[Gamma : Gamma(n)] = n^3/2 * prod (1 - 1/p^2) for n >= 3; 1, 6 below."""
+    check_ints(n)
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -150,6 +151,7 @@ def delta_n(n: int) -> int:
     roots as +1 when it is a square mod n (qr_minus_one), else none, so
     delta_n is s+ or s+/2.  For n = 1, 2, where +1 = -1, the formula gives
     s+ = 1 = delta_n."""
+    check_ints(n)
     if n < 1:
         raise ValueError("n must be positive")
     plus = 1
@@ -160,7 +162,7 @@ def delta_n(n: int) -> int:
 
 def index_pi_g_n(n: int) -> int:
     """[Pi : G_n] = n^3 prod(1-1/p^2) / delta_n; the formula gives 1 and 6
-    for n = 1, 2.  delta_n raises ValueError for n < 1."""
+    for n = 1, 2.  delta_n refuses a non-int n (TypeError) and n < 1."""
     d = delta_n(n)
     v = _totient_like_index(n)
     if v % d:
@@ -196,6 +198,9 @@ def torsion_search(spec: SubgroupSpec, bound: int):
     (m_b, m_c) of spec.moduli, which every member's b and c obey;
     linalg.factor_pairs lists those pairs.
     """
+    check_ints(bound)
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     _, mb, mc = spec.moduli
     found = set()
     for det_val, traces in ((1, (0, 1, -1)), (-1, (0,))):
@@ -219,6 +224,7 @@ def free_rank(index_in_pi: int) -> int:
     Gamma = PSL2(Z) must double it first.  An index that is not a positive
     multiple of 12 signals torsion or a wrong ambient group: ValueError.
     """
+    check_ints(index_in_pi)
     if index_in_pi < 1 or index_in_pi % 12 != 0:
         raise ValueError("index not a positive multiple of 12 (torsion, or not in Pi?)")
     return index_in_pi // 12 + 1
@@ -227,6 +233,7 @@ def free_rank(index_in_pi: int) -> int:
 def qr_minus_one(n: int) -> bool:
     """Is -1 a quadratic residue modulo n?  Yes iff 4 does not divide n and
     every odd prime p | n has p = 1 mod 4."""
+    check_ints(n)
     if n < 1:
         raise ValueError("n must be positive")
     return n % 4 != 0 and all(p % 4 == 1 for p, _ in factor(n) if p != 2)
@@ -278,6 +285,7 @@ def prime_power_generator(n: int):
     n = p^e with p = 3 mod 4 -> None; n = p^e with p = 1 mod 4 -> the
     det -1 class witness of the smaller root a of a^2 = -1 mod n.
     """
+    check_ints(n)
     p, e = prime_power(n)
     if p is None:
         raise ValueError("n must be a prime power")

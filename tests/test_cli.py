@@ -316,6 +316,55 @@ def test_verify_counts_a_failed_homomorphism_as_one_failed_check(capsys, monkeyp
     assert len(calls) == first_bad_call
 
 
+def _shifted(f, i, j):
+    """f with entry (i, j) of each matrix it returns raised by 1."""
+    def g(*args):
+        m = [list(row) for row in f(*args)]
+        m[i][j] += 1
+        return tuple(map(tuple, m))
+    return g
+
+
+def _shifted_square(f):
+    """f with the e0 entry of each product x x raised by 1."""
+    def g(xs, ys, params):
+        out = f(xs, ys, params)
+        return [out[0] + 1, *out[1:]] if xs == ys else out
+    return g
+
+
+# Each rewritten check of the Gram suites against a map shifted by 1 in one
+# entry, once for each basis row w_r: column 3 + r (e23, e31, e12) of a map
+# on W, where w_r^+ and w_r^- read +-1 and the other rows 0, or column r of
+# eta, which moves only the image of w_r.
+SHIFTS = [
+    ("exterior", verify.ext, "mu_matrix", lambda f, r: _shifted(f, 0, 3 + r),
+     {"mu(x,1)|P+", "mu(1,x)|P-"}),
+    ("exterior", verify.ext, "integer_mu_tilde", lambda f, r: _shifted(f, 0, 3 + r),
+     {"mu~(x)|P-", "mu~(x)|P+ = (-Nx) eta_x", "mu~(E)|P+ = D0", "mu~(E)|P- = -D0"}),
+    ("exterior", verify.ext, "integer_eta", lambda f, r: _shifted(f, 0, r),
+     {"mu~(x)|P+ = (-Nx) eta_x"}),
+    ("clifford", verify, "integer_mul", lambda f, r: _shifted_square(f), {"E^2 = -D0"}),
+]
+
+
+@pytest.mark.parametrize("suite, module, name, shift, labels", SHIFTS,
+                         ids=[s[2] for s in SHIFTS])
+def test_gram_suite_checks_catch_a_shifted_entry(monkeypatch, suite, module, name,
+                                                 shift, labels):
+    trials, per_trial = 2, {"clifford": 35, "exterior": 25}[suite]
+    run = verify.ALL_SUITES[suite]
+    assert run(trials, 3).failed == 0
+    for r in range(3):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, shift(getattr(module, name), r))
+            res = run(trials, 3)
+        assert res.passed + res.failed == per_trial * trials
+        assert labels <= {f.split(": ")[0] for f in res.failures}, r
+        # every trial fails each of these checks at least once
+        assert res.failed >= len(labels) * trials
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_invariant_failure_exits_3_with_one_line(capsys, monkeypatch, fmt):
     def bad_lift(h, params):

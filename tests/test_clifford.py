@@ -9,8 +9,9 @@ from oracles import dual_basis_vectors, gram_half, inverse
 from picard3 import exterior as ext
 from picard3 import linalg as la
 from picard3.cli import main
-from picard3.clifford import (CliffordElement, EvenCliffordElement,
-                              GramParams, OddCliffordElement, _constants,
+from picard3.clifford import (EVEN_MASKS, ODD_MASKS, CliffordElement,
+                              EvenCliffordElement, GramParams,
+                              OddCliffordElement, _constants,
                               alternating_E, clifford_mul, element_E, gram_B,
                               integer_mul, integer_reversal, norm, phi_rep,
                               reversal, trace)
@@ -98,6 +99,19 @@ def test_gram_params_family_is_the_family_lattice():
     for k, l in ((0, 1), (1, 0), (0, 0)):
         with pytest.raises(ValueError, match="^k and l must be nonzero$"):
             GramParams.family(k, l)
+
+
+def test_gram_params_fields_must_be_ints():
+    # a bool passes 2 * True as the int 2, and a Fraction half puts 1 on the
+    # Gram diagonal: each field takes ints only
+    for bad in (True, Fraction(1, 2), 1.0):
+        for i in range(6):
+            fields = [0, 0, 0, 0, 2, 0]
+            fields[i] = bad
+            with pytest.raises(TypeError):
+                GramParams(*fields)
+    assert GramParams(0, 0, 0, 0, 2, 0) == (0, 0, 0, 0, 2, 0)
+    assert pickle.loads(pickle.dumps(WEHLER)) == WEHLER
 
 
 def test_scalar_and_basis_products():
@@ -357,6 +371,16 @@ def test_alternating_E(rng):
         alternating_E(p)    # all cross-checks are built in
 
 
+def test_alternating_E_makes_each_generator_product_once(monkeypatch):
+    # the six E_a E_b, then the six (E_a E_b) E_c and the three E_i (6 E)
+    import picard3.clifford as cl
+    calls = []
+    mul = cl.integer_mul
+    monkeypatch.setattr(cl, "integer_mul", lambda x, y, p: calls.append(1) or mul(x, y, p))
+    alternating_E(WEHLER)
+    assert len(calls) == 15
+
+
 def test_alternating_E_basis_change_invariance(rng):
     # an elementary transformation (det 1) leaves E fixed
     for _ in range(10):
@@ -407,6 +431,15 @@ def test_charts_are_slices_and_round_trip(rng):
             assert even.is_integral == odd.is_integral == integral
     with pytest.raises(ValueError):
         (EvenCliffordElement(1, 0, 0, 0) + OddCliffordElement(1, 0, 0, 0)).coords
+
+
+def test_grade_tests_read_the_chart_slots():
+    # every support pattern of the 8 slots: even iff no odd slot is set, odd
+    # iff no even slot is set (so zero is both)
+    for support in range(256):
+        x = CliffordElement(tuple((support >> m) & 1 for m in range(8)))
+        assert x.is_even == (not any(x.ints[m] for m in ODD_MASKS))
+        assert x.is_odd == (not any(x.ints[m] for m in EVEN_MASKS))
 
 
 def test_slot_5_holds_E3E1(rng):

@@ -21,8 +21,10 @@ def test_identity_and_mul():
 
 
 def test_mat_mul_matches_the_reference(rng):
-    # inner dimensions 3, 4 and 6 take the unrolled dot products, the others
-    # (0 included) the generic one
+    # a 4x4 b (inner = cols = 4) takes the unrolled 4x4 product, here on int
+    # and Fraction entries for 1-7 rows; otherwise inner dimensions 3 and 6
+    # take the unrolled dot products, the others (0 included) the generic
+    # one.  mat_vec, on the one column of each cols = 1 case, shares them.
     for inner in range(8):
         for rows in range(1, 8):
             for cols in range(1, 8):
@@ -38,6 +40,10 @@ def test_mat_mul_matches_the_reference(rng):
                         assert all(type(row) is tuple for row in got)
                         assert [type(v) for row in got for v in row] \
                             == [type(v) for row in want for v in row]
+                        if cols == 1 and inner:
+                            got = la.mat_vec(x2, tuple(r[0] for r in y2))
+                            assert got == tuple(r[0] for r in want)
+                            assert [type(v) for v in got] == [type(r[0]) for r in want]
 
 
 def test_det_small():

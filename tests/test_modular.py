@@ -219,6 +219,59 @@ def test_free_rank():
             free_rank(bad)
 
 
+# A bool passes arithmetic as 0 or 1, and a float gives a float out of an
+# exact API (index_pi_g_n(2.0) was 6.0): each number-theory export refuses
+# both with TypeError.
+NON_INTS = (True, 2.0, Fraction(5))
+
+
+def test_delta_n_refuses_non_ints():
+    for bad in NON_INTS + (5.0,):
+        with pytest.raises(TypeError):
+            delta_n(bad)
+
+
+def test_index_pi_g_n_refuses_non_ints():
+    for bad in NON_INTS:
+        with pytest.raises(TypeError):
+            index_pi_g_n(bad)
+
+
+def test_index_gamma_n_refuses_non_ints():
+    for bad in NON_INTS + (1.0,):
+        with pytest.raises(TypeError):
+            index_gamma_n(bad)
+
+
+def test_free_rank_refuses_non_ints():
+    for bad in NON_INTS + (12.0, Fraction(24)):
+        with pytest.raises(TypeError):
+            free_rank(bad)
+
+
+def test_qr_minus_one_refuses_non_ints():
+    for bad in NON_INTS + (4.0,):
+        with pytest.raises(TypeError):
+            qr_minus_one(bad)
+
+
+def test_prime_power_generator_refuses_non_ints():
+    for bad in NON_INTS:
+        with pytest.raises(TypeError):
+            prime_power_generator(bad)
+
+
+def test_torsion_search_refuses_bad_bounds():
+    # as unit_search_even does: a negative bound is a ValueError
+    spec = SubgroupSpec("G_n", n=2)
+    with pytest.raises(ValueError, match="^bound must be >= 0$"):
+        torsion_search(spec, -5)
+    for bad in NON_INTS:
+        with pytest.raises(TypeError):
+            torsion_search(spec, bad)
+    assert torsion_search(spec, 0) == ()
+
+
 def test_qr_minus_one():
     assert qr_minus_one(1) and qr_minus_one(2) and qr_minus_one(5)
     assert qr_minus_one(13) and qr_minus_one(25)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from picard3 import isometries, report
@@ -80,6 +82,13 @@ def test_congruence_data_searches_only_where_no_proof_applies(monkeypatch):
             assert data["free_rank"] == data["index_in_Pi"] // 12 + 1
     assert searched == [(1, 30), (2, 30)]
     assert analyze_picard(8, -8).bounds == {"unit_search": 20, "torsion_search": 30}
+
+
+def test_congruence_data_refuses_non_ints():
+    # True was read as n = 1
+    for bad in (True, 2.0, Fraction(3)):
+        with pytest.raises(TypeError):
+            congruence_data(bad)
 
 
 def test_hypothesis_violations_flag_not_raise():
