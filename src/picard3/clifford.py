@@ -65,13 +65,17 @@ PARAMS_CACHE_SIZE = 32
 
 class GramParams(namedtuple("GramParams", "a b c s t u")):
     """The six integers (a, b, c, s, t, u) determining a rank-3 even lattice;
-    any other field type raises TypeError."""
+    any other field type raises TypeError, also from _make and _replace."""
 
     __slots__ = ()
 
     def __new__(cls, a, b, c, s, t, u):
         check_ints(a, b, c, s, t, u)
         return super().__new__(cls, a, b, c, s, t, u)
+
+    @classmethod
+    def _make(cls, iterable):   # namedtuple's _make, and so _replace, skip __new__
+        return cls(*iterable)
 
     @staticmethod
     def from_gram(q) -> "GramParams":
@@ -112,7 +116,9 @@ class CliffordElement(Value):
     terms.
 
     Immutable; equal elements compare and hash equal.  ``coeffs`` and, for a
-    pure-grade element, ``coords`` give the coordinates as Fractions.
+    pure-grade element, ``coords`` give the coordinates as Fractions.  A
+    coefficient or a scale that is not an int or a Fraction, a bool too,
+    raises TypeError.
     """
 
     __slots__ = _fields = ("ints", "den")
@@ -122,7 +128,7 @@ class CliffordElement(Value):
             raise ValueError("need 8 coefficients")
         if all(type(x) is int for x in coeffs):
             den, ints = 1, coeffs
-        elif all(isinstance(x, (int, Fraction)) for x in coeffs):
+        elif all(type(x) is int or type(x) is Fraction for x in coeffs):
             den, ints = clear_denominators(coeffs)
         else:
             raise TypeError("coefficients must be int or Fraction")
@@ -179,7 +185,7 @@ class CliffordElement(Value):
         return _element([-x for x in self.ints], self.den)
 
     def scale(self, c) -> "CliffordElement":
-        if not isinstance(c, (int, Fraction)):
+        if type(c) is not int and type(c) is not Fraction:
             raise TypeError("coefficients must be int or Fraction")
         return _element([c.numerator * x for x in self.ints], c.denominator * self.den)
 

@@ -14,14 +14,16 @@ forms in the four unit coordinates, derived once from the Clifford kernel
 and stacked into a 10 x 10 matrix M over the monomials x_p x_q.  As
 N = +-1, h_alpha, g_alpha and phi_alpha are eps N Q, N Q and Q.  The lift
 multiplies the entries of g by the cached adj(M) and reads the unit off a
-row of the resulting rank-1 matrix (x_p x_q).
+row of the resulting rank-1 matrix (x_p x_q).  Both evaluations, of M at the
+monomials and of adj(M) at the entries of g, run as unrolled 10-term int sums.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from operator import mul
+from math import gcd
+from operator import itemgetter
 
 from ._value import Value
 from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
@@ -29,12 +31,12 @@ from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        GramParams, OddCliffordElement, clifford_mul,
                        integer_mul, integer_norm, integer_reversal)
 from .lattice import Isometry3, Lattice
-from .linalg import (adjugate, factor_pairs, mat, primitive_vector,
-                     sign_normalize, squarefree_part)
+from .linalg import (adjugate, factor_pairs, identity, mat, sign_normalize,
+                     squarefree_part)
 from .modular import SubgroupSpec, member
 
-# The slots of the unit coordinates of each grade.
-_CHARTS = {"even": EVEN_MASKS, "odd": ODD_MASKS}
+# The unit coordinates of each grade, read off the eight slots.
+_CHARTS = {"even": itemgetter(*EVEN_MASKS), "odd": itemgetter(*ODD_MASKS)}
 
 
 class CliffordUnit(Value):
@@ -76,11 +78,12 @@ def unit_product(u1: CliffordUnit, u2: CliffordUnit,
                                      params)
 
 
-# The monomials x_p x_q (p <= q) of the four unit coordinates, and the
-# position of x_p x_q in that list for either order of p and q.
+# The monomials x_p x_q (p <= q) of the four unit coordinates; the entries
+# x_p x_p, and each row (x_p x_q)_q, of a vector over them.
 _MONOMIALS = tuple((p, q) for p in range(4) for q in range(p, 4))
-_MONO_INDEX = {pq: i for i, (p, q) in enumerate(_MONOMIALS)
-               for pq in ((p, q), (q, p))}
+_DIAGONAL = itemgetter(*(_MONOMIALS.index((p, p)) for p in range(4)))
+_ROWS = [itemgetter(*(_MONOMIALS.index((min(p, q), max(p, q))) for q in range(4)))
+         for p in range(4)]
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -92,7 +95,7 @@ def _unit_forms(params: GramParams, grade: str):
     alpha E_{j+1} alpha*; the last row holds N(alpha) = alpha alpha*.  M is
     invertible because Sym^2 of the 4-dimensional grade is End(L (x) Q) + Q.
     """
-    basis = [[int(m == s) for m in range(DIM)] for s in _CHARTS[grade]]
+    basis = _CHARTS[grade](identity(DIM))
     stars = [integer_reversal(b, params) for b in basis]
 
     def symmetrized(left):
@@ -123,20 +126,32 @@ def _unit_forms(params: GramParams, grade: str):
         raise AssertionError(f"det M = 0 for the {grade} units of {params}") from None
 
 
+def _apply(rows, v) -> list:
+    """[row . v for row in rows], unrolled; a loop keeps v in fast locals."""
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9 = v
+    out = []
+    for a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 in rows:
+        out.append(a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4
+                   + a5 * v5 + a6 * v6 + a7 * v7 + a8 * v8 + a9 * v9)
+    return out
+
+
 def _evaluate(forms, x) -> list:
     """[Q_11(x), Q_12(x), ..., Q_33(x), N(x)] at the integer unit coordinates x."""
-    monos = [x[p] * x[q] for p, q in _MONOMIALS]
-    return [sum(map(mul, row, monos)) for row in forms]
+    x0, x1, x2, x3 = x
+    return _apply(forms, (x0 * x0, x0 * x1, x0 * x2, x0 * x3, x1 * x1,
+                          x1 * x2, x1 * x3, x2 * x2, x2 * x3, x3 * x3))
 
 
 def _unit_matrix(unit: CliffordUnit, params: GramParams, c: int):
     """c (Q_ij(x)) at the coordinates x of a unit, from one evaluation of
     the unit forms; AssertionError unless N(x) is the unit's norm."""
-    vals = _evaluate(_unit_forms(params, unit.grade)[0],
-                     [unit.element.ints[m] for m in _CHARTS[unit.grade]])
-    if vals[9] != unit.norm:
+    v = _evaluate(_unit_forms(params, unit.grade)[0],
+                  _CHARTS[unit.grade](unit.element.ints))
+    if v[9] != unit.norm:
         raise AssertionError("the norm form disagrees with N alpha")
-    return tuple(tuple(c * v for v in vals[3 * i:3 * i + 3]) for i in range(3))
+    return ((c * v[0], c * v[1], c * v[2]), (c * v[3], c * v[4], c * v[5]),
+            (c * v[6], c * v[7], c * v[8]))
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
@@ -189,18 +204,20 @@ def clifford_lift(g, params: GramParams):
     """
     iso = Isometry3.of(g, _lattice(params))
     eps = iso.det
-    grade = "even" if eps == 1 else "odd"
-    forms, adj = _unit_forms(params, grade)
-    rhs = [eps * x for row in iso.matrix for x in row] + [1]
-    w = [sum(map(mul, row, rhs)) for row in adj]
-    p = max(range(4), key=lambda i: abs(w[_MONO_INDEX[i, i]]))
-    if w[_MONO_INDEX[p, p]] == 0:
+    forms, adj = _unit_forms(params, "even" if eps == 1 else "odd")
+    # adj(M) (g_11, ..., g_33, eps) is eps times the vector above: same rows
+    rhs = [*iso.matrix[0], *iso.matrix[1], *iso.matrix[2], eps]
+    w = _apply(adj, rhs)
+    diagonal = list(map(abs, _DIAGONAL(w)))
+    if not any(diagonal):
         raise ValueError("no Clifford lift: g is not an isometry of L (x) Q")
-    coords = primitive_vector([w[_MONO_INDEX[p, q]] for q in range(4)])
+    row = _ROWS[diagonal.index(max(diagonal))](w)
+    d = gcd(*row)
+    coords = sign_normalize([x // d for x in row])
     vals = _evaluate(forms, coords)
-    n = vals[9]
     # consistency: the lift must reproduce g, i.e. Q_ij(x) = N(x) eps g_ij
-    if vals != [n * r for r in rhs]:
+    n = vals[9]
+    if vals != [n * eps * r for r in rhs]:
         raise AssertionError("lift does not reproduce g")
     cls = EvenCliffordElement if eps == 1 else OddCliffordElement
     return cls(*coords), n

@@ -1,5 +1,5 @@
 """Even integer lattices: discriminants, duals, discriminant groups and forms,
-isometries (Isometry3) with their discriminant-kernel and positive-cone
+rank-3 isometries (Isometry3) with their discriminant-kernel and positive-cone
 tests, and the family representability criterion.
 
 A lattice is its symmetric integer Gram matrix.  Degenerate or odd lattices
@@ -203,16 +203,30 @@ def form_orthogonal_group(form: FiniteQuadraticForm):
 
 
 def is_isometry(g, lat: Lattice) -> bool:
-    """Is g an int matrix with g^T Q g = Q?  A Fraction or bool entry is
-    not an int, so such a g is not one."""
-    gm = mat(g)
-    return (all(type(x) is int for row in gm for x in row)
-            and mat_mul(mat_mul(transpose(gm), lat.gram), gm) == lat.gram)
+    """Is g a 3x3 int matrix with g^T Q g = Q, for lat of rank 3?  No other
+    shape, and no Fraction or bool entry, is one.  Unrolled: the nine entries
+    of Qg, then the six of g^T Qg on and above its diagonal (it is symmetric)."""
+    try:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = g
+        (q0, q1, q2), (_, q4, q5), (_, _, q8) = lat.gram
+    except ValueError:
+        return False
+    if not (type(a0) is type(a1) is type(a2) is type(b0) is type(b1) is type(b2)
+            is type(c0) is type(c1) is type(c2) is int):
+        return False
+    # column j of Qg is (u_j, v_j, w_j) = Q (a_j, b_j, c_j)
+    u0, v0, w0 = q0*a0 + q1*b0 + q2*c0, q1*a0 + q4*b0 + q5*c0, q2*a0 + q5*b0 + q8*c0
+    u1, v1, w1 = q0*a1 + q1*b1 + q2*c1, q1*a1 + q4*b1 + q5*c1, q2*a1 + q5*b1 + q8*c1
+    u2, v2, w2 = q0*a2 + q1*b2 + q2*c2, q1*a2 + q4*b2 + q5*c2, q2*a2 + q5*b2 + q8*c2
+    return (a0*u0 + b0*v0 + c0*w0 == q0 and a0*u1 + b0*v1 + c0*w1 == q1
+            and a0*u2 + b0*v2 + c0*w2 == q2 and a1*u1 + b1*v1 + c1*w1 == q4
+            and a1*u2 + b1*v2 + c1*w2 == q5 and a2*u2 + b2*v2 + c2*w2 == q8)
 
 
 class Isometry3(Value):
     """An integer isometry g of a rank-3 even lattice, with cached flags; the
-    one place where g^T Q g = Q is checked."""
+    one place where g^T Q g = Q is checked.  A matrix that is not 3x3, or a
+    lattice of another rank, raises the same ValueError as a non-isometry."""
 
     _fields = ("matrix", "lattice")
 
@@ -283,11 +297,11 @@ def _positive_vector(r) -> tuple:
 
 
 def preserves_positive_cone(g, lat: Lattice) -> bool:
-    """Cone test in integers, for rank at most 3 and signature (1, n) or
-    (n, 1): with eps = +1 for (1, n) and -1 otherwise, and v from
-    _positive_vector(eps Q), returns eps <gv, v> > 0.  The rank and the
-    signature are checked first, then g (by Isometry3.of).  v and eps Q v
-    are computed once per lattice.
+    """Cone test in integers, for signature (1, n) or (n, 1): with eps = +1
+    for (1, n) and -1 otherwise, and v from _positive_vector(eps Q), returns
+    eps <gv, v> > 0.  A rank above 3 and the signature are checked first, then
+    g (by Isometry3.of, so rank 3 only).  v and eps Q v are computed once per
+    lattice.
     """
     v, rv = lat._cone_vectors
     val = vec_dot(mat_vec(Isometry3.of(g, lat).matrix, v), rv)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 Matrix = tuple  # tuple of row tuples
@@ -24,7 +24,7 @@ Vector = tuple
 
 def mat(rows) -> Matrix:
     """Freeze a nested sequence into a matrix (tuple of row tuples)."""
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def identity(n: int) -> Matrix:
@@ -140,7 +140,8 @@ def det(a: Matrix):
     out once at the end."""
     if len(a) == 3:
         (p, q, r), (s, t, u), (v, w, x) = a
-        if all(type(y) is int for y in (p, q, r, s, t, u, v, w, x)):
+        if (type(p) is type(q) is type(r) is type(s) is type(t) is type(u)
+                is type(v) is type(w) is type(x) is int):
             return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
     if len(a) == 4 and all(type(y) is int for row in a for y in row):
         (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = a
@@ -169,19 +170,6 @@ def adjugate(a: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     # the left block is now +-d times the identity
     return mat_scale(d // rows[0][0], [r[n:] for r in rows])
-
-
-def primitive_vector(v: Vector) -> Vector:
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    Clears denominators, divides by the content, and fixes the sign so the
-    first nonzero coordinate is positive.
-    """
-    _, ints = clear_denominators(v)
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return sign_normalize([x // g for x in ints])
 
 
 def sign_normalize(v) -> Vector:

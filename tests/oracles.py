@@ -16,10 +16,9 @@ from picard3.clifford import (CliffordElement, EvenCliffordElement,
                               norm, reversal)
 from picard3.exterior import GRAM_W, WEDGE_PAIRS
 from picard3.isometries import Isometry3
-from picard3.lattice import (Lattice, _element_order, discriminant_group,
-                             is_isometry)
+from picard3.lattice import Lattice, _element_order, discriminant_group
 from picard3.linalg import (adjugate, clear_denominators, det, identity, mat,
-                            mat_mul, mat_scale, mat_vec, primitive_vector,
+                            mat_mul, mat_scale, mat_vec, sign_normalize,
                             smith_normal_form, transpose, vec_dot)
 from picard3.modular import ModularElement, SubgroupSpec, member
 
@@ -367,6 +366,34 @@ def kernel_lift(g, params):
     return elem, _norm(full, params)
 
 
+def is_isometry_by_products(g, lat: Lattice) -> bool:
+    """Is g an int matrix with g^T Q g = Q?  By two generic products, for
+    any shape and rank."""
+    gm = mat(g)
+    return (all(type(x) is int for row in gm for x in row)
+            and mat_mul(mat_mul(transpose(gm), lat.gram), gm) == lat.gram)
+
+
+def evaluate_unit_forms(forms, x) -> list:
+    """[Q_11(x), ..., Q_33(x), N(x)]: each row of forms against the list of
+    monomials x_p x_q, p <= q, in lexicographic order."""
+    monos = [x[p] * x[q] for p in range(4) for q in range(p, 4)]
+    return [sum(map(mul, row, monos)) for row in forms]
+
+
+def primitive_vector(v):
+    """Scale a nonzero rational vector to a primitive integer vector.
+
+    Clears denominators, divides by the content, and fixes the sign so the
+    first nonzero coordinate is positive.
+    """
+    _, ints = clear_denominators(v)
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return sign_normalize([x // g for x in ints])
+
+
 def inverse(a):
     """Exact inverse adj(A) D / det(A), where A = D a has integer rows and D
     is diagonal; raises ValueError if singular."""
@@ -546,7 +573,7 @@ def cone_test_by_two_diagonalizations(g, lat: Lattice) -> bool:
     else:
         raise ValueError(f"cone test unsupported for signature {(s_plus, s_minus)}")
     gm = mat(g)
-    if not is_isometry(gm, lat):
+    if not is_isometry_by_products(gm, lat):
         raise ValueError("g is not an isometry of L")
     v = positive_vector(q)
     val = vec_dot(mat_vec(gm, v), mat_vec(q, v))

@@ -114,6 +114,20 @@ def test_gram_params_fields_must_be_ints():
     assert pickle.loads(pickle.dumps(WEHLER)) == WEHLER
 
 
+def test_gram_params_make_and_replace_check_their_fields():
+    # namedtuple builds both through tuple.__new__, which skips the field check
+    base = GramParams(0, 0, 0, 0, 2, 0)
+    with pytest.raises(TypeError):
+        GramParams._make((True, 0, 0, 0, 2, 0))
+    with pytest.raises(TypeError):
+        base._replace(a=0.5)
+    with pytest.raises(TypeError):
+        base._replace(u=Fraction(1, 2))
+    assert GramParams._make([0, 0, 0, 0, 2, 0]) == base
+    one = base._replace(a=1)
+    assert type(one) is GramParams and one == (1, 0, 0, 0, 2, 0)
+
+
 def test_scalar_and_basis_products():
     one = CliffordElement.scalar(1)
     x = CliffordElement(tuple(range(8)))
@@ -477,6 +491,19 @@ def test_coefficients_must_be_exact():
             CliffordElement((bad,) + (0,) * 7)
         with pytest.raises(TypeError):
             CliffordElement.scalar(1).scale(bad)
+
+
+def test_coefficients_and_scale_refuse_bool():
+    # bool is an int subclass: True would enter silently as the coefficient 1
+    for coeffs in ((True,) + (0,) * 7, (Fraction(1, 2), False) + (0,) * 6):
+        with pytest.raises(TypeError):
+            CliffordElement(coeffs)
+    for make in (EvenCliffordElement, OddCliffordElement):
+        with pytest.raises(TypeError):
+            make(1, 0, True, 0)
+    for c in (True, False):
+        with pytest.raises(TypeError):
+            CliffordElement.scalar(1).scale(c)
 
 
 def test_wrong_grade_inputs_raise():

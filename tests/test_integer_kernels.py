@@ -12,8 +12,8 @@ import pytest
 
 import kernelgen
 from oracles import (ascending, conjugation_matrix, det_by_fractions,
-                     isometry_scan, kernel_lift, monomial_product, rewrite_mul,
-                     rewrite_reversal)
+                     evaluate_unit_forms, isometry_scan, kernel_lift,
+                     monomial_product, rewrite_mul, rewrite_reversal)
 from picard3 import _kernels
 from picard3 import linalg as la
 from picard3.clifford import (DIM, EVEN_MASKS, ODD_MASKS, CliffordElement,
@@ -22,8 +22,8 @@ from picard3.clifford import (DIM, EVEN_MASKS, ODD_MASKS, CliffordElement,
                               integer_reversal, integer_right_even,
                               integer_right_odd, norm, reversal)
 from picard3.exterior import _pairing_matrix
-from picard3.isometries import (_unit_forms, clifford_lift, g_alpha, h_alpha,
-                                seeded_units)
+from picard3.isometries import (_evaluate, _unit_forms, clifford_lift, g_alpha,
+                                h_alpha, seeded_units)
 from picard3.lattice import Lattice
 from conftest import random_gram_params
 
@@ -85,6 +85,17 @@ def test_unit_form_matrix_is_invertible_on_dense_tuples(rng):
     for grade in ("even", "odd"):
         with pytest.raises(AssertionError):
             _unit_forms(degenerate, grade)
+
+
+def test_unit_form_evaluation_matches_the_list_built_one(rng):
+    tuples = [GramParams(0, l, 0, 0, k, 0) for k, l in FAMILIES]
+    tuples += [random_gram_params(rng) for _ in range(20)]
+    for p in tuples:
+        for grade in ("even", "odd"):
+            forms = _unit_forms(p, grade)[0]
+            for _ in range(20):
+                x = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
+                assert _evaluate(forms, x) == evaluate_unit_forms(forms, x), (p, grade, x)
 
 
 def test_integer_kernel_matches_the_rewriting_rules(rng):

@@ -1,20 +1,21 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from oracles import (cone_test_by_two_diagonalizations,
                      form_orthogonal_group_bijective,
                      generator_lifts_by_inverse, induced_action_trivial,
-                     isometry_scan, signature_of)
+                     is_isometry_by_products, isometry_scan, signature_of)
 from picard3 import lattice as lattice_module
 from picard3 import linalg as la
 from picard3.clifford import GramParams
-from picard3.isometries import Isometry3, phi_alpha, seeded_units
+from picard3.isometries import Isometry3, h_alpha, phi_alpha, seeded_units
 from picard3.lattice import (Lattice, _positive_vector, disc, discriminant_form,
                              discriminant_group, family_lattice,
                              form_orthogonal_group, in_discriminant_kernel,
-                             m_n_lattice, preserves_positive_cone, represents,
-                             signature)
+                             is_isometry, m_n_lattice, preserves_positive_cone,
+                             represents, signature)
 from picard3.verify import FAMILIES
 
 WEHLER = Lattice(((0, 2, 2), (2, 0, 2), (2, 2, 0)))
@@ -365,6 +366,44 @@ def test_positive_vector_cases():
             for g in isometry_scan(lat, 1):
                 assert preserves_positive_cone(g, lat) == \
                     cone_test_by_two_diagonalizations(g.matrix, lat), (r, g)
+
+
+def shifted_by_one(m):
+    """The 18 matrices that differ from m by +-1 in one entry."""
+    for i, j, d in product(range(3), range(3), (1, -1)):
+        out = [list(row) for row in m]
+        out[i][j] += d
+        yield la.mat(out)
+
+
+def test_isometry_check_matches_the_generic_products():
+    # scanned isometries, and each with one entry moved by +-1
+    seen = set()
+    for r, _ in POSITIVE_VECTOR_CASES:
+        for lat in (Lattice(r), Lattice(negated(r))):
+            for g in isometry_scan(lat, 1):
+                for m in (g.matrix, *shifted_by_one(g.matrix)):
+                    seen.add(is_isometry(m, lat))
+                    assert is_isometry(m, lat) == is_isometry_by_products(m, lat), (r, m)
+    assert seen == {True, False}
+    # an h_alpha matrix with one entry moved by +-1 is none
+    for k, l in ((1, -1), (2, 3), (5, -7)):
+        params, lat = GramParams(0, l, 0, 0, k, 0), family_lattice(k, l)
+        for u in seeded_units(k, l, 4, 17):
+            h = h_alpha(u, params).matrix
+            assert is_isometry(h, lat) and is_isometry_by_products(h, lat)
+            for m in shifted_by_one(h):
+                assert not is_isometry(m, lat) and not is_isometry_by_products(m, lat)
+    # Isometry3 is rank 3 only: other shapes and ranks raise the one message,
+    # also where the generic products accept the matrix
+    lat3, lat2 = family_lattice(2, -2), U
+    assert is_isometry_by_products(la.identity(2), lat2)
+    for g, lat in ((la.identity(2), lat3), (((1, 0, 0), (0, 1, 0)), lat3),
+                   (((1, 0, 0), (0, 1), (0, 0, 1)), lat3),
+                   (la.identity(2), lat2), (la.identity(3), lat2)):
+        assert not is_isometry(g, lat)
+        with pytest.raises(ValueError, match="^g is not an isometry of L$"):
+            Isometry3(g, lat)
 
 
 def test_cone_test_matches_the_oracle_on_random_lattices(rng):

