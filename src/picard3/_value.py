@@ -20,11 +20,10 @@ def _restore(cls, values):
 
 class Value:
     """A frozen value: equal, with equal hashes, to an instance of the same
-    class with equal fields (the names in ``_fields``).  Each subclass's
-    ``__init__`` sets its fields by ``object.__setattr__``; after that,
-    assignment and deletion raise AttributeError.  A ``cached_property``
-    writes to the instance dict directly, and stays out of equality,
-    hashing, the repr and pickling.
+    class with equal fields (the names in ``_fields``).  Each subclass
+    declares ``__slots__ = _fields``, so an instance holds its fields and
+    nothing else, and its ``__init__`` sets them by ``object.__setattr__``;
+    after that, assignment and deletion raise AttributeError.
     """
 
     __slots__ = ()

@@ -45,7 +45,7 @@ class PBasis(Value):
     """The printed integral bases w_i^+ and w_i^- of P+ and P-, each three
     integer 6-tuples."""
 
-    _fields = ("plus", "minus")
+    __slots__ = _fields = ("plus", "minus")
 
     def __init__(self, plus: tuple, minus: tuple):
         object.__setattr__(self, "plus", plus)

@@ -46,7 +46,7 @@ class CliffordUnit(Value):
     coordinate is positive; ``grade`` is "even" or "odd".
     """
 
-    _fields = ("element", "grade", "norm")
+    __slots__ = _fields = ("element", "grade", "norm")
 
     def __init__(self, element: CliffordElement, grade: str, norm: int):
         object.__setattr__(self, "element", element)
@@ -66,7 +66,7 @@ class CliffordUnit(Value):
         n = integer_norm(elem.ints, params)
         if n not in (1, -1):
             raise ValueError(f"not a unit: N = {n}")
-        coords = elem.coords
+        coords = _CHARTS[grade](elem.ints)
         return CliffordUnit(elem if sign_normalize(coords) == coords else -elem,
                             grade, n)
 
@@ -336,10 +336,11 @@ def seeded_units(k: int, l: int, count: int, seed: int):
     nonempty.
     """
     params = GramParams.family(k, l)
+    one = CliffordUnit.from_element(EvenCliffordElement(1, 0, 0, 0), params)
     b = 3
     while True:
         gens = [family_unit(m, k, l) for m in unit_search_even(k, l, b)]
-        gens = [u for u in gens if u.element.coords != (1, 0, 0, 0)]
+        gens = [u for u in gens if u != one]
         if gens or b > 64 * max(abs(k), abs(l)):
             break
         b *= 2
@@ -350,7 +351,7 @@ def seeded_units(k: int, l: int, count: int, seed: int):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        u = CliffordUnit.from_element(EvenCliffordElement(1, 0, 0, 0), params)
+        u = one
         for _ in range(rng.randint(1, 5)):
             u = unit_product(u, rng.choice(gens), params)
         out.append(u)

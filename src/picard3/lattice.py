@@ -5,12 +5,14 @@ tests, and the family representability criterion.
 A lattice is its symmetric integer Gram matrix.  Degenerate or odd lattices
 are rejected at construction.  All values are exact; q-values live in Q/2Z on
 the diagonal and Q/Z off it, stored as reduced ``Fraction`` representatives.
+A value holds its fields only: the signature and the flags of an Isometry3 are
+computed on each read, the vectors of the cone test once per Gram matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -22,7 +24,7 @@ from .linalg import (adjugate, char_poly, det, factor, identity, mat, mat_mul,
 class Lattice(Value):
     """An even non-degenerate lattice, identified with its Gram matrix."""
 
-    _fields = ("gram",)
+    __slots__ = _fields = ("gram",)
 
     def __init__(self, gram):
         g = mat(gram)
@@ -49,27 +51,6 @@ class Lattice(Value):
         """<x, y> extended to rational coordinate vectors."""
         return vec_dot(x, mat_vec(self.gram, y))
 
-    @cached_property
-    def _signature(self) -> tuple:
-        """signature(self), computed once per lattice."""
-        c = char_poly(self.gram)
-        twin = [-x if i % 2 else x for i, x in enumerate(c)]
-        nonzero = [[x for x in p if x != 0] for p in (c, twin)]
-        return tuple(sum(x * y < 0 for x, y in zip(p, p[1:])) for p in nonzero)
-
-    @cached_property
-    def _cone_vectors(self) -> tuple:
-        """(v, eps Q v) of preserves_positive_cone, computed once per lattice."""
-        if self.rank > 3:
-            raise ValueError(f"cone test unsupported for rank {self.rank}")
-        sig = self._signature
-        if 1 not in sig:
-            raise ValueError(f"cone test unsupported for signature {sig}")
-        eps = 1 if sig[0] == 1 else -1
-        r = tuple(tuple(eps * x for x in row) for row in self.gram)
-        v = _positive_vector(r)
-        return v, mat_vec(r, v)
-
 
 def family_lattice(k: int, l: int) -> Lattice:
     """U(k) + <2l> with Gram [[0,0,k],[0,2l,0],[k,0,0]]."""
@@ -91,9 +72,11 @@ def disc(lat: Lattice) -> int:
 def signature(lat: Lattice):
     """(s_plus, s_minus): the sign changes of det(tI - Q) and of
     det(-tI - Q).  A symmetric matrix has only real eigenvalues, so
-    Descartes' rule of signs counts its positive and negative ones exactly.
-    Computed once per lattice."""
-    return lat._signature
+    Descartes' rule of signs counts its positive and negative ones exactly."""
+    c = char_poly(lat.gram)
+    twin = [-x if i % 2 else x for i, x in enumerate(c)]
+    nonzero = [[x for x in p if x != 0] for p in (c, twin)]
+    return tuple(sum(x * y < 0 for x, y in zip(p, p[1:])) for p in nonzero)
 
 
 class DiscriminantGroup(Value):
@@ -103,7 +86,7 @@ class DiscriminantGroup(Value):
     classes generate the cyclic summands, lift i having order d_i.
     """
 
-    _fields = ("invariant_factors", "generator_lifts")
+    __slots__ = _fields = ("invariant_factors", "generator_lifts")
 
     def __init__(self, invariant_factors: tuple, generator_lifts: tuple):
         object.__setattr__(self, "invariant_factors", invariant_factors)
@@ -139,7 +122,7 @@ class FiniteQuadraticForm(Value):
     matrices (and the invariant factors) agree.
     """
 
-    _fields = ("group", "values")
+    __slots__ = _fields = ("group", "values")
 
     def __init__(self, group: DiscriminantGroup, values: tuple):
         object.__setattr__(self, "group", group)
@@ -224,11 +207,12 @@ def is_isometry(g, lat: Lattice) -> bool:
 
 
 class Isometry3(Value):
-    """An integer isometry g of a rank-3 even lattice, with cached flags; the
-    one place where g^T Q g = Q is checked.  A matrix that is not 3x3, or a
-    lattice of another rank, raises the same ValueError as a non-isometry."""
+    """An integer isometry g of a rank-3 even lattice, whose flags are
+    computed on each read; the one place where g^T Q g = Q is checked.  A
+    matrix that is not 3x3, or a lattice of another rank, raises the same
+    ValueError as a non-isometry."""
 
-    _fields = ("matrix", "lattice")
+    __slots__ = _fields = ("matrix", "lattice")
 
     def __init__(self, matrix, lattice: Lattice):
         object.__setattr__(self, "matrix", mat(matrix))
@@ -244,11 +228,11 @@ class Isometry3(Value):
             return g
         return cls(getattr(g, "matrix", g), lat)
 
-    @cached_property
+    @property
     def det(self) -> int:
         return det(self.matrix)
 
-    @cached_property
+    @property
     def in_kernel(self) -> bool:
         """g acts trivially on A(L)  <=>  (g - I) Q_L^{-1} is an integer
         matrix  <=>  (g - I) adj(Q_L) = 0 mod det Q_L."""
@@ -259,7 +243,7 @@ class Isometry3(Value):
         d = vec_dot(q[0], [r[0] for r in adj])   # det Q_L, along row 0
         return all(x % d == 0 for row in mat_mul(diff, adj) for x in row)
 
-    @cached_property
+    @property
     def preserves_cone(self) -> bool:
         return preserves_positive_cone(self, self.lattice)
 
@@ -270,14 +254,14 @@ def in_discriminant_kernel(g, lat: Lattice) -> bool:
 
 
 def _positive_vector(r) -> tuple:
-    """An integer v with v^T r v > 0 for a symmetric r of signature
-    (1, n - 1), n <= 3, by the first case that applies: (1) e_i for
-    r_ii > 0; (2) w = r_jj e_i - r_ij e_j, of norm r_jj m, for r_jj < 0 and
-    a minor m = r_ii r_jj - r_ij^2 < 0; (3) b (1 - r_kk) w + e_k, of norm at
-    least 2 b^2, for an isotropic w (an e_i with r_ii = 0, or a w of (2)
-    with m = 0) and b = (r w)_k != 0, which exists as r is nondegenerate;
-    (4) else every coordinate plane is negative definite, so n = 3, det r > 0
-    and column 0 of adj(r) has norm det(r) (r_11 r_22 - r_12^2) > 0."""
+    """An integer v with v^T r v > 0 for a symmetric 3 x 3 r of signature
+    (1, 2), by the first case that applies: (1) e_i for r_ii > 0;
+    (2) w = r_jj e_i - r_ij e_j, of norm r_jj m, for r_jj < 0 and a minor
+    m = r_ii r_jj - r_ij^2 < 0; (3) b (1 - r_kk) w + e_k, of norm at least
+    2 b^2, for an isotropic w (an e_i with r_ii = 0, or a w of (2) with
+    m = 0) and b = (r w)_k != 0, which exists as r is nondegenerate; (4) else
+    every coordinate plane is negative definite, so det r > 0 and column 0
+    of adj(r) has norm det(r) (r_11 r_22 - r_12^2) > 0."""
     n = len(r)
     e = identity(n)
     planes = [(r[i][i] * r[j][j] - r[i][j] ** 2, r[j][j],
@@ -296,14 +280,27 @@ def _positive_vector(r) -> tuple:
     return tuple(row[0] for row in adjugate(r))
 
 
+@lru_cache(maxsize=32)
+def _cone_vectors(lat: Lattice) -> tuple:
+    """(v, eps Q v) of preserves_positive_cone, computed once per Gram matrix."""
+    if lat.rank != 3:
+        raise ValueError(f"cone test unsupported for rank {lat.rank}")
+    sig = signature(lat)
+    if 1 not in sig:
+        raise ValueError(f"cone test unsupported for signature {sig}")
+    eps = 1 if sig[0] == 1 else -1
+    r = tuple(tuple(eps * x for x in row) for row in lat.gram)
+    v = _positive_vector(r)
+    return v, mat_vec(r, v)
+
+
 def preserves_positive_cone(g, lat: Lattice) -> bool:
-    """Cone test in integers, for signature (1, n) or (n, 1): with eps = +1
-    for (1, n) and -1 otherwise, and v from _positive_vector(eps Q), returns
-    eps <gv, v> > 0.  A rank above 3 and the signature are checked first, then
-    g (by Isometry3.of, so rank 3 only).  v and eps Q v are computed once per
-    lattice.
+    """Cone test in integers, for rank 3 and signature (1, 2) or (2, 1): with
+    eps = +1 for (1, 2) and -1 otherwise, and v from _positive_vector(eps Q),
+    returns eps <gv, v> > 0.  The rank and the signature are checked first,
+    then g (by Isometry3.of).
     """
-    v, rv = lat._cone_vectors
+    v, rv = _cone_vectors(lat)
     val = vec_dot(mat_vec(Isometry3.of(g, lat).matrix, v), rv)
     if val == 0:
         raise AssertionError("degenerate cone pairing")  # impossible for isometries

@@ -17,7 +17,7 @@ from .linalg import factor, factor_pairs, mat, sign_normalize
 class ModularElement(Value):
     """An element of PGL2(Z): integer matrix mod +-1, det = +-1."""
 
-    _fields = ("a", "b", "c", "d")
+    __slots__ = _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
         if not type(a) is type(b) is type(c) is type(d) is int:
@@ -75,13 +75,13 @@ class SubgroupSpec(Value):
     which defines the same group, so specs of one group compare and hash
     equal."""
 
-    _fields = ("kind", "n", "k", "l")
+    __slots__ = _fields = ("kind", "n", "k", "l")
 
     def __init__(self, kind: str, n: int = 0, k: int = 0, l: int = 0):
         reads = _READS.get(kind)
         if reads is None:
             raise ValueError(f"kind must be one of {tuple(_READS)}")
-        if not (isinstance(n, int) and isinstance(k, int) and isinstance(l, int)):
+        if not type(n) is type(k) is type(l) is int:
             raise ValueError(f"the parameters of {kind} must be integers")
         given = (n != 0, k != 0, l != 0)
         if given != reads:

@@ -39,7 +39,7 @@ class SalemDatum(Value):
     root of t^2 - |A| t + 1 (reported as not-Salem).
     """
 
-    _fields = ("matrix", "nr", "a_value", "is_salem", "symplectic")
+    __slots__ = _fields = ("matrix", "nr", "a_value", "is_salem", "symplectic")
 
     def __init__(self, matrix: tuple, nr: int, a_value: int, is_salem: bool,
                  symplectic: bool):
@@ -129,10 +129,10 @@ def _group_presentation(n: int) -> str:
 class AutReport(Value):
     """Structured description of Aut(X) for a U(k) + <2l> Picard lattice."""
 
-    _fields = ("k", "l", "is_m_n", "n", "signature", "hypotheses_met",
-               "hypothesis_failures", "root_free", "disc", "group_model",
-               "v_coset_present", "antisymplectic_exists", "image_order_m",
-               "congruence", "samples", "bounds")
+    __slots__ = _fields = ("k", "l", "is_m_n", "n", "signature", "hypotheses_met",
+                           "hypothesis_failures", "root_free", "disc", "group_model",
+                           "v_coset_present", "antisymplectic_exists",
+                           "image_order_m", "congruence", "samples", "bounds")
 
     def __init__(self, k: int, l: int, is_m_n: bool, n: int | None,
                  signature: tuple, hypotheses_met: bool,
@@ -272,12 +272,13 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
     failures = []
     if sig != (1, 2):
         failures.append(f"signature is {sig}, not (1,2) (need l < 0)")
-    root_free = not represents(k, l, -1)
+    plus, minus = represents(k, l, 1), represents(k, l, -1)
+    root_free = not minus
     if not root_free:
         failures.append("lattice represents -2: (-2)-curves obstruct Aut = O_Gamma")
 
-    v_present = represents(k, l, 1) or represents(k, l, -1)
-    antisymplectic = qr_minus_one(abs(k)) or represents(k, l, 1)
+    v_present = plus or minus
+    antisymplectic = qr_minus_one(abs(k)) or plus
 
     is_m_n = (l == -k and k >= 2)
     n = k if is_m_n else None

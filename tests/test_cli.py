@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,15 +57,33 @@ def test_analyze_g8_json(capsys):
 
 
 def test_analyze_invalid_exits_1(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--k", "0", "--l", "1")
-    assert code == 1
-    assert "error" in err
+    for argv, message in ((("--k", "0", "--l", "1"), "k and l must be nonzero"),
+                          (("--n", "3", "--l", "-3"), "--n and --l are mutually exclusive"),
+                          (("--k", "2"), "--k requires --l")):
+        assert run_cli(capsys, "analyze", *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "congruence"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_n_below_1_is_refused(capsys, command, n):
     assert run_cli(capsys, command, "--n", n) == (1, "", "error: n must be positive\n")
+
+
+def test_unit_paths_build_no_fraction(capsys, monkeypatch):
+    # units and their isometries run in ints: a unit's sign is read off
+    # the chart slots of its integer coordinates
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
+    if hasattr(Fraction, "_from_coprime_ints"):   # arithmetic, from Python 3.12
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+    codes = [run_cli(capsys, *argv)[0] for argv in (
+        ("verify", "--suite", "roundtrip", "--trials", "1"),
+        ("analyze", "--k", "3", "--l", "-7"), ("analyze", "--n", "8"))]
+    assert codes == [0, 2, 0] and built == []
 
 
 def test_analyze_hypotheses_not_met_exits_2(capsys):

@@ -491,6 +491,8 @@ def test_coefficients_must_be_exact():
             CliffordElement((bad,) + (0,) * 7)
         with pytest.raises(TypeError):
             CliffordElement.scalar(1).scale(bad)
+    with pytest.raises(ValueError, match="^need 8 coefficients$"):
+        CliffordElement((0,) * 7)
 
 
 def test_coefficients_and_scale_refuse_bool():
@@ -521,6 +523,10 @@ def test_wrong_grade_inputs_raise():
         pairing_E(even, even, WEHLER)
     with pytest.raises(ValueError):
         CliffordUnit.from_element(even + odd, WEHLER)
+    with pytest.raises(ValueError, match="^unit must have integral coordinates$"):
+        CliffordUnit.from_element(EvenCliffordElement(Fraction(1, 2), 0, 0, 0), WEHLER)
+    with pytest.raises(ValueError, match="^not a unit: N = 4$"):
+        CliffordUnit.from_element(EvenCliffordElement(2, 0, 0, 0), WEHLER)
 
 
 def test_per_tuple_caches_stay_bounded():

@@ -193,6 +193,8 @@ def test_claim1_roundtrip():
             g = g_alpha(u, params)
             mm = mu_of_unit_conjugation(u.element, params)
             assert la.mat_mul(mm, lam) == la.mat_mul(lam, g)
+    with pytest.raises(ValueError, match="^alpha must be a unit$"):
+        mu_of_unit_conjugation(EvenCliffordElement(2, 0, 0, 0), WEHLER)
 
 
 def test_gram_w_is_its_own_inverse():

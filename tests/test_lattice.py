@@ -23,6 +23,8 @@ U = Lattice(((0, 1), (1, 0)))
 
 
 def test_construction_rejects_bad_lattices():
+    with pytest.raises(ValueError, match="must be square"):
+        Lattice(((2, 1, 0), (1, 2, 0)))
     with pytest.raises(ValueError):
         Lattice(((1, 0), (0, 2)))        # odd diagonal
     with pytest.raises(ValueError):
@@ -277,7 +279,8 @@ def test_positive_cone():
         preserves_positive_cone(swap, lat)
 
 
-def test_cone_test_reads_the_signature_once_per_lattice(monkeypatch):
+def test_cone_test_reads_the_signature_once_per_gram_matrix(monkeypatch):
+    lattice_module._cone_vectors.cache_clear()
     calls = {"char_poly": 0, "_positive_vector": 0}
 
     def counted(name):
@@ -290,14 +293,13 @@ def test_cone_test_reads_the_signature_once_per_lattice(monkeypatch):
 
     counted("char_poly")
     counted("_positive_vector")
-    lat = family_lattice(2, -6)
     i3 = la.identity(3)
     neg = la.mat_scale(-1, i3)
-    assert [preserves_positive_cone(g, lat) for g in (i3, neg, i3, neg, i3)] \
-        == [True, False, True, False, True]
-    assert signature(lat) == (1, 2)
+    for lat in (family_lattice(2, -6), family_lattice(2, -6)):   # equal, not one
+        assert [preserves_positive_cone(g, lat) for g in (i3, neg, i3, neg, i3)] \
+            == [True, False, True, False, True]
     assert calls == {"char_poly": 1, "_positive_vector": 1}
-    assert signature(family_lattice(2, -6)) == (1, 2) and calls["char_poly"] == 2
+    assert signature(lat) == (1, 2) and calls["char_poly"] == 2
 
 
 def test_cone_test_matches_two_diagonalizations():
@@ -424,9 +426,12 @@ def test_cone_test_matches_the_oracle_on_random_lattices(rng):
 
 
 def test_cone_test_refuses_rank_4():
+    # every rank but 3 is refused before a positive vector is looked for
     lat = Lattice(((2, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2)))
     with pytest.raises(ValueError, match="rank"):
         preserves_positive_cone(la.identity(4), lat)
+    with pytest.raises(ValueError, match="^cone test unsupported for rank 2$"):
+        preserves_positive_cone(la.identity(2), U)
 
 
 def test_represents():

@@ -175,6 +175,8 @@ def test_primitive_vector():
     assert primitive_vector((-2, -4)) == (1, 2)
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
+    with pytest.raises(ValueError, match="^the zero vector has no sign class$"):
+        la.sign_normalize((0, 0))
 
 
 def test_char_poly(rng):

@@ -67,7 +67,8 @@ def test_subgroup_spec_refuses_unread_or_non_integer_parameters():
             SubgroupSpec(kind, **params)
     # with n = 5/2 an entry b = 5 would pass as a multiple of the modulus
     for kind, params in (("G_n", {"n": Fraction(5, 2)}), ("Pi_n", {"n": 3.0}),
-                         ("B_kl_units", {"k": 2, "l": Fraction(3)})):
+                         ("B_kl_units", {"k": 2, "l": Fraction(3)}),
+                         ("G_n", {"n": True})):   # bool is an int subclass
         with pytest.raises(ValueError, match=f"parameters of {kind} must be integers"):
             SubgroupSpec(kind, **params)
 
@@ -175,6 +176,8 @@ def test_g_n_quotient_classes_match_delta():
                     assert w.det == eps
                     classes.add(frozenset((lam % n, (-lam) % n)))
         assert len(classes) == delta_n(n)
+    with pytest.raises(ValueError, match=r"^lam\^2 != eps mod n$"):
+        g_n_class_witness(5, 2, 1)   # 2^2 = -1, not +1, mod 5
 
 
 def test_is_torsion_examples():
@@ -217,6 +220,12 @@ def test_free_rank():
     for bad in (10, 0, -12):
         with pytest.raises(ValueError):
             free_rank(bad)
+
+
+def test_n_below_1_is_refused():
+    for f in (index_gamma_n, delta_n, qr_minus_one):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            f(0)
 
 
 # A bool passes arithmetic as 0 or 1, and a float gives a float out of an

@@ -162,6 +162,21 @@ def test_each_sample_reads_its_membership_once(monkeypatch):
     assert sorted(seen) == sorted(s.matrix for s in r.samples)
 
 
+def test_each_report_tests_each_representability_once(monkeypatch):
+    seen = []
+
+    def counting_represents(k, l, eps):
+        seen.append(eps)
+        return represents(k, l, eps)
+
+    monkeypatch.setattr(report, "represents", counting_represents)
+    # the halved form represents neither of +-1, +1 only, -1 only, and both
+    for k, l in ((2, -2), (3, 7), (3, -7), (1, 7)):
+        seen.clear()
+        analyze_picard(k, l, search_bound=3)
+        assert sorted(seen) == [-1, 1], (k, l)
+
+
 def test_salem_edge_cases():
     s = salem_poly([[-3, 1], [-1, 0]])      # trace -3, det 1: A = 7
     assert s.a_value == 7 and s.is_salem

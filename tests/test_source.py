@@ -224,6 +224,34 @@ def test_library_caches_are_bounded():
     assert type(PARAMS_CACHE_SIZE) is int and PARAMS_CACHE_SIZE > 0
 
 
+def lines_naming(source: str, name: str) -> list:
+    """The lines that name ``name``: as a variable, an attribute, an imported
+    name or a definition."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None))})
+
+
+def test_lines_naming_are_found():
+    src = ("import functools\n"
+           "from functools import cached_property as cp\n"
+           "class A:\n"
+           "    @functools.cached_property\n"
+           "    def x(self): return 1\n"
+           "    y = cached_property(len)\n"
+           "    # cached_property in a comment\n"
+           "    z = 'cached_property'\n")
+    assert lines_naming(src, "cached_property") == [2, 4, 6]
+
+
+def test_library_caches_nothing_on_instances():
+    # a value is exactly its fields (__slots__); caches are per argument
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: lines_naming(p.read_text(), "cached_property") for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 DATACLASS_DUNDERS = {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"}
 
 
