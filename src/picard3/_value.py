@@ -13,8 +13,7 @@ def check_ints(*xs):
 def _restore(cls, values):
     """The instance of cls with these field values, as pickled."""
     x = object.__new__(cls)
-    for name, v in zip(cls._fields, values):
-        object.__setattr__(x, name, v)
+    Value.__init__(x, *values)
     return x
 
 
@@ -22,11 +21,23 @@ class Value:
     """A frozen value: equal, with equal hashes, to an instance of the same
     class with equal fields (the names in ``_fields``).  Each subclass
     declares ``__slots__ = _fields``, so an instance holds its fields and
-    nothing else, and its ``__init__`` sets them by ``object.__setattr__``;
-    after that, assignment and deletion raise AttributeError.
+    nothing else.  ``Value.__init__`` takes the fields positionally, in
+    ``_fields`` order, and sets them; a subclass that checks its arguments
+    checks them first and then calls it.  Only the three hot constructors,
+    ``Isometry3``, ``CliffordElement`` and ``clifford._element``, write
+    their fields directly.  After that, assignment and deletion raise
+    AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(fields)} "
+                            f"fields, not {len(values)}")
+        for name, v in zip(fields, values):
+            object.__setattr__(self, name, v)
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)   # reads the fields at C speed

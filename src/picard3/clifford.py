@@ -132,6 +132,7 @@ class CliffordElement(Value):
             den, ints = clear_denominators(coeffs)
         else:
             raise TypeError("coefficients must be int or Fraction")
+        # direct writes, not Value.__init__: a hot constructor (every unit, every lift)
         object.__setattr__(self, "ints", tuple(ints))
         object.__setattr__(self, "den", den)
 
@@ -218,6 +219,7 @@ def _element(ints, den: int) -> CliffordElement:
     """The element with integer coordinates ints over den > 0, reduced."""
     g = gcd(den, *ints)
     x = object.__new__(CliffordElement)
+    # direct writes, not Value.__init__: every Clifford product ends here
     object.__setattr__(x, "ints", tuple(ints) if g == 1 else tuple(v // g for v in ints))
     object.__setattr__(x, "den", den // g)
     return x

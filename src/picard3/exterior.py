@@ -47,10 +47,6 @@ class PBasis(Value):
 
     __slots__ = _fields = ("plus", "minus")
 
-    def __init__(self, plus: tuple, minus: tuple):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def p_bases(params: GramParams) -> PBasis:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 
-from ._value import Value
+from ._value import Value, check_ints
 from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
                        PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
                        GramParams, OddCliffordElement, clifford_mul,
@@ -47,11 +47,6 @@ class CliffordUnit(Value):
     """
 
     __slots__ = _fields = ("element", "grade", "norm")
-
-    def __init__(self, element: CliffordElement, grade: str, norm: int):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "norm", norm)
 
     @staticmethod
     def from_element(elem: CliffordElement, params: GramParams) -> "CliffordUnit":
@@ -156,7 +151,9 @@ def _unit_matrix(unit: CliffordUnit, params: GramParams, c: int):
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _lattice(params: GramParams) -> Lattice:
-    """The lattice of params, validated once per Gram tuple."""
+    """The lattice of params, validated once per Gram tuple.  The unit maps
+    read it before _unit_forms, so a degenerate tuple raises Lattice's
+    ValueError, not the AssertionError of a failed invariant."""
     return Lattice(params.gram)
 
 
@@ -170,7 +167,8 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     determinant eps, or an error is raised.
     """
     eps = 1 if unit.grade == "even" else -1
-    iso = Isometry3(_unit_matrix(unit, params, eps * unit.norm), _lattice(params))
+    lat = _lattice(params)
+    iso = Isometry3(_unit_matrix(unit, params, eps * unit.norm), lat)
     if iso.det != eps:
         raise AssertionError("det(h_alpha) != eps_alpha")
     return iso
@@ -178,12 +176,14 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
 
 def g_alpha(unit: CliffordUnit, params: GramParams):
     """Plain conjugation v -> alpha v alpha^{-1} (determinant +1)."""
+    _lattice(params)
     return _unit_matrix(unit, params, unit.norm)
 
 
 def phi_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """phi_alpha = eps*(N alpha)*h_alpha = (v -> alpha v alpha*); det = N alpha."""
-    iso = Isometry3(_unit_matrix(unit, params, 1), _lattice(params))
+    lat = _lattice(params)
+    iso = Isometry3(_unit_matrix(unit, params, 1), lat)
     if iso.det != unit.norm:
         raise AssertionError("det(phi_alpha) != N alpha")
     return iso
@@ -280,6 +280,7 @@ def p_alpha_and_unit(alpha, k: int, l: int):
 
 
 def _check_search(k: int, l: int, bound: int):
+    check_ints(k, l, bound)
     GramParams.family(k, l)
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -335,6 +336,7 @@ def seeded_units(k: int, l: int, count: int, seed: int):
     length 1 to 5 in them.  Both grades occur whenever the odd coset is
     nonempty.
     """
+    check_ints(k, l, count, seed)
     params = GramParams.family(k, l)
     one = CliffordUnit.from_element(EvenCliffordElement(1, 0, 0, 0), params)
     b = 3

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
-from ._value import Value
+from ._value import Value, check_ints
 from .linalg import (adjugate, char_poly, det, factor, identity, mat, mat_mul,
                      mat_vec, smith_normal_form, transpose, vec_dot)
 
@@ -28,20 +28,19 @@ class Lattice(Value):
 
     def __init__(self, gram):
         g = mat(gram)
-        object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
+        check_ints(*(x for row in g for x in row))
         for i in range(n):
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-                if type(g[i][j]) is not int:
-                    raise ValueError("Gram entries must be integers")
             if g[i][i] % 2 != 0:
                 raise ValueError("lattice must be even (even diagonal)")
         if det(g) == 0:
             raise ValueError("lattice must be non-degenerate")
+        super().__init__(g)
 
     @property
     def rank(self) -> int:
@@ -88,10 +87,6 @@ class DiscriminantGroup(Value):
 
     __slots__ = _fields = ("invariant_factors", "generator_lifts")
 
-    def __init__(self, invariant_factors: tuple, generator_lifts: tuple):
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "generator_lifts", generator_lifts)
-
     @property
     def order(self) -> int:
         return prod(self.invariant_factors)
@@ -123,10 +118,6 @@ class FiniteQuadraticForm(Value):
     """
 
     __slots__ = _fields = ("group", "values")
-
-    def __init__(self, group: DiscriminantGroup, values: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", values)
 
     def _pairing(self, c1, c2) -> Fraction:
         """sum_ij c1_i c2_j values_ij: <x, y> mod Z, and <x, x> mod 2Z when
@@ -215,6 +206,7 @@ class Isometry3(Value):
     __slots__ = _fields = ("matrix", "lattice")
 
     def __init__(self, matrix, lattice: Lattice):
+        # direct writes, not Value.__init__: a hot constructor (h_alpha, clifford_lift)
         object.__setattr__(self, "matrix", mat(matrix))
         object.__setattr__(self, "lattice", lattice)
         if not is_isometry(self.matrix, lattice):
@@ -316,6 +308,7 @@ def represents(k: int, l: int, eps: int) -> bool:
     unit eps*l is a square mod p^e || k iff it is one mod p (Euler, then
     Hensel) for odd p, and 1 mod 1, 4, 8 for 2^e, e = 1, 2, >= 3.
     """
+    check_ints(k, l, eps)
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     if k == 0 or l == 0:

@@ -20,12 +20,10 @@ class ModularElement(Value):
     __slots__ = _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        if not type(a) is type(b) is type(c) is type(d) is int:
-            raise ValueError(f"entries must be integers, not {(a, b, c, d)!r}")
+        check_ints(a, b, c, d)
         if a * d - b * c not in (1, -1):
             raise ValueError("determinant must be +-1")
-        for name, x in zip("abcd", sign_normalize((a, b, c, d))):
-            object.__setattr__(self, name, x)
+        super().__init__(*sign_normalize((a, b, c, d)))
 
     @property
     def det(self) -> int:
@@ -81,18 +79,14 @@ class SubgroupSpec(Value):
         reads = _READS.get(kind)
         if reads is None:
             raise ValueError(f"kind must be one of {tuple(_READS)}")
-        if not type(n) is type(k) is type(l) is int:
-            raise ValueError(f"the parameters of {kind} must be integers")
+        check_ints(n, k, l)
         given = (n != 0, k != 0, l != 0)
         if given != reads:
             if not all(g for g, r in zip(given, reads) if r):
                 raise ValueError(f"the parameters of {kind} must be nonzero")
             raise ValueError(f"{kind} does not read "
                              + ", ".join(p for p, g, r in zip("nkl", given, reads) if g > r))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", abs(n))
-        object.__setattr__(self, "k", abs(k))
-        object.__setattr__(self, "l", abs(l))
+        super().__init__(kind, abs(n), abs(k), abs(l))
 
     @property
     def moduli(self) -> tuple:
@@ -251,6 +245,7 @@ def negative_pell(d: int):
     norm -1, which gives the fundamental solution x = 2p - s*q, y = q
     (y = 2q when D = 4d).  Raises for d <= 0 or square.
     """
+    check_ints(d)
     if d <= 0:
         raise ValueError("d must be positive")
     if isqrt(d) ** 2 == d:

@@ -14,7 +14,7 @@ never as a theorem.
 
 from __future__ import annotations
 
-from ._value import Value
+from ._value import Value, check_ints
 from .clifford import GramParams
 from .isometries import (clifford_lift, h_alpha, p_alpha_and_unit, phi_alpha,
                          unit_search_even)
@@ -41,14 +41,6 @@ class SalemDatum(Value):
 
     __slots__ = _fields = ("matrix", "nr", "a_value", "is_salem", "symplectic")
 
-    def __init__(self, matrix: tuple, nr: int, a_value: int, is_salem: bool,
-                 symplectic: bool):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "nr", nr)
-        object.__setattr__(self, "a_value", a_value)
-        object.__setattr__(self, "is_salem", is_salem)
-        object.__setattr__(self, "symplectic", symplectic)
-
     @property
     def cubic_coeffs(self):
         """Coefficients of (t - nr)(t^2 - A t + 1), descending degree."""
@@ -71,13 +63,7 @@ def salem_poly(alpha) -> SalemDatum:
     el = ModularElement.from_matrix(alpha)
     nr = el.det
     a_val = el.trace ** 2 - 2 * nr
-    return SalemDatum(
-        matrix=el.matrix,
-        nr=nr,
-        a_value=a_val,
-        is_salem=a_val > 2,
-        symplectic=(nr == 1),
-    )
+    return SalemDatum(el.matrix, nr, a_val, a_val > 2, nr == 1)
 
 
 def symplectic_split(alpha) -> bool:
@@ -93,6 +79,7 @@ def wehler_trace_classes(n_max: int):
     A_antisymplectic) = ((4n+2)^2 - 2, (4n)^2 + 2) for 1 <= n <= n_max.
     Raises AssertionError if any searched unit violates the trace law.
     """
+    check_ints(n_max)
     units = unit_search_even(2, -2, 9)
     checked = 0
     for m in units:
@@ -133,29 +120,6 @@ class AutReport(Value):
                            "hypothesis_failures", "root_free", "disc", "group_model",
                            "v_coset_present", "antisymplectic_exists",
                            "image_order_m", "congruence", "samples", "bounds")
-
-    def __init__(self, k: int, l: int, is_m_n: bool, n: int | None,
-                 signature: tuple, hypotheses_met: bool,
-                 hypothesis_failures: tuple, root_free: bool, disc: int,
-                 group_model: str, v_coset_present: bool,
-                 antisymplectic_exists: bool, image_order_m: int,
-                 congruence: dict | None, samples: tuple, bounds: dict):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "is_m_n", is_m_n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "hypotheses_met", hypotheses_met)
-        object.__setattr__(self, "hypothesis_failures", hypothesis_failures)
-        object.__setattr__(self, "root_free", root_free)
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "group_model", group_model)
-        object.__setattr__(self, "v_coset_present", v_coset_present)
-        object.__setattr__(self, "antisymplectic_exists", antisymplectic_exists)
-        object.__setattr__(self, "image_order_m", image_order_m)
-        object.__setattr__(self, "congruence", congruence)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "bounds", bounds)
 
     def to_json(self) -> dict:
         out = {
@@ -297,21 +261,10 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
                     for m in _sample_units(k, l, search_bound))
 
     return AutReport(
-        k=k, l=l, is_m_n=is_m_n, n=n,
-        signature=sig,
-        hypotheses_met=not failures,
-        hypothesis_failures=tuple(failures),
-        root_free=root_free,
-        disc=params.disc,
-        group_model=model,
-        v_coset_present=v_present,
-        antisymplectic_exists=antisymplectic,
-        image_order_m=2 if antisymplectic else 1,
-        congruence=congruence,
-        samples=samples,
-        bounds={"unit_search": search_bound,
-                "torsion_search": TORSION_SEARCH_BOUND},
-    )
+        k, l, is_m_n, n, sig, not failures, tuple(failures), root_free,
+        params.disc, model, v_present, antisymplectic,
+        2 if antisymplectic else 1, congruence, samples,
+        {"unit_search": search_bound, "torsion_search": TORSION_SEARCH_BOUND})
 
 
 def _verify_sample(m, k, l, params, sig) -> SalemDatum:

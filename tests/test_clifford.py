@@ -84,10 +84,11 @@ def test_gram_params_from_gram():
     assert WEHLER.disc == 16 and WEHLER.disc_half == 2
     with pytest.raises(ValueError):
         GramParams.from_gram(((0, 1), (1, 0)))
-    for bad in (((0, 0, 0), (0, 2, 0), (0, 0, 2)),       # degenerate
-                ((2, Fraction(1, 2), 0), (Fraction(1, 2), 2, 0), (0, 0, 2)),
+    with pytest.raises(ValueError):
+        GramParams.from_gram(((0, 0, 0), (0, 2, 0), (0, 0, 2)))   # degenerate
+    for bad in (((2, Fraction(1, 2), 0), (Fraction(1, 2), 2, 0), (0, 0, 2)),
                 ((2.0, 0, 0), (0, 2, 0), (0, 0, -2))):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GramParams.from_gram(bad)
 
 

@@ -310,3 +310,14 @@ def test_searches_reject_degenerate_input(search):
             search(k, l, 3)
     with pytest.raises(ValueError, match="bound must be >= 0"):
         search(1, -1, -1)
+
+
+def test_unit_maps_refuse_a_degenerate_tuple_as_bad_input():
+    # ValueError, as clifford_lift raises, not the AssertionError of a failed
+    # invariant (which the CLI reports as "invariant failed", exit 3)
+    p = GramParams(1, 1, 1, 2, 2, 2)     # Gram matrix of rank 1
+    u = CliffordUnit(EvenCliffordElement(1, 0, 0, 0), "even", 1)
+    for call in (lambda: h_alpha(u, p), lambda: phi_alpha(u, p), lambda: g_alpha(u, p),
+                 lambda: clifford_lift(la.identity(3), p)):
+        with pytest.raises(ValueError, match="^lattice must be non-degenerate$"):
+            call()

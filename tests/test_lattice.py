@@ -38,7 +38,7 @@ def test_construction_rejects_bad_lattices():
 def test_gram_entries_must_be_ints():
     for gram in (((False, True), (True, False)),
                  ((Fraction(2), 0), (0, Fraction(2)))):
-        with pytest.raises(ValueError, match="Gram entries must be integers"):
+        with pytest.raises(TypeError, match="int arguments required"):
             Lattice(gram)
 
 

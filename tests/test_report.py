@@ -6,7 +6,7 @@ from picard3 import isometries, report
 from picard3.lattice import family_lattice, represents, signature
 from picard3.linalg import char_poly
 from picard3.isometries import p_alpha_matrix
-from picard3.modular import member, qr_minus_one
+from picard3.modular import member, negative_pell, qr_minus_one
 from picard3.report import (TORSION_SEARCH_BOUND, analyze_picard,
                             congruence_data, salem_poly, symplectic_split,
                             wehler_trace_classes)
@@ -89,6 +89,22 @@ def test_congruence_data_refuses_non_ints():
     for bad in (True, 2.0, Fraction(3)):
         with pytest.raises(TypeError):
             congruence_data(bad)
+
+
+# Valid calls; each integer argument in turn is replaced by a non-int
+# (analyze_picard(2, -3, True) reported the bound True).
+INT_CALLS = [(isometries.unit_search_even, (2, -3, 2)), (isometries.v_set_search, (2, -3, 2)),
+             (isometries.seeded_units, (2, -3, 1, 0)), (wehler_trace_classes, (2,)),
+             (represents, (2, -3, 1)), (negative_pell, (2,)), (analyze_picard, (2, -3, 20))]
+INT_ARGS = [(f, args, i) for f, args in INT_CALLS for i in range(len(args))]
+
+
+@pytest.mark.parametrize("bad", (True, 2.0))
+@pytest.mark.parametrize("f, args, i", INT_ARGS,
+                         ids=[f"{f.__name__}-{i}" for f, _, i in INT_ARGS])
+def test_integer_arguments_refuse_bools_and_floats(f, args, i, bad):
+    with pytest.raises(TypeError, match="int arguments required"):
+        f(*args[:i], bad, *args[i + 1:])
 
 
 def test_hypothesis_violations_flag_not_raise():

@@ -544,3 +544,71 @@ def test_library_has_no_new_unreferenced_functions():
     assert modules
     exported = package_exports((SRC / "__init__.py").read_text())
     assert unreferenced_functions(modules, exported) == ["linalg.mat_sub"]
+
+
+def hand_written_inits(source: str) -> list:
+    """The classes that define ``__init__`` in their own body, by name."""
+    return sorted(cls.name for cls in ast.walk(ast.parse(source))
+                  if isinstance(cls, ast.ClassDef)
+                  and any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and node.name == "__init__" for node in cls.body))
+
+
+def test_hand_written_inits_are_found():
+    src = ("class A:\n"
+           "    def __init__(self):\n"
+           "        pass\n"
+           "class B(A):\n"
+           "    def setup(self):\n"
+           "        def __init__():\n"
+           "            pass\n"
+           "    class C:\n"
+           "        def __init__(self, x):\n"
+           "            self.x = x\n"
+           "def __init__():\n"
+           "    pass\n")
+    assert hand_written_inits(src) == ["A", "C"]
+
+
+def test_records_take_the_value_constructor():
+    # a record's fields are its arguments, set by Value.__init__; a class
+    # writes its own only to validate (then it calls super().__init__), to
+    # set fields directly on a hot path, or because it is no value
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: hand_written_inits(p.read_text()) for p in modules}
+    assert {name: classes for name, classes in found.items() if classes} == {
+        "_value.py": ["Value"], "cli.py": ["_Refusal"], "clifford.py": ["CliffordElement"],
+        "lattice.py": ["Isometry3", "Lattice"],
+        "modular.py": ["ModularElement", "SubgroupSpec"], "verify.py": ["SuiteResult"]}
+
+
+def field_writers(source: str) -> list:
+    """The owners (as in owned_nodes) of the calls of object.__setattr__."""
+    return sorted({owner for node, owner in owned_nodes(source)
+                   if isinstance(node, ast.Call)
+                   and ast.unparse(node.func) == "object.__setattr__"}, key=str)
+
+
+def test_field_writers_are_found():
+    src = ("object.__setattr__(x, 'a', 1)\n"
+           "class V:\n"
+           "    def __init__(self, a):\n"
+           "        object.__setattr__(self, 'a', a)\n"
+           "        object.__setattr__(self, 'b', a)\n"
+           "    def copy(self):\n"
+           "        return setattr(self, 'a', 1), self.__setattr__('a', 2)\n"
+           "def make(a):\n"
+           "    def inner(x):\n"
+           "        object.__setattr__(x, 'a', a)\n"
+           "    return inner\n")
+    assert field_writers(src) == [None, "V.__init__", "make.inner"]
+
+
+def test_fields_are_written_by_value_init_and_the_hot_constructors():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: field_writers(p.read_text()) for p in modules}
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "_value.py": ["Value.__init__"], "lattice.py": ["Isometry3.__init__"],
+        "clifford.py": ["CliffordElement.__init__", "_element"]}

@@ -112,6 +112,21 @@ def test_values_hold_only_their_fields(cls, make, fields):
         assert hash(x) == hash(cold)
 
 
+# The records: types whose fields are exactly their constructor's arguments.
+RECORDS = [v for v in VALUES if v[0] in (DiscriminantGroup, FiniteQuadraticForm,
+                                         CliffordUnit, PBasis, SalemDatum, AutReport)]
+
+
+@pytest.mark.parametrize("cls, make, fields", RECORDS, ids=[v[0].__name__ for v in RECORDS])
+def test_records_take_exactly_their_fields(cls, make, fields):
+    x = make()
+    values = [getattr(x, f) for f in fields]
+    assert cls(*values) == x
+    for wrong in (values[:-1], values + [None], []):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(fields)} fields"):
+            cls(*wrong)
+
+
 def test_isometry_repr_names_its_fields():
     g = Isometry3(ROT, family_lattice(2, -3))
     assert repr(g) == ("Isometry3(matrix=((0, 0, 1), (0, -1, 0), (1, 0, 0)), "
