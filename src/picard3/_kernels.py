@@ -1,4 +1,5 @@
-"""The straight-line Clifford kernels on the chart of picard3.clifford.
+"""The straight-line Clifford kernels and unit forms on the chart of
+picard3.clifford.
 
 Generated from the rewriting rules by tests/kernelgen.py; do not edit.
 Run ``python tests/kernelgen.py`` to rewrite this file.
@@ -9,6 +10,13 @@ grade-gx part of x by the grade-gy part of y (0 even, 1 odd) and reads no
 other slot; reversal(x, k) reverses x.  phi, right_even, right_odd and
 left_odd(x, k) are the 4x4 multiplication matrices of picard3.clifford's
 integer_* functions, each reading one grade of x.
+
+UNIT_FORMS[grade](a, b, c, s, t, u) is (M, W) for the units of one grade
+("even" or "odd"): row 3i + j of the 10 x 10 matrix M holds the
+coefficients, over the monomials x_p x_q (p <= q) of the unit coordinates
+x, of the E_{i+1}-coordinate of x E_{j+1} x*, and row 9 those of
+N(x) = x x*.  W = D M^-1 with D = disc; M W = D I is proved by the
+generator.
 """
 
 
@@ -74,4 +82,53 @@ def left_odd(x, k):
     return ((k22*x7 + k7*x2 + k15*x4, k9*x7 + k0*x1 + k3*x2, k7*x7 + k4*x2 + k11*x4, k1*x1 + k13*x4), (k16*x7 + k0*x1 + k3*x2 + k1*x4, k0*x7, -x4, x2), (k23*x7 + k4*x2 + k11*x4, k3*x7 + x4, k4*x7, -x1), (k19*x7 + k13*x4, k1*x7 - x2, k11*x7 + x1, k13*x7))
 
 
+def unit_forms_even(a, b, c, s, t, u):
+    m = ((1, s, 0, 2*u, b*c, 0, s*u, -a*c, a*s, -a*b + u*u),
+         (0, 0, -s, 2*b, 0, 2*b*c - s*s, b*s, -c*u, 0, b*u),
+         (0, 0, -2*c, s, 0, -c*s, 2*b*c, -c*t, -2*c*u + s*t, -b*t + s*u),
+         (0, t, 0, -2*a, -c*u + s*t, 2*a*c, -2*a*s + t*u, 0, -a*t, -a*u),
+         (1, 2*s, t, 0, -b*c + s*s, s*t, b*t, a*c, 0, -a*b),
+         (0, 2*c, 0, -t, c*s, c*t, 0, 0, 2*a*c - t*t, -a*s),
+         (0, -u, 2*a, 0, -b*t, 0, 2*a*b - u*u, a*t, a*u, 0),
+         (0, -2*b, u, 0, -b*s, -2*b*t + s*u, -b*u, -a*s + t*u, 2*a*b, 0),
+         (1, 0, 2*t, u, -b*c, c*u, 0, -a*c + t*t, t*u, a*b),
+         (1, s, t, u, b*c, -c*u + s*t, -b*t + s*u, a*c, -a*s + t*u, a*b))
+    w = ((2*a*b*c - 2*b*t*t, -2*a*c*u + 2*t*t*u, 2*a*b*t + 2*a*s*u, 2*b*c*u + 2*b*s*t, 2*a*b*c - 2*c*u*u, -2*a*b*s + 2*s*u*u, -2*b*c*t + 2*s*s*t, 2*a*c*s + 2*c*t*u, 2*a*b*c - 2*a*s*s, 2*a*b*c + 2*s*t*u),
+         (-a*s, -a*t, -a*u, -2*b*t - s*u, t*u, 2*a*b - u*u, -2*s*t, -2*a*c, 2*a*s, -a*s - t*u),
+         (2*b*t, -2*t*u, -2*a*b, -b*s, -b*t, -b*u, 2*b*c - s*s, -2*c*u - s*t, s*u, -b*t - s*u),
+         (s*t, 2*a*c - t*t, -2*a*s - t*u, -2*b*c, 2*c*u, -2*s*u, -c*s, -c*t, -c*u, -c*u - s*t),
+         (2*a, 0, 0, 2*u, -2*a, 0, 2*t, 0, -2*a, 2*a),
+         (0, 2*a, 0, 2*b, 0, 0, s, t, -u, u),
+         (0, 0, 2*a, s, -t, u, 2*c, 0, 0, t),
+         (-2*b, 2*u, 0, 0, 2*b, 0, 0, 2*s, -2*b, 2*b),
+         (-s, t, u, 0, 0, 2*b, 0, 2*c, 0, s),
+         (-2*c, 0, 2*t, 0, -2*c, 2*s, 0, 0, 2*c, 2*c))
+    return m, w
+
+
+def unit_forms_odd(a, b, c, s, t, u):
+    m = ((a*b*c - b*t*t - c*u*u + s*t*u, a*s, 2*b*t - s*u, -2*c*u + s*t, a, 0, 0, -b, -s, -c),
+         (-b*c*u - b*s*t + s*s*u, -2*b*t + 2*s*u, b*s, -2*b*c + s*s, u, 2*b, s, 0, 0, 0),
+         (-b*c*t + c*s*u, 2*c*u, 2*b*c, c*s, t, s, 2*c, 0, 0, 0),
+         (a*c*u - a*s*t, -a*t, 2*a*s - t*u, 2*a*c - t*t, 0, 2*a, 0, u, t, 0),
+         (a*b*c - a*s*s, -2*a*s, -b*t, -s*t, -a, 0, -t, b, 0, -c),
+         (-a*c*s, -2*a*c, 0, -c*t, 0, t, 0, s, 2*c, 0),
+         (a*b*t, a*u, -2*a*b + u*u, t*u, 0, 0, 2*a, 0, u, t),
+         (a*b*s, 2*a*b, b*u, s*u, 0, 0, u, 0, 2*b, s),
+         (a*b*c, 0, 0, c*u, -a, -u, 0, -b, 0, c),
+         (a*b*c, a*s, -b*t + s*u, c*u, a, u, t, b, s, c))
+    w = ((2, 0, 0, 0, 2, 0, 0, 0, 2, 2),
+         (-s, t, -u, 0, 0, -2*b, 0, 2*c, -2*s, -s),
+         (0, 0, 2*a, -s, t, u, -2*c, 0, 2*t, t),
+         (0, -2*a, 0, 2*b, -2*u, 0, s, -t, -u, -u),
+         (2*b*c, -2*c*u, -2*b*t + 2*s*u, 0, -2*b*c, 2*b*s, 0, -2*c*s, -2*b*c + 2*s*s, 2*b*c),
+         (0, 2*a*c, -2*a*s, 2*b*c, 0, -2*b*t, c*s, c*t, c*u - 2*s*t, -c*u),
+         (0, 0, 2*a*b, -b*s, b*t, b*u, 2*b*c - s*s, -2*c*u + s*t, s*u, -b*t + s*u),
+         (-2*a*c, 0, 2*a*t, -2*c*u, 2*a*c, -2*a*s + 2*t*u, -2*c*t, 0, -2*a*c + 2*t*t, 2*a*c),
+         (a*s, -a*t, -a*u, s*u, -t*u, 2*a*b - u*u, s*t, 2*a*c - t*t, -t*u, -a*s),
+         (-2*a*b, 2*a*u, 0, -2*b*u, -2*a*b + 2*u*u, 0, -2*b*t, -2*a*s + 2*t*u, 2*a*b, 2*a*b))
+    return m, w
+
+
 MUL = (mul_even_even, mul_even_odd, mul_odd_even, mul_odd_odd)
+UNIT_FORMS = {"even": unit_forms_even, "odd": unit_forms_odd}

@@ -8,14 +8,16 @@ eps = +1 for even alpha and -1 for odd alpha; it lands in the discriminant
 kernel, has det = eps, and every kernel isometry arises this way (up to the
 sign of alpha).
 
-Both directions run in closed form.  For each lattice and grade, the
-entries of alpha E_j alpha* and the norm N(alpha) are integer quadratic
-forms in the four unit coordinates, derived once from the Clifford kernel
-and stacked into a 10 x 10 matrix M over the monomials x_p x_q.  As
-N = +-1, h_alpha, g_alpha and phi_alpha are eps N Q, N Q and Q.  The lift
-multiplies the entries of g by the cached adj(M) and reads the unit off a
-row of the resulting rank-1 matrix (x_p x_q).  Both evaluations, of M at the
-monomials and of adj(M) at the entries of g, run as unrolled 10-term int sums.
+Both directions run in closed form.  The entries of alpha E_j alpha* and
+the norm N(alpha) are integer quadratic forms in the four unit coordinates,
+stacked into a 10 x 10 matrix M over the monomials x_p x_q.  M and
+W = D M^-1 (D = disc) are integer polynomials in the Gram tuple, generated
+into _kernels.UNIT_FORMS from the rewriting rules, and evaluated once per
+lattice and grade.  As N = +-1, h_alpha, g_alpha and phi_alpha are eps N Q,
+N Q and Q.  The lift multiplies the entries of g by W and reads the unit
+off a row of the resulting rank-1 matrix (x_p x_q).  Both evaluations, of M
+at the monomials and of W at the entries of g, run as unrolled 10-term int
+sums.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from functools import lru_cache
 from math import gcd
 from operator import itemgetter
 
+from ._kernels import UNIT_FORMS
 from ._value import Value, check_ints
-from .clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
-                       PARAMS_CACHE_SIZE, CliffordElement, EvenCliffordElement,
-                       GramParams, OddCliffordElement, clifford_mul,
-                       integer_mul, integer_norm, integer_reversal)
+from .clifford import (EVEN_MASKS, ODD_MASKS, PARAMS_CACHE_SIZE,
+                       CliffordElement, EvenCliffordElement, GramParams,
+                       OddCliffordElement, clifford_mul, integer_norm)
 from .lattice import Isometry3, Lattice
-from .linalg import (adjugate, factor_pairs, identity, mat, sign_normalize,
-                     squarefree_part)
+from .linalg import factor_pairs, mat, sign_normalize, squarefree_part
 from .modular import SubgroupSpec, member
 
 # The unit coordinates of each grade, read off the eight slots.
@@ -83,42 +84,10 @@ _ROWS = [itemgetter(*(_MONOMIALS.index((min(p, q), max(p, q))) for q in range(4)
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _unit_forms(params: GramParams, grade: str):
-    """(M, adj M) for the units of one grade, as 10 x 10 integer matrices.
-
-    Row 3i + j of M holds the coefficients, over the monomials x_p x_q of
-    the unit coordinates x, of the E_{i+1}-coordinate of
-    alpha E_{j+1} alpha*; the last row holds N(alpha) = alpha alpha*.  M is
-    invertible because Sym^2 of the 4-dimensional grade is End(L (x) Q) + Q.
-    """
-    basis = _CHARTS[grade](identity(DIM))
-    stars = [integer_reversal(b, params) for b in basis]
-
-    def symmetrized(left):
-        """Coordinates of left[p] stars[q] + left[q] stars[p], p <= q."""
-        out = []
-        for p, q in _MONOMIALS:
-            c = integer_mul(left[p], stars[q], params)
-            if p != q:
-                c = [x + y for x, y in zip(c, integer_mul(left[q], stars[p], params))]
-            out.append(c)
-        return out
-
-    rows = [None] * 10
-    for j, m in enumerate(GEN_MASKS):
-        gen = [int(i == m) for i in range(DIM)]
-        terms = symmetrized([integer_mul(b, gen, params) for b in basis])
-        if any(t[7] != 0 for t in terms):
-            raise AssertionError("conjugation image left L (x) Q")
-        for i, mi in enumerate(GEN_MASKS):
-            rows[3 * i + j] = tuple(t[mi] for t in terms)
-    terms = symmetrized(basis)
-    if any(x != 0 for t in terms for x in t[1:]):
-        raise AssertionError("x * x^* is not scalar")
-    rows[9] = tuple(t[0] for t in terms)
-    try:
-        return rows, adjugate(rows)
-    except ValueError:
-        raise AssertionError(f"det M = 0 for the {grade} units of {params}") from None
+    """(M, W) for the units of one grade, as 10 x 10 integer matrices (see
+    _kernels): M over the monomials x_p x_q, and W = disc M^-1.  Cached, as
+    a round trip reads them twice."""
+    return UNIT_FORMS[grade](*params)
 
 
 def _apply(rows, v) -> list:
@@ -152,8 +121,8 @@ def _unit_matrix(unit: CliffordUnit, params: GramParams, c: int):
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _lattice(params: GramParams) -> Lattice:
     """The lattice of params, validated once per Gram tuple.  The unit maps
-    read it before _unit_forms, so a degenerate tuple raises Lattice's
-    ValueError, not the AssertionError of a failed invariant."""
+    read it before _unit_forms, so a degenerate tuple, where M is singular,
+    raises Lattice's ValueError."""
     return Lattice(params.gram)
 
 
@@ -163,7 +132,7 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     In closed form: entry (i, j) is eps * Q_ij(x) / N(x) = eps * N(x) * Q_ij(x),
     where Q_ij is the integer quadratic form in the unit coordinates x that
     gives the E_i-coordinate of alpha E_j alpha* (Voight, GTM 288, ch. 22),
-    derived once per lattice and grade.  The image is an isometry of
+    evaluated once per lattice and grade.  The image is an isometry of
     determinant eps, or an error is raised.
     """
     eps = 1 if unit.grade == "even" else -1
@@ -194,7 +163,8 @@ def clifford_lift(g, params: GramParams):
 
     alpha lies in the even part when det g = 1 and in the odd part when
     det g = -1.  Since Q_ij(x) = eps N(x) g_ij, the monomial vector
-    (x_p x_q) is proportional to adj(M) (eps g_11, ..., eps g_33, 1); the
+    (x_p x_q) is proportional to W (eps g_11, ..., eps g_33, 1), where
+    W = D M^-1 is the generated inverse of the unit forms (D = disc); the
     row of that symmetric rank-1 matrix with the largest diagonal entry is
     proportional to x (Shepperd's rotation-to-quaternion method, J. Guidance
     & Control 1, 1978, over an indefinite form).  The primitive integral
@@ -204,10 +174,10 @@ def clifford_lift(g, params: GramParams):
     """
     iso = Isometry3.of(g, _lattice(params))
     eps = iso.det
-    forms, adj = _unit_forms(params, "even" if eps == 1 else "odd")
-    # adj(M) (g_11, ..., g_33, eps) is eps times the vector above: same rows
+    forms, inv = _unit_forms(params, "even" if eps == 1 else "odd")
+    # W (g_11, ..., g_33, eps) is eps times the vector above: same rows
     rhs = [*iso.matrix[0], *iso.matrix[1], *iso.matrix[2], eps]
-    w = _apply(adj, rhs)
+    w = _apply(inv, rhs)
     diagonal = list(map(abs, _DIAGONAL(w)))
     if not any(diagonal):
         raise ValueError("no Clifford lift: g is not an isometry of L (x) Q")

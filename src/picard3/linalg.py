@@ -18,6 +18,8 @@ from functools import lru_cache
 from math import lcm, prod
 from operator import mul
 
+from ._value import check_ints
+
 Matrix = tuple  # tuple of row tuples
 Vector = tuple
 
@@ -261,7 +263,9 @@ def char_poly(a: Matrix):
 def factor(n: int) -> tuple:
     """((p, e), ...) with p ascending and |n| = prod p^e (n != 0), by trial
     division by 2, 3 and then 6k +- 1 while p^2 <= the unfactored part.
-    Cached: one M_n report asks for the factors of n five times."""
+    Cached: one M_n report asks for the factors of n five times.  A
+    non-int n (a bool or a float too) raises TypeError."""
+    check_ints(n)
     if n == 0:
         raise ValueError("0 has no factorisation")
     n, out, p = abs(n), [], 2

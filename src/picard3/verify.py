@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 
 from . import exterior as ext
+from ._value import check_ints
 from .clifford import (DIM, EvenCliffordElement, GramParams,
                        OddCliffordElement, alternating_E, clifford_mul,
                        element_E, integer_gram_B, integer_mul, norm, phi_rep,
@@ -90,6 +91,7 @@ def _scales(m, ws, c, k=1) -> bool:
 
 
 def clifford_suite(trials: int, seed: int) -> SuiteResult:
+    check_ints(trials, seed)
     rng = _rng(seed, "clifford")
     res = SuiteResult("clifford")
     for _ in range(trials):
@@ -124,6 +126,7 @@ def clifford_suite(trials: int, seed: int) -> SuiteResult:
 
 
 def exterior_suite(trials: int, seed: int) -> SuiteResult:
+    check_ints(trials, seed)
     rng = _rng(seed, "exterior")
     res = SuiteResult("exterior")
     one = EvenCliffordElement(1, 0, 0, 0)
@@ -178,6 +181,7 @@ def exterior_suite(trials: int, seed: int) -> SuiteResult:
 
 def roundtrip_suite(trials: int, seed: int) -> SuiteResult:
     """Main-Theorem round trips: ``trials`` seeded units per family."""
+    check_ints(trials, seed)
     res = SuiteResult("roundtrip")
     for k, l in FAMILIES:
         params = GramParams.family(k, l)

@@ -1,5 +1,5 @@
 """The generator of src/picard3/_kernels.py, the straight-line Clifford
-kernels, from the rewriting rules of the Clifford algebra.
+kernels and unit forms, from the rewriting rules of the Clifford algebra.
 
     python tests/kernelgen.py          rewrite src/picard3/_kernels.py
     python tests/kernelgen.py --check  exit 1 when it differs from the rules
@@ -8,13 +8,18 @@ The rules derive the structure constants as integer polynomials in the
 fields (a, b, c, s, t, u) of a Gram tuple; each kernel is written from them
 as one Python expression, with the constant coefficients as literals and
 the 25 non-constant polynomials read from the tuple k of a lattice.  The
-script imports nothing of picard3, so it runs even when the module is
+unit-form matrix M of each grade is derived from the same rules; W = D M^-1
+(D = disc) is interpolated from exact inverses at 84 Gram tuples, as a
+polynomial of total degree <= 3, and M W = D I is then proved as a
+polynomial identity, so a wrong degree bound fails here, not at run time.
+The script imports nothing of picard3, so it runs even when the module is
 missing or broken.
 """
 
 import re
 import sys
 from itertools import product
+from math import factorial, prod
 from pathlib import Path
 
 MODULE = Path(__file__).resolve().parents[1] / "src" / "picard3" / "_kernels.py"
@@ -42,9 +47,21 @@ MATRIX_KERNELS = (("phi", True, EVEN_MASKS, EVEN_MASKS),
                   ("right_even", False, EVEN_MASKS, EVEN_MASKS),
                   ("right_odd", False, ODD_MASKS, EVEN_MASKS),
                   ("left_odd", True, ODD_MASKS, ODD_MASKS))
+# The unit-form functions by grade, in the order of _kernels.UNIT_FORMS, and
+# the monomials x_p x_q (p <= q) of the four unit coordinates, the columns
+# of their matrix M.
+UNIT_GRADES = (("even", EVEN_MASKS), ("odd", ODD_MASKS))
+MONOMIALS = tuple((p, q) for p in range(4) for q in range(p, 4))
+# D = disc = det [[2a, u, t], [u, 2b, s], [t, s, 2c]], a polynomial.
+DISC = {(0, 1, 2): 8, (3, 4, 5): 2, (0, 3, 3): -2, (1, 4, 4): -2, (2, 5, 5): -2}
+# D M^-1 is read off its values at the 84 tuples BASE + e, e >= 0, |e| <= 3:
+# each is a strictly diagonally dominant Gram matrix, so D != 0 there.
+BASE = (2, 2, 2, 0, 0, 0)
+DEGREE = 3
 
 HEADER = '''\
-"""The straight-line Clifford kernels on the chart of picard3.clifford.
+"""The straight-line Clifford kernels and unit forms on the chart of
+picard3.clifford.
 
 Generated from the rewriting rules by tests/kernelgen.py; do not edit.
 Run ``python tests/kernelgen.py`` to rewrite this file.
@@ -55,6 +72,13 @@ grade-gx part of x by the grade-gy part of y (0 even, 1 odd) and reads no
 other slot; reversal(x, k) reverses x.  phi, right_even, right_odd and
 left_odd(x, k) are the 4x4 multiplication matrices of picard3.clifford's
 integer_* functions, each reading one grade of x.
+
+UNIT_FORMS[grade](a, b, c, s, t, u) is (M, W) for the units of one grade
+("even" or "odd"): row 3i + j of the 10 x 10 matrix M holds the
+coefficients, over the monomials x_p x_q (p <= q) of the unit coordinates
+x, of the E_{i+1}-coordinate of x E_{j+1} x*, and row 9 those of
+N(x) = x x*.  W = D M^-1 with D = disc; M W = D I is proved by the
+generator.
 """
 '''
 
@@ -94,6 +118,143 @@ def structure_polynomials() -> tuple:
     return mult, tuple(polynomial_terms(w[::-1]) for w in WORDS)
 
 
+def poly_mul(f: dict, g: dict) -> dict:
+    """The product of two polynomials, without zero coefficients."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_sum(polys) -> dict:
+    """The sum of the polynomials, without zero coefficients."""
+    out = {}
+    for f in polys:
+        for m, c in f.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_value(f: dict, point) -> int:
+    """f at the integer tuple point = (a, b, c, s, t, u)."""
+    return sum(c * prod(point[i] for i in m) for m, c in f.items())
+
+
+def unit_form_matrix(masks) -> list:
+    """M for the units on the slots masks, as polynomials: the coefficient
+    of x_p x_q in a coordinate of x y x* is that of x_p y x_q* + x_q y x_p*,
+    p <= q, where the reversal of a basis monomial is its reversed word.
+    AssertionError unless x E_j x* has no E1E2E3 coordinate, x x* is scalar
+    and M satisfies the isometry law (check_isometry_law)."""
+    def symmetrized(middle):
+        out = []
+        for p, q in MONOMIALS:
+            polys = [{} for _ in range(DIM)]
+            for left, right in {(p, q), (q, p)}:
+                rewrite(WORDS[masks[left]] + middle + WORDS[masks[right]][::-1], (), 1, polys)
+            out.append([{m: c for m, c in f.items() if c} for f in polys])
+        return out
+
+    rows = [None] * 10
+    for j in range(3):
+        terms = symmetrized((j,))
+        if any(t[7] for t in terms):
+            raise AssertionError("conjugation image left L (x) Q")
+        for i in range(3):
+            rows[3 * i + j] = [t[1 << i] for t in terms]  # E_{i+1} in slot 2^i
+    terms = symmetrized(())
+    if any(any(t[1:]) for t in terms):
+        raise AssertionError("x x* is not scalar")
+    rows[9] = [t[0] for t in terms]
+    check_isometry_law(rows)
+    return rows
+
+
+def scaled_inverse(m: list, d: int) -> list:
+    """d m^-1 for an invertible integer matrix m, by fraction-free (Bareiss)
+    Gauss-Jordan elimination of [m | I], whose divisions are exact: it ends
+    in [+-det I | R] with R m = +-det I."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        r = next(r for r in range(k, n) if a[r][k])
+        a[k], a[r] = a[r], a[k]
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return [[d * x // a[i][i] for x in a[i][n:]] for i in range(n)]
+
+
+def interpolate(values: dict) -> list:
+    """The polynomials f_i of total degree <= DEGREE with
+    f_i(BASE + e) = values[e][i], by Newton's forward differences on the
+    tuples e; AssertionError unless each has integer coefficients."""
+    table = dict(values)
+    for i in range(6):  # difference along field i, highest orders first
+        for r in range(1, DEGREE + 1):
+            for e in sorted((e for e in table if e[i] >= r), key=lambda e: -e[i]):
+                lower = table[e[:i] + (e[i] - 1,) + e[i + 1:]]
+                table[e] = [x - y for x, y in zip(table[e], lower)]
+    scale = factorial(DEGREE)
+    basis = {}  # scale times the product of binom(field_i - BASE_i, e_i)
+    for e in table:
+        basis[e] = {(): scale // prod(map(factorial, e))}
+        for i, k in enumerate(e):
+            for j in range(k):
+                basis[e] = poly_mul(basis[e], {(i,): 1, (): -BASE[i] - j})
+    out = [poly_sum({m: diffs[n] * x for m, x in basis[e].items()}
+                    for e, diffs in table.items())
+           for n in range(len(values[(0,) * 6]))]
+    if any(x % scale for f in out for x in f.values()):
+        raise AssertionError("an interpolated polynomial is not integral")
+    return [{m: x // scale for m, x in f.items()} for f in out]
+
+
+def scaled_inverse_polynomials(m: list) -> list:
+    """W = D M^-1 for the polynomial matrix M, interpolated from its values
+    on the tuples BASE + e; AssertionError unless M W = D I as polynomials."""
+    values = {}
+    for e in product(range(DEGREE + 1), repeat=6):
+        if sum(e) <= DEGREE:
+            point = tuple(map(sum, zip(BASE, e)))
+            w = scaled_inverse([[poly_value(f, point) for f in row] for row in m],
+                               poly_value(DISC, point))
+            values[e] = [x for row in w for x in row]
+    polys = interpolate(values)
+    w = [polys[10 * i:10 * i + 10] for i in range(10)]
+    check_inverse(m, w)
+    return w
+
+
+def check_inverse(m: list, w: list):
+    """AssertionError unless M W = D I as polynomials."""
+    for i, row in enumerate(m):
+        for j in range(10):
+            if poly_sum(poly_mul(f, wk[j]) for f, wk in zip(row, w)) != (DISC if i == j else {}):
+                raise AssertionError(f"M W != D I at ({i}, {j})")
+
+
+def check_isometry_law(m: list):
+    """AssertionError unless Q(x)^T G Q(x) = N(x)^2 G as polynomials in the
+    fields and the unit coordinates x (variables 6-9), where G is the Gram
+    matrix, Q_ij(x) is row 3i + j of M at the monomials x_p x_q and N(x) is
+    row 9: conjugation by x scales the quadratic form by N(x)^2."""
+    forms = [poly_sum(poly_mul(f, {(6 + p, 6 + q): 1}) for (p, q), f in zip(MONOMIALS, row))
+             for row in m]
+    gram = [[{(GRAM_FIELDS[i][j],): 1 + (i == j)} for j in range(3)] for i in range(3)]
+    n2 = poly_mul(forms[9], forms[9])
+    for i, j in product(range(3), repeat=2):
+        if poly_sum(poly_mul(poly_mul(forms[3 * k + i], gram[k][l]), forms[3 * l + j])
+                    for k, l in product(range(3), repeat=2)) != poly_mul(n2, gram[i][j]):
+            raise AssertionError(f"Q^T G Q != N^2 G at ({i}, {j})")
+
+
 def sum_source(terms) -> str:
     """Python source of the sum of c * f over the terms (c, f): an int c and
     the source f of a product, '' for 1."""
@@ -102,6 +263,17 @@ def sum_source(terms) -> str:
         s += " - " if c < 0 else " + "
         s += f if abs(c) == 1 and f else f"{abs(c)}*{f}" if f else str(abs(c))
     return (s[3:] if s[1] == "+" else "-" + s[3:]) if s else "0"
+
+
+def poly_source(f: dict) -> str:
+    """Python source of the polynomial f in the fields a, b, c, s, t, u."""
+    return sum_source((c, "*".join("abcstu"[i] for i in m)) for m, c in sorted(f.items()))
+
+
+def matrix_source(name: str, rows: list) -> str:
+    """name = the tuple of the rows of polynomials, one row a line."""
+    lines = ("(" + ", ".join(map(poly_source, row)) + ")" for row in rows)
+    return f"    {name} = (" + f",\n{' ' * (len(name) + 8)}".join(lines) + ")\n"
 
 
 def function_source(name: str, args: str, value: str, size: dict) -> str:
@@ -130,8 +302,7 @@ def module_source() -> str:
             return f[()], factor
         return 1, f"k{index[tuple(sorted(f.items()))]}*{factor}"
 
-    polys = [sum_source((k, "*".join("abcstu"[i] for i in mono)) for mono, k in f)
-             for f in index]
+    polys = [poly_source(dict(f)) for f in index]
     sources = ["def constants(a, b, c, s, t, u):\n"
                f"    return ({', '.join(polys)},)\n"]
     bodies = []  # (name, arguments, returned expression)
@@ -155,19 +326,27 @@ def module_source() -> str:
         bodies.append((name, "xk", "(" + ", ".join(f"({row})" for row in rows) + ")"))
     size = {"x": DIM, "y": DIM, "k": len(index)}
     sources += [function_source(name, args, value, size) for name, args, value in bodies]
-    return "\n\n".join([HEADER] + sources + [f"MUL = ({', '.join(MUL_NAMES)})\n"])
+    for grade, masks in UNIT_GRADES:
+        m = unit_form_matrix(masks)
+        sources.append(f"def unit_forms_{grade}(a, b, c, s, t, u):\n"
+                       + matrix_source("m", m)
+                       + matrix_source("w", scaled_inverse_polynomials(m))
+                       + "    return m, w\n")
+    table = ", ".join(f'"{grade}": unit_forms_{grade}' for grade, _ in UNIT_GRADES)
+    return "\n\n".join([HEADER] + sources + [f"MUL = ({', '.join(MUL_NAMES)})\n"
+                                               f"UNIT_FORMS = {{{table}}}\n"])
 
 
 def main(argv) -> int:
+    if argv not in ([], ["--check"]):
+        print(__doc__, file=sys.stderr)
+        return 2
     text = module_source()
-    if argv == ["--check"]:
+    if argv:
         if MODULE.is_file() and MODULE.read_text() == text:
             return 0
         print(f"{MODULE} is stale: run python tests/kernelgen.py", file=sys.stderr)
         return 1
-    if argv:
-        print(__doc__, file=sys.stderr)
-        return 2
     MODULE.write_text(text)
     return 0
 

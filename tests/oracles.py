@@ -11,9 +11,10 @@ from itertools import combinations, permutations, product
 from math import gcd, isqrt
 from operator import mul
 
-from picard3.clifford import (CliffordElement, EvenCliffordElement,
+from picard3.clifford import (DIM, EVEN_MASKS, GEN_MASKS, ODD_MASKS,
+                              CliffordElement, EvenCliffordElement,
                               OddCliffordElement, clifford_mul, element_E,
-                              norm, reversal)
+                              integer_mul, integer_reversal, norm, reversal)
 from picard3.exterior import GRAM_W, WEDGE_PAIRS
 from picard3.isometries import Isometry3
 from picard3.lattice import Lattice, _element_order, discriminant_group
@@ -379,6 +380,42 @@ def evaluate_unit_forms(forms, x) -> list:
     monomials x_p x_q, p <= q, in lexicographic order."""
     monos = [x[p] * x[q] for p in range(4) for q in range(p, 4)]
     return [sum(map(mul, row, monos)) for row in forms]
+
+
+def unit_forms_by_products(params, grade: str):
+    """The unit-form matrix M of one grade (see picard3._kernels), from 76
+    integer Clifford products: the coefficient of x_p x_q in a coordinate of
+    x y x* is that of b_p y b_q* + b_q y b_p*, p <= q, on the basis b of the
+    grade.  AssertionError unless x E_j x* has no E1E2E3 coordinate and
+    x x* is scalar."""
+    masks = EVEN_MASKS if grade == "even" else ODD_MASKS
+    basis = [[int(i == m) for i in range(DIM)] for m in masks]
+    stars = [integer_reversal(b, params) for b in basis]
+    pairs = [(p, q) for p in range(4) for q in range(p, 4)]
+
+    def symmetrized(left):
+        """Coordinates of left[p] stars[q] + left[q] stars[p], p <= q."""
+        out = []
+        for p, q in pairs:
+            c = integer_mul(left[p], stars[q], params)
+            if p != q:
+                c = [x + y for x, y in zip(c, integer_mul(left[q], stars[p], params))]
+            out.append(c)
+        return out
+
+    rows = [None] * 10
+    for j, m in enumerate(GEN_MASKS):
+        gen = [int(i == m) for i in range(DIM)]
+        terms = symmetrized([integer_mul(b, gen, params) for b in basis])
+        if any(t[7] != 0 for t in terms):
+            raise AssertionError("conjugation image left L (x) Q")
+        for i, mi in enumerate(GEN_MASKS):
+            rows[3 * i + j] = tuple(t[mi] for t in terms)
+    terms = symmetrized(basis)
+    if any(x != 0 for t in terms for x in t[1:]):
+        raise AssertionError("x * x^* is not scalar")
+    rows[9] = tuple(t[0] for t in terms)
+    return tuple(rows)
 
 
 def primitive_vector(v):

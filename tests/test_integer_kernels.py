@@ -13,7 +13,8 @@ import pytest
 import kernelgen
 from oracles import (ascending, conjugation_matrix, det_by_fractions,
                      evaluate_unit_forms, isometry_scan, kernel_lift,
-                     monomial_product, rewrite_mul, rewrite_reversal)
+                     monomial_product, rewrite_mul, rewrite_reversal,
+                     unit_forms_by_products)
 from picard3 import _kernels
 from picard3 import linalg as la
 from picard3.clifford import (DIM, EVEN_MASKS, ODD_MASKS, CliffordElement,
@@ -73,18 +74,41 @@ def test_lift_outside_the_kernel_matches_the_oracle():
 
 
 def test_unit_form_matrix_is_invertible_on_dense_tuples(rng):
-    for _ in range(300):
-        p = dense_gram_params(rng)
-        for grade in ("even", "odd"):
-            m, adj = _unit_forms(p, grade)
-            d = la.det(m)
-            assert d != 0
-            assert la.mat_mul(m, adj) == la.mat_scale(d, la.identity(10))
-    degenerate = GramParams(1, 1, 1, 2, 2, 2)     # Gram matrix of rank 1
-    assert degenerate.disc == 0
-    for grade in ("even", "odd"):
-        with pytest.raises(AssertionError):
-            _unit_forms(degenerate, grade)
+    # the generated M is the one that 76 Clifford products give, W = D M^-1,
+    # and det M = +-D^5 / 4, so adj(M) = +-(D^4 / 4) W: the lift's rows
+    tuples = [GramParams(0, l, 0, 0, k, 0) for k, l in FAMILIES]
+    tuples += [dense_gram_params(rng) for _ in range(300)]
+    for p in tuples:
+        d = p.disc
+        for grade, sign in (("even", 1), ("odd", -1)):
+            m, w = _unit_forms(p, grade)
+            assert m == unit_forms_by_products(p, grade), (p, grade)
+            assert la.mat_mul(m, w) == la.mat_scale(d, la.identity(10))
+            dm = la.det(m)
+            assert 4 * dm == sign * d ** 5
+            assert la.mat_scale(dm, w) == la.mat_scale(d, la.adjugate(m))
+
+
+def _one_coefficient_changed(rows, rng):
+    """A copy of a matrix of polynomials with one coefficient moved by 1."""
+    rows = [[dict(f) for f in row] for row in rows]
+    f = rng.choice([f for row in rows for f in row if f])
+    f[rng.choice(sorted(f))] += rng.choice((-1, 1))
+    return rows
+
+
+def test_kernelgen_proofs_refuse_one_coefficient_changed():
+    # the generator proves M W = D I and Q(x)^T G Q(x) = N(x)^2 G as
+    # polynomial identities; a slip in one coefficient of W or M fails them
+    rng = random.Random(20261021)
+    for _, masks in kernelgen.UNIT_GRADES:
+        m = kernelgen.unit_form_matrix(masks)
+        w = kernelgen.scaled_inverse_polynomials(m)
+        for _ in range(5):
+            with pytest.raises(AssertionError, match=r"M W != D I"):
+                kernelgen.check_inverse(m, _one_coefficient_changed(w, rng))
+            with pytest.raises(AssertionError, match=r"Q\^T G Q != N\^2 G"):
+                kernelgen.check_isometry_law(_one_coefficient_changed(m, rng))
 
 
 def test_unit_form_evaluation_matches_the_list_built_one(rng):

@@ -4,12 +4,14 @@ import pytest
 
 from picard3 import isometries, report
 from picard3.lattice import family_lattice, represents, signature
-from picard3.linalg import char_poly
+from picard3.linalg import char_poly, factor, squarefree_part
 from picard3.isometries import p_alpha_matrix
 from picard3.modular import member, negative_pell, qr_minus_one
 from picard3.report import (TORSION_SEARCH_BOUND, analyze_picard,
                             congruence_data, salem_poly, symplectic_split,
                             wehler_trace_classes)
+from picard3.verify import (clifford_suite, exterior_suite, roundtrip_suite,
+                            run_suites)
 
 
 def spectral_radius_quadratic(datum):
@@ -92,11 +94,15 @@ def test_congruence_data_refuses_non_ints():
 
 
 # Valid calls; each integer argument in turn is replaced by a non-int
-# (analyze_picard(2, -3, True) reported the bound True).
+# (analyze_picard(2, -3, True) reported the bound True, run_suites(["clifford"],
+# True, 0) ran one trial, and factor(12.0) returned ((2, 2), (3.0, 1))).
 INT_CALLS = [(isometries.unit_search_even, (2, -3, 2)), (isometries.v_set_search, (2, -3, 2)),
              (isometries.seeded_units, (2, -3, 1, 0)), (wehler_trace_classes, (2,)),
-             (represents, (2, -3, 1)), (negative_pell, (2,)), (analyze_picard, (2, -3, 20))]
-INT_ARGS = [(f, args, i) for f, args in INT_CALLS for i in range(len(args))]
+             (represents, (2, -3, 1)), (negative_pell, (2,)), (analyze_picard, (2, -3, 20)),
+             (clifford_suite, (1, 0)), (exterior_suite, (1, 0)), (roundtrip_suite, (1, 0)),
+             (run_suites, (["clifford"], 1, 0)), (factor, (12,)), (squarefree_part, (12,))]
+INT_ARGS = [(f, args, i) for f, args in INT_CALLS for i in range(len(args))
+            if type(args[i]) is int]
 
 
 @pytest.mark.parametrize("bad", (True, 2.0))
