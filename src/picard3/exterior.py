@@ -48,14 +48,12 @@ class PBasis(Value):
     __slots__ = _fields = ("plus", "minus")
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def p_bases(params: GramParams) -> PBasis:
     """Rows of the printed 6x6 matrix; certifies the defining properties.
 
     Asserts: Gram(w+) = Q_L, Gram(w-) = -Q_L, the cross block vanishes, and
     both coordinate stacks are primitive: their e23, e31, e12 columns form
     a unimodular 3x3 minor, so every Smith invariant factor is 1.
-    The certificates run once per lattice: the result is cached.
     """
     a, b, c, s, t, u = params
     plus = ((a, u, 0, 1, 0, 0),

@@ -13,11 +13,11 @@ the norm N(alpha) are integer quadratic forms in the four unit coordinates,
 stacked into a 10 x 10 matrix M over the monomials x_p x_q.  M and
 W = D M^-1 (D = disc) are integer polynomials in the Gram tuple, generated
 into _kernels.UNIT_FORMS from the rewriting rules, and evaluated once per
-lattice and grade.  As N = +-1, h_alpha, g_alpha and phi_alpha are eps N Q,
-N Q and Q.  The lift multiplies the entries of g by W and reads the unit
-off a row of the resulting rank-1 matrix (x_p x_q).  Both evaluations, of M
-at the monomials and of W at the entries of g, run as unrolled 10-term int
-sums.
+lattice, both grades together.  As N = +-1, h_alpha, g_alpha and phi_alpha
+are eps N Q, N Q and Q.  The lift multiplies the entries of g by W and
+reads the unit off a row of the resulting rank-1 matrix (x_p x_q).  Both
+evaluations, of M at the monomials and of W at the entries of g, run as
+unrolled 10-term int sums.
 """
 
 from __future__ import annotations
@@ -83,11 +83,14 @@ _ROWS = [itemgetter(*(_MONOMIALS.index((min(p, q), max(p, q))) for q in range(4)
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _unit_forms(params: GramParams, grade: str):
-    """(M, W) for the units of one grade, as 10 x 10 integer matrices (see
-    _kernels): M over the monomials x_p x_q, and W = disc M^-1.  Cached, as
-    a round trip reads them twice."""
-    return UNIT_FORMS[grade](*params)
+def _lattice_forms(params: GramParams):
+    """(lattice, forms) of params, once per Gram tuple: the validated
+    Lattice, and forms[grade] = (M, W) for the units of each grade, as
+    10 x 10 integer matrices (see _kernels): M over the monomials x_p x_q,
+    and W = disc M^-1.  The lattice is built first, so a degenerate tuple,
+    where M is singular, raises Lattice's ValueError."""
+    lat = Lattice(params.gram)
+    return lat, {grade: forms(*params) for grade, forms in UNIT_FORMS.items()}
 
 
 def _apply(rows, v) -> list:
@@ -107,23 +110,14 @@ def _evaluate(forms, x) -> list:
                           x1 * x2, x1 * x3, x2 * x2, x2 * x3, x3 * x3))
 
 
-def _unit_matrix(unit: CliffordUnit, params: GramParams, c: int):
+def _unit_matrix(unit: CliffordUnit, forms, c: int):
     """c (Q_ij(x)) at the coordinates x of a unit, from one evaluation of
     the unit forms; AssertionError unless N(x) is the unit's norm."""
-    v = _evaluate(_unit_forms(params, unit.grade)[0],
-                  _CHARTS[unit.grade](unit.element.ints))
+    v = _evaluate(forms[unit.grade][0], _CHARTS[unit.grade](unit.element.ints))
     if v[9] != unit.norm:
         raise AssertionError("the norm form disagrees with N alpha")
     return ((c * v[0], c * v[1], c * v[2]), (c * v[3], c * v[4], c * v[5]),
             (c * v[6], c * v[7], c * v[8]))
-
-
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _lattice(params: GramParams) -> Lattice:
-    """The lattice of params, validated once per Gram tuple.  The unit maps
-    read it before _unit_forms, so a degenerate tuple, where M is singular,
-    raises Lattice's ValueError."""
-    return Lattice(params.gram)
 
 
 def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
@@ -132,12 +126,12 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     In closed form: entry (i, j) is eps * Q_ij(x) / N(x) = eps * N(x) * Q_ij(x),
     where Q_ij is the integer quadratic form in the unit coordinates x that
     gives the E_i-coordinate of alpha E_j alpha* (Voight, GTM 288, ch. 22),
-    evaluated once per lattice and grade.  The image is an isometry of
-    determinant eps, or an error is raised.
+    evaluated once per lattice.  The image is an isometry of determinant
+    eps, or an error is raised.
     """
     eps = 1 if unit.grade == "even" else -1
-    lat = _lattice(params)
-    iso = Isometry3(_unit_matrix(unit, params, eps * unit.norm), lat)
+    lat, forms = _lattice_forms(params)
+    iso = Isometry3(_unit_matrix(unit, forms, eps * unit.norm), lat)
     if iso.det != eps:
         raise AssertionError("det(h_alpha) != eps_alpha")
     return iso
@@ -145,14 +139,13 @@ def h_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
 
 def g_alpha(unit: CliffordUnit, params: GramParams):
     """Plain conjugation v -> alpha v alpha^{-1} (determinant +1)."""
-    _lattice(params)
-    return _unit_matrix(unit, params, unit.norm)
+    return _unit_matrix(unit, _lattice_forms(params)[1], unit.norm)
 
 
 def phi_alpha(unit: CliffordUnit, params: GramParams) -> Isometry3:
     """phi_alpha = eps*(N alpha)*h_alpha = (v -> alpha v alpha*); det = N alpha."""
-    lat = _lattice(params)
-    iso = Isometry3(_unit_matrix(unit, params, 1), lat)
+    lat, forms = _lattice_forms(params)
+    iso = Isometry3(_unit_matrix(unit, forms, 1), lat)
     if iso.det != unit.norm:
         raise AssertionError("det(phi_alpha) != N alpha")
     return iso
@@ -172,19 +165,18 @@ def clifford_lift(g, params: GramParams):
     coordinate), together with its norm N; g lies in the discriminant
     kernel iff N = +-1.
     """
-    iso = Isometry3.of(g, _lattice(params))
+    lat, forms = _lattice_forms(params)
+    iso = Isometry3.of(g, lat)
     eps = iso.det
-    forms, inv = _unit_forms(params, "even" if eps == 1 else "odd")
+    m, inv = forms["even" if eps == 1 else "odd"]
     # W (g_11, ..., g_33, eps) is eps times the vector above: same rows
     rhs = [*iso.matrix[0], *iso.matrix[1], *iso.matrix[2], eps]
     w = _apply(inv, rhs)
     diagonal = list(map(abs, _DIAGONAL(w)))
-    if not any(diagonal):
-        raise ValueError("no Clifford lift: g is not an isometry of L (x) Q")
     row = _ROWS[diagonal.index(max(diagonal))](w)
     d = gcd(*row)
     coords = sign_normalize([x // d for x in row])
-    vals = _evaluate(forms, coords)
+    vals = _evaluate(m, coords)
     # consistency: the lift must reproduce g, i.e. Q_ij(x) = N(x) eps g_ij
     n = vals[9]
     if vals != [n * eps * r for r in rhs]:
@@ -196,8 +188,6 @@ def clifford_lift(g, params: GramParams):
 def spinor_norm(g, params: GramParams) -> int:
     """theta(g): the square class of N(lift), as a squarefree integer."""
     _, n = clifford_lift(g, params)
-    if n == 0:
-        raise ValueError("lift has norm 0")
     return squarefree_part(n)
 
 
@@ -215,7 +205,7 @@ def _p_alpha(k: int, l: int, params: GramParams, a, b, c, d) -> Isometry3:
     rows = ((a * a, 2 * a * b, -k * b_l * b),
             (a * c, a * d + b * c, -k * b_l * d),
             (-l * c_k * c, -2 * l * c_k * d, d * d))
-    return Isometry3(rows, _lattice(params))
+    return Isometry3(rows, _lattice_forms(params)[0])
 
 
 def _even_unit(k: int, l: int, params: GramParams, a, b, c, d) -> CliffordUnit:
@@ -307,19 +297,17 @@ def seeded_units(k: int, l: int, count: int, seed: int):
     nonempty.
     """
     check_ints(k, l, count, seed)
+    if count < 0:
+        raise ValueError("count must be >= 0")
     params = GramParams.family(k, l)
     one = CliffordUnit.from_element(EvenCliffordElement(1, 0, 0, 0), params)
-    b = 3
-    while True:
-        gens = [family_unit(m, k, l) for m in unit_search_even(k, l, b)]
-        gens = [u for u in gens if u != one]
-        if gens or b > 64 * max(abs(k), abs(l)):
-            break
+    gens, b = [], 3
+    while not gens:   # [[1, l], [0, 1]] is found once b >= |l|
+        gens = [u for m in unit_search_even(k, l, b)
+                if (u := family_unit(m, k, l)) != one]
         b *= 2
     for odd in v_set_search(k, l, 2)[:6]:
         gens.append(CliffordUnit.from_element(odd, params))
-    if not gens:
-        raise ValueError("no nontrivial generators found")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

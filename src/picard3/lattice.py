@@ -53,6 +53,7 @@ class Lattice(Value):
 
 def family_lattice(k: int, l: int) -> Lattice:
     """U(k) + <2l> with Gram [[0,0,k],[0,2l,0],[k,0,0]]."""
+    check_ints(k, l)
     if k == 0 or l == 0:
         raise ValueError("k and l must be nonzero")
     return Lattice(((0, 0, k), (0, 2 * l, 0), (k, 0, 0)))

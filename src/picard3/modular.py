@@ -314,6 +314,9 @@ def g_n_class_witness(n: int, lam: int, eps: int) -> ModularElement:
     Requires lam^2 = eps mod n.  Construction: lam*I + n*[[t, r], [1, 0]]
     with t chosen so the determinant comes out exactly eps.
     """
+    check_ints(n, lam, eps)
+    if n == 0:
+        raise ValueError("n must be nonzero")
     if (lam * lam - eps) % n != 0:
         raise ValueError("lam^2 != eps mod n")
     m = (lam * lam - eps) // n

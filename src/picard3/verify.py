@@ -64,6 +64,12 @@ class SuiteResult:
                 "failed": self.failed, "failures": self.failures}
 
 
+def _check_trials(trials: int, seed: int):
+    check_ints(trials, seed)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
 def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"picard3:{seed}:{name}")
 
@@ -91,7 +97,7 @@ def _scales(m, ws, c, k=1) -> bool:
 
 
 def clifford_suite(trials: int, seed: int) -> SuiteResult:
-    check_ints(trials, seed)
+    _check_trials(trials, seed)
     rng = _rng(seed, "clifford")
     res = SuiteResult("clifford")
     for _ in range(trials):
@@ -126,7 +132,7 @@ def clifford_suite(trials: int, seed: int) -> SuiteResult:
 
 
 def exterior_suite(trials: int, seed: int) -> SuiteResult:
-    check_ints(trials, seed)
+    _check_trials(trials, seed)
     rng = _rng(seed, "exterior")
     res = SuiteResult("exterior")
     one = EvenCliffordElement(1, 0, 0, 0)
@@ -181,7 +187,7 @@ def exterior_suite(trials: int, seed: int) -> SuiteResult:
 
 def roundtrip_suite(trials: int, seed: int) -> SuiteResult:
     """Main-Theorem round trips: ``trials`` seeded units per family."""
-    check_ints(trials, seed)
+    _check_trials(trials, seed)
     res = SuiteResult("roundtrip")
     for k, l in FAMILIES:
         params = GramParams.family(k, l)

@@ -15,7 +15,7 @@ from picard3.clifford import (EVEN_MASKS, ODD_MASKS, CliffordElement,
                               alternating_E, clifford_mul, element_E, gram_B,
                               integer_mul, integer_reversal, norm, phi_rep,
                               reversal, trace)
-from picard3.isometries import CliffordUnit, _lattice
+from picard3.isometries import CliffordUnit, _lattice_forms
 from picard3.lattice import family_lattice
 from conftest import random_gram_params
 from kernelgen import WORDS
@@ -264,6 +264,15 @@ def test_element_E_properties(rng):
         assert reversal(E, p).coeffs == (-E).coeffs
         assert clifford_mul(E, E, p).coeffs == \
             CliffordElement.scalar(-p.disc_half).coeffs
+
+
+def test_repr_evaluates_to_an_equal_element():
+    scope = {"CliffordElement": CliffordElement, "Fraction": Fraction}
+    elements = [EvenCliffordElement(3, -1, 0, 2), OddCliffordElement(1, 0, -4, 5)]
+    elements += [element_E(p) for p in (WEHLER, family_params(3, -5))]
+    assert elements[-1].den == 2
+    for x in elements:
+        assert eval(repr(x), scope) == x
 
 
 def test_element_E_examples():
@@ -536,12 +545,11 @@ def test_per_tuple_caches_stay_bounded():
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "--suite", suite, "--trials", "100",
                          "--format", "json"]) == 0
-    for table in (_constants, ext.p_bases, ext._pairing_matrix, _lattice):
+    for table in (_constants, ext._pairing_matrix, _lattice_forms):
         info = table.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
     assert _constants.cache_info().currsize == _constants.cache_info().maxsize
-    assert ext.p_bases.cache_info().currsize == ext.p_bases.cache_info().maxsize
 
 
 def test_lattice_constants_are_evaluated_once_per_tuple_and_never_by_analyze_n():

@@ -23,8 +23,8 @@ from picard3.clifford import (DIM, EVEN_MASKS, ODD_MASKS, CliffordElement,
                               integer_reversal, integer_right_even,
                               integer_right_odd, norm, reversal)
 from picard3.exterior import _pairing_matrix
-from picard3.isometries import (_evaluate, _unit_forms, clifford_lift, g_alpha,
-                                h_alpha, seeded_units)
+from picard3.isometries import (_evaluate, _lattice_forms, clifford_lift,
+                                g_alpha, h_alpha, seeded_units)
 from picard3.lattice import Lattice
 from conftest import random_gram_params
 
@@ -81,7 +81,7 @@ def test_unit_form_matrix_is_invertible_on_dense_tuples(rng):
     for p in tuples:
         d = p.disc
         for grade, sign in (("even", 1), ("odd", -1)):
-            m, w = _unit_forms(p, grade)
+            m, w = _lattice_forms(p)[1][grade]
             assert m == unit_forms_by_products(p, grade), (p, grade)
             assert la.mat_mul(m, w) == la.mat_scale(d, la.identity(10))
             dm = la.det(m)
@@ -116,7 +116,7 @@ def test_unit_form_evaluation_matches_the_list_built_one(rng):
     tuples += [random_gram_params(rng) for _ in range(20)]
     for p in tuples:
         for grade in ("even", "odd"):
-            forms = _unit_forms(p, grade)[0]
+            forms = _lattice_forms(p)[1][grade][0]
             for _ in range(20):
                 x = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
                 assert _evaluate(forms, x) == evaluate_unit_forms(forms, x), (p, grade, x)
@@ -240,17 +240,27 @@ def test_integer_norm_is_the_scalar_part_of_x_times_its_reversal():
                 norm(CliffordElement(tuple(xs)), p)
 
 
-def test_shipped_kernels_are_the_generated_text():
+@pytest.fixture(scope="module")
+def generated_text():
+    """The module text that tests/kernelgen.py writes, built once: a build
+    derives and proves the unit forms (about 0.1 s)."""
+    return kernelgen.module_source()
+
+
+def test_shipped_kernels_are_the_generated_text(generated_text):
     # every sign and coefficient of the kernels comes from the rewriting
     # rules: tests/kernelgen.py writes the module on the chart of clifford
     assert (kernelgen.DIM, kernelgen.EVEN_MASKS, kernelgen.ODD_MASKS) == \
         (DIM, EVEN_MASKS, ODD_MASKS)
-    assert Path(_kernels.__file__).read_text() == kernelgen.module_source()
+    assert Path(_kernels.__file__).read_text() == generated_text
 
 
-def test_kernelgen_check_fails_on_a_missing_or_stale_module(tmp_path, monkeypatch, capsys):
+def test_kernelgen_check_fails_on_a_missing_or_stale_module(generated_text, tmp_path,
+                                                             monkeypatch, capsys):
+    # main writes and checks against the text built once above
     module = tmp_path / "_kernels.py"
     monkeypatch.setattr(kernelgen, "MODULE", module)
+    monkeypatch.setattr(kernelgen, "module_source", lambda: generated_text)
     assert kernelgen.main(["--check"]) == 1
     assert kernelgen.main([]) == 0
     assert kernelgen.main(["--check"]) == 0

@@ -180,6 +180,15 @@ def test_g_n_quotient_classes_match_delta():
         g_n_class_witness(5, 2, 1)   # 2^2 = -1, not +1, mod 5
 
 
+def test_g_n_class_witness_refuses_n_zero_and_takes_negative_n():
+    # (0, 1, 1) raised ZeroDivisionError; G_{-n} = G_n
+    with pytest.raises(ValueError, match="^n must be nonzero$"):
+        g_n_class_witness(0, 1, 1)
+    for n, lam, eps in ((-5, 2, -1), (-8, 3, 1), (-2, 1, 1)):
+        w = g_n_class_witness(n, lam, eps)
+        assert w.det == eps and member(w, SubgroupSpec("G_n", n=-n))
+
+
 def test_is_torsion_examples():
     assert is_torsion(ModularElement(0, 1, -1, 0)) == (True, 2)
     m = ModularElement(1, 2, -1, -1)        # det 1, trace 0

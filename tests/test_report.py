@@ -6,7 +6,7 @@ from picard3 import isometries, report
 from picard3.lattice import family_lattice, represents, signature
 from picard3.linalg import char_poly, factor, squarefree_part
 from picard3.isometries import p_alpha_matrix
-from picard3.modular import member, negative_pell, qr_minus_one
+from picard3.modular import g_n_class_witness, member, negative_pell, qr_minus_one
 from picard3.report import (TORSION_SEARCH_BOUND, analyze_picard,
                             congruence_data, salem_poly, symplectic_split,
                             wehler_trace_classes)
@@ -95,12 +95,15 @@ def test_congruence_data_refuses_non_ints():
 
 # Valid calls; each integer argument in turn is replaced by a non-int
 # (analyze_picard(2, -3, True) reported the bound True, run_suites(["clifford"],
-# True, 0) ran one trial, and factor(12.0) returned ((2, 2), (3.0, 1))).
+# True, 0) ran one trial, factor(12.0) returned ((2, 2), (3.0, 1)),
+# family_lattice(2, True) built U(2) + <2>, and g_n_class_witness(5, 2.0, -1)
+# failed in pow).
 INT_CALLS = [(isometries.unit_search_even, (2, -3, 2)), (isometries.v_set_search, (2, -3, 2)),
              (isometries.seeded_units, (2, -3, 1, 0)), (wehler_trace_classes, (2,)),
              (represents, (2, -3, 1)), (negative_pell, (2,)), (analyze_picard, (2, -3, 20)),
              (clifford_suite, (1, 0)), (exterior_suite, (1, 0)), (roundtrip_suite, (1, 0)),
-             (run_suites, (["clifford"], 1, 0)), (factor, (12,)), (squarefree_part, (12,))]
+             (run_suites, (["clifford"], 1, 0)), (factor, (12,)), (squarefree_part, (12,)),
+             (family_lattice, (2, -3)), (g_n_class_witness, (5, 2, -1))]
 INT_ARGS = [(f, args, i) for f, args in INT_CALLS for i in range(len(args))
             if type(args[i]) is int]
 
@@ -111,6 +114,26 @@ INT_ARGS = [(f, args, i) for f, args in INT_CALLS for i in range(len(args))
 def test_integer_arguments_refuse_bools_and_floats(f, args, i, bad):
     with pytest.raises(TypeError, match="int arguments required"):
         f(*args[:i], bad, *args[i + 1:])
+
+
+# A suite that runs no check must not report success (clifford_suite(0, 0)
+# returned an ok result with no check).
+TRIAL_CALLS = [(clifford_suite, ()), (exterior_suite, ()), (roundtrip_suite, ()),
+               (run_suites, (["clifford", "exterior"],))]
+
+
+@pytest.mark.parametrize("trials", (0, -1))
+@pytest.mark.parametrize("f, names", TRIAL_CALLS, ids=[f.__name__ for f, _ in TRIAL_CALLS])
+def test_suites_refuse_a_trial_count_below_one(f, names, trials):
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        f(*names, trials, 0)
+
+
+@pytest.mark.parametrize("count", (-1, -5))
+def test_seeded_units_refuse_a_negative_count(count):
+    assert isometries.seeded_units(2, -2, 0, 0) == []
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        isometries.seeded_units(2, -2, count, 0)
 
 
 def test_hypothesis_violations_flag_not_raise():
