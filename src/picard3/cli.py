@@ -22,7 +22,7 @@ import sys
 from functools import lru_cache
 
 from .report import SCHEMA, analyze_picard, congruence_data, salem_poly
-from .verify import ALL_SUITES, GRAM_BOUND, run_suites
+from .verify import ALL_SUITES, GRAM_BOUND, check_trials, run_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,8 +99,10 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    if args.trials < 1:
-        raise _Refusal("--trials must be positive")
+    try:   # only the trial count: a check's own ValueError is no usage error
+        check_trials(args.trials, args.seed)
+    except ValueError as exc:
+        raise _Refusal(str(exc)) from exc
     names = [args.suite] if args.suite else sorted(ALL_SUITES)
     results = run_suites(names, args.trials, args.seed)
     ok = all(r.ok for r in results)

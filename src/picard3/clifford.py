@@ -42,7 +42,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd, lcm
 
 from . import _kernels
@@ -367,32 +366,30 @@ def element_E(params: GramParams) -> CliffordElement:
 def alternating_E(params: GramParams):
     """E as the alternating sum over S_3, plus the dual elements E-hat.
 
-    Returns (E, (Ehat_1, Ehat_2, Ehat_3)), where 6 E is the alternating sum
-    of the products E_i E_j E_k and 2 Ehat_j = E_a E_b - E_b E_a for (j, a, b)
-    a cyclic shift of (1, 2, 3); both are summed in integers.  Cross-checks
-    performed here: the alternating E equals the closed form of
-    :func:`element_E`, and Ei * E = sum_j <Ei, Ej>_0 Ehat_j.  Disagreement
-    raises AssertionError.
+    Returns (E, (Ehat_1, Ehat_2, Ehat_3)), where 2 Ehat_j = E_a E_b - E_b E_a
+    for (j, a, b) a cyclic shift of (1, 2, 3), and 6 E is the alternating sum
+    of the products E_a E_b E_c.  Grouped by its last factor, that sum is
+    the three-term sum of (2 Ehat_j) E_j; both are summed in integers.
+    Cross-checks performed here: the alternating E equals the closed form of
+    :func:`element_E`, and Ei * E = sum_j <Ei, Ej>_0 Ehat_j, a three-term
+    sum.  Disagreement raises AssertionError.
     """
     gens = [[int(m == g) for m in range(DIM)] for g in GEN_MASKS]
-    # the six ordered products E_a E_b, a != b, each computed once
-    pairs = {(a, b): integer_mul(gens[a], gens[b], params)
-             for a, b in permutations(range(3), 2)}
-    acc6 = [0] * DIM
-    for (a, b, c), sign in zip(permutations(range(3)), (1, -1, -1, 1, 1, -1)):
-        term = integer_mul(pairs[a, b], gens[c], params)
-        acc6 = [x + sign * y for x, y in zip(acc6, term)]
+    hats2 = [[x - y for x, y in zip(integer_mul(gens[a], gens[b], params),
+                                    integer_mul(gens[b], gens[a], params))]
+             for a, b in ((1, 2), (2, 0), (0, 1))]
+    h0, h1, h2 = (integer_mul(h, g, params) for h, g in zip(hats2, gens))
+    acc6 = [x + y + z for x, y, z in zip(h0, h1, h2)]
     E = _element(acc6, 6)
     if E != element_E(params):
         raise AssertionError("alternating sum disagrees with the closed form of E")
 
-    hats2 = [[x - y for x, y in zip(pairs[a, b], pairs[b, a])]
-             for a, b in ((1, 2), (2, 0), (0, 1))]
     q = params.gram
     for i in range(3):
         # 6 (Ei E) against 6 sum_j (q_ij / 2)(2 Ehat_j) / 4
+        q0, q1, q2 = q[i]
         lhs = integer_mul(gens[i], acc6, params)
-        rhs = [sum(q[i][j] * h[m] for j, h in enumerate(hats2)) for m in range(DIM)]
+        rhs = [q0 * x + q1 * y + q2 * z for x, y, z in zip(*hats2)]
         if any(2 * x != 3 * y for x, y in zip(lhs, rhs)):
             raise AssertionError("Ei * E != sum <Ei,Ej>_0 Ehat_j")
     return E, tuple(_element(h, 2) for h in hats2)

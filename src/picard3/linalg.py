@@ -135,26 +135,32 @@ def _bareiss(rows: list, n: int, jordan: bool = False):
 
 
 def det(a: Matrix):
-    """Determinant.  An all-int 3x3 matrix is expanded by cofactors along its
-    first row, and an all-int 4x4 one by the 2x2 minors of its first two rows
-    (Laplace); anything else goes through Bareiss elimination, with each row
-    scaled to integers by its common denominator and their product divided
-    out once at the end."""
+    """Determinant of a matrix of ints (bools too) and Fractions.  An all-int
+    3x3 matrix is expanded by cofactors along its first row, and a 4x4 one by
+    the 2x2 minors of its first two rows (Laplace), kept when it is an int,
+    which it is exactly when every entry is.  Anything else goes through
+    Bareiss elimination, with each row scaled to integers by its common
+    denominator and their product divided out once at the end.  An entry
+    that is neither an int nor a Fraction raises TypeError."""
     if len(a) == 3:
         (p, q, r), (s, t, u), (v, w, x) = a
         if (type(p) is type(q) is type(r) is type(s) is type(t) is type(u)
                 is type(v) is type(w) is type(x) is int):
             return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
-    if len(a) == 4 and all(type(y) is int for row in a for y in row):
+    elif len(a) == 4:
         (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = a
-        return ((p0 * q1 - p1 * q0) * (r2 * s3 - r3 * s2)
-                - (p0 * q2 - p2 * q0) * (r1 * s3 - r3 * s1)
-                + (p0 * q3 - p3 * q0) * (r1 * s2 - r2 * s1)
-                + (p1 * q2 - p2 * q1) * (r0 * s3 - r3 * s0)
-                - (p1 * q3 - p3 * q1) * (r0 * s2 - r2 * s0)
-                + (p2 * q3 - p3 * q2) * (r0 * s1 - r1 * s0))
+        d = ((p0 * q1 - p1 * q0) * (r2 * s3 - r3 * s2)
+             - (p0 * q2 - p2 * q0) * (r1 * s3 - r3 * s1)
+             + (p0 * q3 - p3 * q0) * (r1 * s2 - r2 * s1)
+             + (p1 * q2 - p2 * q1) * (r0 * s3 - r3 * s0)
+             - (p1 * q3 - p3 * q1) * (r0 * s2 - r2 * s0)
+             + (p2 * q3 - p3 * q2) * (r0 * s1 - r1 * s0))
+        if type(d) is int:
+            return d
     rows, scale = [], 1
     for row in a:
+        if not all(isinstance(x, (int, Fraction)) for x in row):
+            raise TypeError("matrix entries must be int or Fraction")
         d, w = clear_denominators(row)
         rows.append(w)
         scale *= d

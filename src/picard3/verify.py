@@ -12,9 +12,10 @@ Three suites:
   families, including the ternary matrix identity and cone checks.
 
 Every suite is reproducible from (trials, seed) alone.  Random integers are
-drawn by ``rng.choice`` over a range: it makes the one ``_randbelow`` call
-that ``rng.randint`` makes on the same bounds, so it draws the same stream,
-at a lower cost.
+drawn by :func:`_draws`, straight from ``rng.getrandbits`` by the rejection
+loop that ``rng.randint`` runs on the same bounds, so the stream is the one
+``randint`` draws.  The clifford suite's random pairs are integral, so it
+checks Phi, N and Tr on the integer kernels of :mod:`clifford` directly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from . import exterior as ext
 from ._value import check_ints
 from .clifford import (DIM, EvenCliffordElement, GramParams,
                        OddCliffordElement, alternating_E, clifford_mul,
-                       element_E, integer_gram_B, integer_mul, norm, phi_rep,
-                       reversal, trace)
+                       element_E, integer_gram_B, integer_mul, integer_norm,
+                       integer_phi, integer_reversal, norm, reversal)
 from .isometries import (clifford_lift, family_unit, g_alpha, h_alpha,
                          p_alpha_and_unit, phi_alpha, seeded_units,
                          unit_product, unit_search_even)
@@ -64,7 +65,8 @@ class SuiteResult:
                 "failed": self.failed, "failures": self.failures}
 
 
-def _check_trials(trials: int, seed: int):
+def check_trials(trials: int, seed: int):
+    """The suites' entry rule: int arguments (TypeError), trials >= 1 (ValueError)."""
     check_ints(trials, seed)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -75,9 +77,20 @@ def _rng(seed: int, name: str) -> random.Random:
 
 
 def _draws(rng: random.Random, bound: int, n: int) -> list:
-    """n integers drawn as n calls rng.randint(-bound, bound) would draw them."""
-    r = range(-bound, bound + 1)
-    return [rng.choice(r) for _ in range(n)]
+    """n integers drawn as n calls rng.randint(-bound, bound) would draw them.
+    Each is r - bound for the first r = rng.getrandbits(k) below
+    size = 2 bound + 1, k = size.bit_length(): the rejection loop that
+    randint runs through ``Random._randbelow``, without its call layers."""
+    size = 2 * bound + 1
+    k = size.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        out.append(r - bound)
+    return out
 
 
 def _random_params(rng: random.Random) -> GramParams:
@@ -97,7 +110,7 @@ def _scales(m, ws, c, k=1) -> bool:
 
 
 def clifford_suite(trials: int, seed: int) -> SuiteResult:
-    _check_trials(trials, seed)
+    check_trials(trials, seed)
     rng = _rng(seed, "clifford")
     res = SuiteResult("clifford")
     for _ in range(trials):
@@ -118,21 +131,25 @@ def clifford_suite(trials: int, seed: int) -> SuiteResult:
             res.check(True, "")
         except AssertionError:
             res.check(False, f"alternating E: {tag}")
-        for _ in range(10):   # random pairs through Phi per Gram tuple
-            x = EvenCliffordElement(*_draws(rng, 4, 4))
-            y = EvenCliffordElement(*_draws(rng, 4, 4))
-            px = phi_rep(x, p)
-            res.check(mat_mul(px, phi_rep(y, p))
-                      == phi_rep(clifford_mul(x, y, p), p),
+        for _ in range(10):   # random integral pairs through Phi per Gram tuple
+            # the slots of EvenCliffordElement(x0, x1, x2, x3) and of y
+            x0, x1, x2, x3, y0, y1, y2, y3 = _draws(rng, 4, 8)
+            xs, ys = (x0, 0, 0, x3, 0, x2, x1, 0), (y0, 0, 0, y3, 0, y2, y1, 0)
+            px = integer_phi(xs, p)
+            res.check(mat_mul(px, integer_phi(ys, p))
+                      == integer_phi(integer_mul(xs, ys, p), p),
                       f"Phi multiplicative: {tag}")
-            res.check(norm(x, p) ** 2 == det(px), f"Nr^2 = det Phi: {tag}")
-            res.check(2 * trace(x, p) == sum(px[i][i] for i in range(4)),
+            res.check(integer_norm(xs, p) ** 2 == det(px), f"Nr^2 = det Phi: {tag}")
+            # Tr x = x + x*, a scalar
+            tr = [a + b for a, b in zip(xs, integer_reversal(xs, p))]
+            res.check(not any(tr[1:])
+                      and 2 * tr[0] == px[0][0] + px[1][1] + px[2][2] + px[3][3],
                       f"Tr = trace Phi / 2: {tag}")
     return res
 
 
 def exterior_suite(trials: int, seed: int) -> SuiteResult:
-    _check_trials(trials, seed)
+    check_trials(trials, seed)
     rng = _rng(seed, "exterior")
     res = SuiteResult("exterior")
     one = EvenCliffordElement(1, 0, 0, 0)
@@ -187,7 +204,7 @@ def exterior_suite(trials: int, seed: int) -> SuiteResult:
 
 def roundtrip_suite(trials: int, seed: int) -> SuiteResult:
     """Main-Theorem round trips: ``trials`` seeded units per family."""
-    _check_trials(trials, seed)
+    check_trials(trials, seed)
     res = SuiteResult("roundtrip")
     for k, l in FAMILIES:
         params = GramParams.family(k, l)

@@ -196,7 +196,8 @@ def test_main_hands_its_handler_the_full_parse(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_without_trials_is_a_usage_error(capsys, trials):
     code, out, err = run_cli(capsys, "verify", "--trials", trials)
-    assert code == 1 and out == "" and "--trials must be positive" in err
+    # the refusal is verify.check_trials's, in the suites' own wording
+    assert code == 1 and out == "" and err == "error: trials must be positive\n"
 
 
 def test_salem(capsys):
@@ -352,6 +353,15 @@ def _shifted_square(f):
     return g
 
 
+def _shifted_slot(f, m):
+    """f with slot m of each coordinate list it returns raised by 1."""
+    def g(*args):
+        out = list(f(*args))
+        out[m] += 1
+        return out
+    return g
+
+
 # Each rewritten check of the Gram suites against a map shifted by 1 in one
 # entry, once for each basis row w_r: column 3 + r (e23, e31, e12) of a map
 # on W, where w_r^+ and w_r^- read +-1 and the other rows 0, or column r of
@@ -364,6 +374,8 @@ SHIFTS = [
     ("exterior", verify.ext, "integer_eta", lambda f, r: _shifted(f, 0, r),
      {"mu~(x)|P+ = (-Nx) eta_x"}),
     ("clifford", verify, "integer_mul", lambda f, r: _shifted_square(f), {"E^2 = -D0"}),
+    # slot 0 of x* moves Tr x, and slots 1 and 2 (E1, E2) make x + x* no scalar
+    ("clifford", verify, "integer_reversal", _shifted_slot, {"Tr = trace Phi / 2"}),
 ]
 
 

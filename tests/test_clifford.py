@@ -396,13 +396,14 @@ def test_alternating_E(rng):
 
 
 def test_alternating_E_makes_each_generator_product_once(monkeypatch):
-    # the six E_a E_b, then the six (E_a E_b) E_c and the three E_i (6 E)
+    # the six E_a E_b, then the three (2 Ehat_j) E_j whose sum is 6 E, and
+    # the three E_i (6 E)
     import picard3.clifford as cl
     calls = []
     mul = cl.integer_mul
     monkeypatch.setattr(cl, "integer_mul", lambda x, y, p: calls.append(1) or mul(x, y, p))
     alternating_E(WEHLER)
-    assert len(calls) == 15
+    assert len(calls) == 12
 
 
 def test_alternating_E_basis_change_invariance(rng):

@@ -1,7 +1,7 @@
 """phi_rep, the exterior-square actions mu, mu~, eta and the alternating E,
 which run in integers, against the Fraction paths they replaced
 (tests/oracles.py), plus the verify outputs of the Fraction paths kept in
-tests/golden/."""
+tests/golden/ and the stream of the suites' random draws."""
 
 import io
 import json
@@ -23,6 +23,7 @@ from picard3.exterior import (eta_matrix, integer_eta, integer_mu_tilde,
                               lambda_minus_matrix, lambda_plus_matrix,
                               mu_matrix, mu_tilde_matrix, pair_w)
 from picard3.linalg import det, mat_mul, mat_scale, mat_vec
+from picard3.verify import _draws
 from conftest import random_gram_params
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_trials3.json"
@@ -162,6 +163,20 @@ def test_integer_exterior_checks_match_the_fraction_forms(den_E):
             frac_ok = (w_form_by_fractions(mat_vec(mm, w1), mat_vec(mm, w2))
                        == (n4 + wrong) * w_form_by_fractions(w1, w2))
             assert int_ok == frac_ok == (wrong == 0 or pw == 0), (p, wrong)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_draws_are_the_randint_stream(bound):
+    # the goldens pin only check counts: this pins the drawn values, and the
+    # generator state each draw leaves behind
+    seeds = list(range(8)) + [f"picard3:{s}:{name}" for s in range(3)
+                              for name in ("clifford", "exterior")]
+    for seed in seeds:
+        for n in (1, 4, 6, 1000):
+            mine, ref = random.Random(seed), random.Random(seed)
+            assert _draws(mine, bound, n) == [ref.randint(-bound, bound)
+                                              for _ in range(n)], (seed, n)
+            assert mine.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("suite", ["clifford", "exterior"])

@@ -349,3 +349,41 @@ def test_int_4x4_det_matches_fraction_elimination(rng, monkeypatch):
     a = la.mat([[Fraction(1, 2), 1, 0, 3], [2, -1, 4, 0], [0, 5, 1, -2], [7, 0, 2, 1]])
     assert la.det(a) == det_by_fractions(a)
     assert calls == [1]
+
+
+def test_small_det_matches_elimination_on_every_entry_type(rng, monkeypatch):
+    calls = []
+    bareiss = la._bareiss
+    monkeypatch.setattr(la, "_bareiss", lambda *args: calls.append(1) or bareiss(*args))
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    entries = {"int": lambda: rng.randint(-9, 9), "Fraction": fraction,
+               "bool": lambda: rng.random() < 0.5,
+               "mixed": lambda: rng.choice((rng.randint(-9, 9), fraction(),
+                                            rng.random() < 0.5))}
+    for n, (kind, entry) in product((3, 4), entries.items()):
+        for _ in range(200):
+            a = la.mat([[entry() for _ in range(n)] for _ in range(n)])
+            calls.clear()
+            d = la.det(a)
+            assert d == det_by_fractions(a), (kind, a)
+            assert type(d) is (int if Fraction(d).denominator == 1 else Fraction)
+            # only an all-int 3x3, bools excluded, or a Fraction-free 4x4
+            # stays off the elimination
+            types = {type(x) for row in a for x in row}
+            assert bool(calls) == (types != {int} if n == 3 else Fraction in types)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_det_refuses_a_float_entry(n):
+    for entry in (1.0, 0.5):
+        for i, j in product(range(n), repeat=2):
+            a = [[int(r == c) for c in range(n)] for r in range(n)]
+            a[i][j] = entry
+            with pytest.raises(TypeError, match="int or Fraction"):
+                la.det(la.mat(a))
+            a[(i + 1) % n][j] = Fraction(1, 2)
+            with pytest.raises(TypeError, match="int or Fraction"):
+                la.det(la.mat(a))
