@@ -17,8 +17,8 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from ._value import Value, check_ints
-from .linalg import (adjugate, char_poly, det, factor, identity, mat, mat_mul,
-                     mat_vec, smith_normal_form, transpose, vec_dot)
+from .linalg import (adjugate, char_poly, det, identity, mat, mat_mul, mat_vec,
+                     smith_normal_form, square_root_count, transpose, vec_dot)
 
 
 class Lattice(Value):
@@ -303,19 +303,14 @@ def preserves_positive_cone(g, lat: Lattice) -> bool:
 def represents(k: int, l: int, eps: int) -> bool:
     """Does U(k)+<2l> halved represent eps (= +-1)?
 
-    Closed-form criterion: gcd(k, l) = 1 and eps*l a square mod |k|.  Used
-    both for the existence of the odd-unit coset and for the (-2)-curve test
-    (the lattice has a (-2)-vector iff the halved form represents -1).  The
-    unit eps*l is a square mod p^e || k iff it is one mod p (Euler, then
-    Hensel) for odd p, and 1 mod 1, 4, 8 for 2^e, e = 1, 2, >= 3.
+    Closed-form criterion: gcd(k, l) = 1 and eps*l a square mod |k|, i.e.
+    with a square root (linalg.square_root_count).  Used both for the
+    existence of the odd-unit coset and for the (-2)-curve test (the
+    lattice has a (-2)-vector iff the halved form represents -1).
     """
     check_ints(k, l, eps)
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     if k == 0 or l == 0:
         raise ValueError("k and l must be nonzero")
-    if gcd(k, l) != 1:
-        return False
-    u = eps * l
-    return all(pow(u, (p - 1) // 2, p) == 1 if p > 2
-               else e == 1 or u % (4 if e == 2 else 8) == 1 for p, e in factor(k))
+    return gcd(k, l) == 1 and square_root_count(eps * l, k) > 0

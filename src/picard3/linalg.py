@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from ._value import check_ints
@@ -269,8 +269,8 @@ def char_poly(a: Matrix):
 def factor(n: int) -> tuple:
     """((p, e), ...) with p ascending and |n| = prod p^e (n != 0), by trial
     division by 2, 3 and then 6k +- 1 while p^2 <= the unfactored part.
-    Cached: one M_n report asks for the factors of n five times.  A
-    non-int n (a bool or a float too) raises TypeError."""
+    Cached: one M_n report asks for the factors of n seven or eight times.
+    A non-int n (a bool or a float too) raises TypeError."""
     check_ints(n)
     if n == 0:
         raise ValueError("0 has no factorisation")
@@ -286,6 +286,23 @@ def factor(n: int) -> tuple:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def square_root_count(u: int, n: int) -> int:
+    """The number of x mod |n| with x^2 = u mod n, for u prime to n != 0
+    (else ValueError): the product over p^e || n of the local counts,
+    1 + (u/p) at odd p by Euler's criterion (Hensel lifts each root to p^e),
+    and min(2^(e-1), 4) at 2^e when u = 1 mod 2, 4, 8 for e = 1, 2, >= 3, else 0."""
+    check_ints(u, n)
+    if n == 0 or gcd(u, n) != 1:
+        raise ValueError("n must be nonzero and prime to u")
+    count = 1
+    for p, e in factor(n):
+        if p == 2:
+            count *= min(2 ** (e - 1), 4) if u % min(2 ** e, 8) == 1 else 0
+        else:
+            count *= 2 if pow(u, (p - 1) // 2, p) == 1 else 0
+    return count
 
 
 def factor_pairs(m: int, bound: int, mx: int = 1, my: int = 1) -> list:

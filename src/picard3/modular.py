@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from ._value import Value, check_ints
-from .linalg import factor, factor_pairs, mat, sign_normalize
+from .linalg import factor, factor_pairs, mat, sign_normalize, square_root_count
 
 
 class ModularElement(Value):
@@ -139,19 +139,12 @@ def index_gamma_n(n: int) -> int:
 
 
 def delta_n(n: int) -> int:
-    """|{a in (Z/n)^x : a^2 = +-1 mod n} / {+-1}| = (s+ + s-)/2 for n > 2,
-    s+- the numbers of square roots of +-1 mod n.  s+ is the CRT product of
-    the local counts 2 (odd p) and min(2^(e-1), 4) (2^e); -1 has as many
-    roots as +1 when it is a square mod n (qr_minus_one), else none, so
-    delta_n is s+ or s+/2.  For n = 1, 2, where +1 = -1, the formula gives
-    s+ = 1 = delta_n."""
+    """|{a in (Z/n)^x : a^2 = +-1 mod n} / {+-1}| = (s+ + s-)/2, s+- the
+    numbers of square roots of +-1 mod n (linalg.square_root_count)."""
     check_ints(n)
     if n < 1:
         raise ValueError("n must be positive")
-    plus = 1
-    for p, e in factor(n):
-        plus *= min(2 ** (e - 1), 4) if p == 2 else 2
-    return plus if qr_minus_one(n) else plus // 2
+    return (square_root_count(1, n) + square_root_count(-1, n)) // 2
 
 
 def index_pi_g_n(n: int) -> int:
@@ -225,12 +218,11 @@ def free_rank(index_in_pi: int) -> int:
 
 
 def qr_minus_one(n: int) -> bool:
-    """Is -1 a quadratic residue modulo n?  Yes iff 4 does not divide n and
-    every odd prime p | n has p = 1 mod 4."""
+    """Is -1 a square modulo n (linalg.square_root_count)?"""
     check_ints(n)
     if n < 1:
         raise ValueError("n must be positive")
-    return n % 4 != 0 and all(p % 4 == 1 for p, _ in factor(n) if p != 2)
+    return square_root_count(-1, n) > 0
 
 
 def negative_pell(d: int):
@@ -275,10 +267,10 @@ def negative_pell(d: int):
 def prime_power_generator(n: int):
     """The extra generator of G_n over Gamma(n) for prime powers n (or None).
 
-    Cases: n = 2 -> diag(1, -1); n = 4 -> None (G_4 = Gamma(4));
-    n = 2^e, e >= 3 -> the unipotent-like matrix with lambda = 1 + 2^{e-1};
-    n = p^e with p = 3 mod 4 -> None; n = p^e with p = 1 mod 4 -> the
-    det -1 class witness of the smaller root a of a^2 = -1 mod n.
+    Cases, in order: n = 2 -> diag(1, -1); n = 2^e, e >= 3 -> the
+    unipotent-like matrix with lambda = 1 + 2^{e-1}; -1 a square mod n
+    (qr_minus_one) -> the det -1 class witness of the smaller root a of
+    a^2 = -1 mod n; otherwise (n = 4, p = 3 mod 4) None, as G_n = Gamma(n).
     """
     check_ints(n)
     p, e = prime_power(n)
@@ -286,16 +278,14 @@ def prime_power_generator(n: int):
         raise ValueError("n must be a prime power")
     if n == 2:
         return ModularElement(1, 0, 0, -1)
-    if n == 4:
-        return None
-    if p == 2:
+    if p == 2 and e >= 3:
         lam = 1 + 2 ** (e - 1)
         return ModularElement(lam, 2 ** e, 2 ** (2 * e - 3),
                               1 - 2 ** (e - 1) + 2 ** (2 * (e - 1)))
-    if p % 4 == 3:
+    if not qr_minus_one(n):
         return None
-    # a^2 = -1 mod p from a non-residue c (Euler), Newton-lifted to p^e
-    c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    # a^2 = -1 mod p from a non-residue c, Newton-lifted to p^e
+    c = next(x for x in range(2, p) if square_root_count(x, p) == 0)
     a = pow(c, (p - 1) // 4, p)
     for _ in range(e - 1):
         a = (a - (a * a + 1) * pow(2 * a, -1, n)) % n

@@ -98,19 +98,17 @@ def wehler_trace_classes(n_max: int):
 
 
 def _group_presentation(n: int) -> str:
-    """Human-readable model of G_n from the prime-power table (n >= 2)."""
+    """Human-readable model of G_n (n >= 2), by prime_power_generator's cases."""
     if n == 2:
         return "Pi(2) = <Gamma(2), diag(1,-1)> (isomorphic to C2 * C2 * C2)"
     p, e = prime_power(n)
     if p is None:
         return f"G_{n} (scalar congruence classes mod {n})"
-    if n == 4:
-        return "Gamma(4)"
-    if p == 2:
+    if p == 2 and e >= 3:
         return f"<Gamma({n}), T> with T the extra generator, lambda = 1 + 2^{e-1}"
-    if p % 4 == 3:
-        return f"Gamma({n})"
-    return f"<Gamma({n}), S_a> with a^2 = -1 mod {n} (det -1 generator)"
+    if qr_minus_one(n):
+        return f"<Gamma({n}), S_a> with a^2 = -1 mod {n} (det -1 generator)"
+    return f"Gamma({n})"
 
 
 class AutReport(Value):

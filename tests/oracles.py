@@ -6,7 +6,9 @@ formula or a faster kernel, or a brute-force count or check of one; the
 tests check that the two agree.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, isqrt
 from operator import mul
@@ -22,6 +24,17 @@ from picard3.linalg import (adjugate, clear_denominators, det, identity, mat,
                             mat_mul, mat_scale, mat_vec, sign_normalize,
                             smith_normal_form, transpose, vec_dot)
 from picard3.modular import ModularElement, SubgroupSpec, member
+
+
+@lru_cache(maxsize=2)
+def _square_counts(n: int) -> Counter:
+    """How many x mod n have each square x^2 mod n, for n >= 1."""
+    return Counter(x * x % n for x in range(n))
+
+
+def square_root_count_scan(u: int, n: int) -> int:
+    """The number of x mod |n| with x^2 = u mod n, by one scan per |n|."""
+    return _square_counts(abs(n))[u % abs(n)]
 
 
 def delta_n_scan(n: int) -> int:

@@ -8,18 +8,18 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 
 from oracles import (delta_n_scan, g_n_torsion_residues, member_by_kind,
                      provably_torsion_free_by_kind, qr_minus_one_scan,
-                     represents_scan, torsion_search_scan,
-                     totient_like_index_scan)
+                     represents_scan, square_root_count_scan,
+                     torsion_search_scan, totient_like_index_scan)
 from picard3.cli import main
 from picard3.lattice import represents
-from picard3.linalg import factor
+from picard3.linalg import factor, square_root_count
 from picard3.modular import (ModularElement, SubgroupSpec, _totient_like_index,
                              delta_n, g_n_class_witness, member,
                              provably_torsion_free, qr_minus_one,
@@ -65,6 +65,22 @@ def test_number_theory_matches_scans(ns):
         assert delta_n(n) == delta_n_scan(n), n
         assert qr_minus_one(n) == qr_minus_one_scan(n), n
         assert _totient_like_index(n) == totient_like_index_scan(n), n
+
+
+@pytest.mark.parametrize("ns", [range(1, 2001), PRIME_POWERS],
+                         ids=["n<=2000", "prime_powers"])
+def test_square_root_count_matches_scan(ns):
+    for n in ns:
+        for u in (1, -1, 2, -2, 3, -3, 5, -5, 7, -7):
+            if gcd(u, n) == 1:
+                want = square_root_count_scan(u, n)
+                assert square_root_count(u, n) == square_root_count(u, -n) == want, (u, n)
+
+
+@pytest.mark.parametrize("u, n", [(2, 4), (0, 5), (-3, 9), (6, -10), (1, 0), (0, 0)])
+def test_square_root_count_refuses_u_not_prime_to_n(u, n):
+    with pytest.raises(ValueError, match="^n must be nonzero and prime to u$"):
+        square_root_count(u, n)
 
 
 def test_represents_matches_scan():

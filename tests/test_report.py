@@ -4,7 +4,7 @@ import pytest
 
 from picard3 import isometries, report
 from picard3.lattice import family_lattice, represents, signature
-from picard3.linalg import char_poly, factor, squarefree_part
+from picard3.linalg import char_poly, factor, square_root_count, squarefree_part
 from picard3.isometries import p_alpha_matrix
 from picard3.modular import g_n_class_witness, member, negative_pell, qr_minus_one
 from picard3.report import (TORSION_SEARCH_BOUND, analyze_picard,
@@ -103,7 +103,8 @@ INT_CALLS = [(isometries.unit_search_even, (2, -3, 2)), (isometries.v_set_search
              (represents, (2, -3, 1)), (negative_pell, (2,)), (analyze_picard, (2, -3, 20)),
              (clifford_suite, (1, 0)), (exterior_suite, (1, 0)), (roundtrip_suite, (1, 0)),
              (run_suites, (["clifford"], 1, 0)), (factor, (12,)), (squarefree_part, (12,)),
-             (family_lattice, (2, -3)), (g_n_class_witness, (5, 2, -1))]
+             (family_lattice, (2, -3)), (g_n_class_witness, (5, 2, -1)),
+             (square_root_count, (3, 11))]
 INT_ARGS = [(f, args, i) for f, args in INT_CALLS for i in range(len(args))
             if type(args[i]) is int]
 

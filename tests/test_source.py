@@ -612,3 +612,32 @@ def test_fields_are_written_by_value_init_and_the_hot_constructors():
     assert {name: owners for name, owners in found.items() if owners} == {
         "_value.py": ["Value.__init__"], "lattice.py": ["Isometry3.__init__"],
         "clifford.py": ["CliffordElement.__init__", "_element"]}
+
+
+def euler_tests(source: str) -> list:
+    """(line, owner) for each call pow(x, (p - 1) // 2, p), Euler's criterion
+    mod p, with the owner as in owned_nodes."""
+    return sorted(((node.lineno, owner) for node, owner in owned_nodes(source)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "pow"
+                   and len(node.args) == 3
+                   and ast.unparse(node.args[1]) == f"({ast.unparse(node.args[2])} - 1) // 2"),
+                  key=lambda call: call[0])
+
+
+def test_euler_tests_are_found():
+    src = ("r = pow(2, (7 - 1) // 2, 7)\n"
+           "def f(x, p):\n"
+           "    return pow(x, (p - 1) // 2, p), pow(x, (p - 1) // 4, p)\n"
+           "class C:\n"
+           "    def g(self, x, q):\n"
+           "        return pow(x, (q - 1) // 2, q), pow(x, (q - 1) // 2), pow(x, (p - 1) // 2, q)\n")
+    assert euler_tests(src) == [(1, None), (3, "f"), (6, "C.g")]
+
+
+def test_library_writes_eulers_criterion_once():
+    # one owner of the quadratic-residue rule: the callers read the count
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {p.name: [owner for _, owner in euler_tests(p.read_text())] for p in modules}
+    assert {name: owners for name, owners in found.items() if owners} \
+        == {"linalg.py": ["square_root_count"]}
