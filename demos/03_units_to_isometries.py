@@ -8,7 +8,7 @@ from picard3 import (GramParams, clifford_lift, family_unit, h_alpha,
                      p_alpha_matrix, phi_alpha, spinor_norm,
                      unit_search_even, v_set_search)
 from picard3.lattice import Lattice, in_discriminant_kernel
-from picard3.linalg import adjugate, det, identity, mat_mul, mat_sub
+from picard3.linalg import adjugate, det, mat_mul
 
 k, l = 2, -2                       # the Wehler family U(2) + <-4>
 params = GramParams.family(k, l)
@@ -29,7 +29,8 @@ print("det =", h.det, " in kernel:", h.in_kernel,
 
 # The kernel test is a one-line integrality criterion, (g - I) Q^-1
 # integral, checked in integers as (g - I) adj(Q) = 0 mod det Q:
-diff = mat_sub(h.matrix, identity(3))
+diff = tuple(tuple(x - (i == j) for j, x in enumerate(row))
+             for i, row in enumerate(h.matrix))
 d = det(lat.gram)
 print("(g - I) Q^-1 integral:",
       all(x % d == 0 for row in mat_mul(diff, adjugate(lat.gram)) for x in row))

@@ -21,7 +21,8 @@ import os
 import sys
 from functools import lru_cache
 
-from .report import SCHEMA, analyze_picard, congruence_data, salem_poly
+from .report import (SCHEMA, analyze_picard, congruence_data, congruence_lines,
+                     salem_poly)
 from .verify import ALL_SUITES, GRAM_BOUND, check_trials, run_suites
 
 
@@ -138,17 +139,12 @@ def cmd_salem(args):
 
 def cmd_congruence(args):
     n = args.n
-    if n < 1:
-        raise _Refusal("n must be positive")
-    doc = {"subgroup": {"kind": "G_n", "n": n}, **congruence_data(n)}
-    search = doc["torsion_bounded_search"]
-    found, bound = search["found_count"], search["bound"]
-    lines = [f"[Pi : G_{n}] = {doc['index_in_Pi']}, delta_{n} = {doc['delta_n']}",
-             f"torsion: {found} elements with entries <= {bound}; not free" if found
-             else f"torsion: none with entries <= {bound} (bounded evidence only)"]
-    if doc["free_rank"] is not None:
-        lines.append(f"free rank (if torsion-free): {doc['free_rank']}")
-    return 0, doc, f"picard3 congruence G_{n}", lambda: "\n".join(lines)
+    try:
+        block = congruence_data(n)
+    except ValueError as exc:
+        raise _Refusal(str(exc)) from exc
+    return (0, {"subgroup": {"kind": "G_n", "n": n}, **block},
+            f"picard3 congruence G_{n}", lambda: "\n".join(congruence_lines(n, block)))
 
 
 def main(argv=None) -> int:

@@ -37,10 +37,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
@@ -269,7 +265,7 @@ def char_poly(a: Matrix):
 def factor(n: int) -> tuple:
     """((p, e), ...) with p ascending and |n| = prod p^e (n != 0), by trial
     division by 2, 3 and then 6k +- 1 while p^2 <= the unfactored part.
-    Cached: one M_n report asks for the factors of n seven or eight times.
+    Cached: an M_n report asks for factor(n) 6 times, 7 for 4 and odd prime powers.
     A non-int n (a bool or a float too) raises TypeError."""
     check_ints(n)
     if n == 0:

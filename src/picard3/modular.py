@@ -3,7 +3,8 @@
 Elements are 2x2 integer matrices of determinant +-1, normalized modulo +-1
 so that the first nonzero entry (in row-major order) is positive.  Subgroups
 are congruence predicates: Pi(n), Gamma(n), the unit groups of the orders
-B_{k,l}, the scalar-congruence groups G_n and Gamma_0(k).
+B_{k,l}, the scalar-congruence groups G_n and Gamma_0(k).  congruence_data
+builds the G_n block that ``analyze`` and ``congruence`` print.
 """
 
 from __future__ import annotations
@@ -202,6 +203,52 @@ def torsion_search(spec: SubgroupSpec, bound: int):
                     if member(el, spec):
                         found.add(el)
     return tuple(sorted(found, key=lambda e: (e.a, e.b, e.c, e.d)))
+
+
+# Entry bound of the torsion search, which runs only for G_1 and G_2; the
+# congruence block and the report's bounds carry it.
+TORSION_SEARCH_BOUND = 30
+
+
+def congruence_data(n: int) -> dict:
+    """The congruence block of G_n, n >= 1: [Pi : G_n], delta_n (read off
+    the index, which index_pi_g_n checks), the torsion elements with entries
+    at most TORSION_SEARCH_BOUND, the free rank when there are none and 12
+    divides the index, and the presentation.
+
+    For n >= 3, G_n is proved torsion-free (provably_torsion_free), so the
+    bounded search runs only for n = 1, 2, which have torsion.  The block
+    keeps its "torsion_bounded_search" key and bound either way.
+    """
+    idx = index_pi_g_n(n)
+    spec = SubgroupSpec("G_n", n=n)
+    found = (() if provably_torsion_free(spec)
+             else torsion_search(spec, TORSION_SEARCH_BOUND))
+    return {
+        "index_in_Pi": idx,
+        "delta_n": _totient_like_index(n) // idx,
+        "torsion_bounded_search": {
+            "bound": TORSION_SEARCH_BOUND,
+            "found_count": len(found),
+            "found": [[e.a, e.b, e.c, e.d] for e in found[:10]],
+        },
+        "free_rank": free_rank(idx) if not found and idx % 12 == 0 else None,
+        "presentation": _group_presentation(n),
+    }
+
+
+def _group_presentation(n: int) -> str:
+    """Human-readable model of G_n (n >= 1), by prime_power_generator's cases."""
+    if n == 2:
+        return "Pi(2) = <Gamma(2), diag(1,-1)> (isomorphic to C2 * C2 * C2)"
+    p, e = prime_power(n)
+    if p is None:
+        return f"G_{n} (scalar congruence classes mod {n})"
+    if p == 2 and e >= 3:
+        return f"<Gamma({n}), T> with T the extra generator, lambda = 1 + 2^{e-1}"
+    if qr_minus_one(n):
+        return f"<Gamma({n}), S_a> with a^2 = -1 mod {n} (det -1 generator)"
+    return f"Gamma({n})"
 
 
 def free_rank(index_in_pi: int) -> int:

@@ -4,12 +4,11 @@ isomorphism, the symplectic/anti-symplectic split, and Salem polynomials.
 
 The subject of a report is always the lattice-theoretic group; the K3
 surface itself is never modeled (its existence for signature (1,2) forms is
-classical).  Torsion-freeness of G_n for n >= 3 is proved, not searched for
-(modular.provably_torsion_free); the torsion search, to the fixed entry
-bound TORSION_SEARCH_BOUND, runs only where no proof applies, and the report
-text keeps its "bounded evidence" wording.
-The abstract structure of the unit group is reported as bounded evidence,
-never as a theorem.
+classical).  An M_n report carries the G_n congruence block of
+modular.congruence_data (torsion-freeness proved for n >= 3, searched to
+TORSION_SEARCH_BOUND below), and congruence_lines prints that block for
+both ``analyze`` and ``congruence``.  The abstract structure of the unit
+group is reported as bounded evidence, never as a theorem.
 """
 
 from __future__ import annotations
@@ -20,15 +19,10 @@ from .isometries import (clifford_lift, h_alpha, p_alpha_and_unit, phi_alpha,
                          unit_search_even)
 from .lattice import represents
 from .linalg import char_poly, mat
-from .modular import (ModularElement, SubgroupSpec, delta_n, free_rank,
-                      index_pi_g_n, prime_power, provably_torsion_free,
-                      qr_minus_one, torsion_search)
+from .modular import (TORSION_SEARCH_BOUND, ModularElement, congruence_data,
+                      qr_minus_one)
 
 SCHEMA = "picard3-aut/1"  # the schema tag of the JSON outputs
-
-# Entry bound of the torsion search, which runs only for G_1 and G_2; the
-# congruence block and the report's bounds carry it.
-TORSION_SEARCH_BOUND = 30
 
 
 class SalemDatum(Value):
@@ -97,18 +91,19 @@ def wehler_trace_classes(n_max: int):
     return checked, table
 
 
-def _group_presentation(n: int) -> str:
-    """Human-readable model of G_n (n >= 2), by prime_power_generator's cases."""
-    if n == 2:
-        return "Pi(2) = <Gamma(2), diag(1,-1)> (isomorphic to C2 * C2 * C2)"
-    p, e = prime_power(n)
-    if p is None:
-        return f"G_{n} (scalar congruence classes mod {n})"
-    if p == 2 and e >= 3:
-        return f"<Gamma({n}), T> with T the extra generator, lambda = 1 + 2^{e-1}"
-    if qr_minus_one(n):
-        return f"<Gamma({n}), S_a> with a^2 = -1 mod {n} (det -1 generator)"
-    return f"Gamma({n})"
+def congruence_lines(n: int, block: dict) -> list:
+    """The text lines of the G_n congruence block (modular.congruence_data)
+    that ``analyze`` and ``congruence`` print."""
+    t = block["torsion_bounded_search"]
+    found, bound = t["found_count"], t["bound"]
+    lines = [f"congruence data: [Pi : G_{n}] = {block['index_in_Pi']}, "
+             f"delta = {block['delta_n']}",
+             f"torsion: FOUND {found} elements (bound {bound}); not a free group"
+             if found else f"torsion: none with entries <= {bound} (bounded evidence only)"]
+    if block["free_rank"] is not None:
+        lines.append(f"free rank (if torsion-free): {block['free_rank']}")
+    lines.append(f"presentation: {block['presentation']}")
+    return lines
 
 
 class AutReport(Value):
@@ -155,19 +150,7 @@ class AutReport(Value):
         lines.append(f"anti-symplectic automorphisms exist: {self.antisymplectic_exists}"
                      f"  (image in GL(H^2,0) has order m = {self.image_order_m})")
         if self.congruence is not None:
-            c = self.congruence
-            lines.append(f"congruence data: [Pi : G_{self.n}] = {c['index_in_Pi']}, "
-                         f"delta = {c['delta_n']}")
-            t = c["torsion_bounded_search"]
-            if t["found_count"]:
-                lines.append(f"torsion: FOUND {t['found_count']} elements "
-                             f"(bound {t['bound']}); not a free group")
-            else:
-                lines.append(f"torsion: none with entries <= {t['bound']} "
-                             f"(bounded evidence only)")
-            if c["free_rank"] is not None:
-                lines.append(f"free rank (if torsion-free): {c['free_rank']}")
-            lines.append(f"presentation: {c['presentation']}")
+            lines += congruence_lines(self.n, self.congruence)
         for s in self.samples:
             tag = "salem" if s.is_salem else "not-salem"
             kind = "symplectic" if s.symplectic else "anti-symplectic"
@@ -175,35 +158,6 @@ class AutReport(Value):
                          f"{kind}, {tag}")
         lines.append(f"bounds: {self.bounds}")
         return "\n".join(lines)
-
-
-def congruence_data(n: int) -> dict:
-    """The congruence block of G_n shared by ``analyze`` and ``congruence``:
-    [Pi : G_n], delta_n, the torsion elements with entries at most
-    TORSION_SEARCH_BOUND, and the free rank when there are none and 12
-    divides the index.
-
-    For n >= 3, G_n is proved torsion-free (provably_torsion_free), so the
-    bounded search runs only for n = 1, 2, which have torsion.  The block
-    keeps its "torsion_bounded_search" key and bound either way.
-    """
-    idx = index_pi_g_n(n)
-    spec = SubgroupSpec("G_n", n=n)
-    found = (() if provably_torsion_free(spec)
-             else torsion_search(spec, TORSION_SEARCH_BOUND))
-    rank = None
-    if not found and idx % 12 == 0:
-        rank = free_rank(idx)
-    return {
-        "index_in_Pi": idx,
-        "delta_n": delta_n(n),
-        "torsion_bounded_search": {
-            "bound": TORSION_SEARCH_BOUND,
-            "found_count": len(found),
-            "found": [[e.a, e.b, e.c, e.d] for e in found[:10]],
-        },
-        "free_rank": rank,
-    }
 
 
 def _sample_units(k: int, l: int, search_bound: int):
@@ -250,10 +204,7 @@ def analyze_picard(k: int, l: int, search_bound: int = 20) -> AutReport:
         model = (f"B_{{{k},{l}}}^x / {{+-1}}"
                  + (" with odd coset V" if v_present else " (no odd coset)"))
 
-    congruence = None
-    if is_m_n:
-        congruence = {**congruence_data(n),
-                      "presentation": _group_presentation(n)}
+    congruence = congruence_data(n) if is_m_n else None
 
     samples = tuple(_verify_sample(m, k, l, params, sig)
                     for m in _sample_units(k, l, search_bound))

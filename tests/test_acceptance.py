@@ -57,7 +57,8 @@ def test_criterion_2_main_theorem_roundtrip():
             qinv = inverse(params.gram)
             for u in seeded_units(k, l, 200, SEED):
                 h = h_alpha(u, params)
-                diff = la.mat_sub(h.matrix, la.identity(3))
+                diff = tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                             for i, row in enumerate(h.matrix))
                 assert all(x.denominator == 1 for row in la.mat_mul(diff, qinv)
                            for x in row)
                 lift, n = clifford_lift(h, params)

@@ -17,7 +17,8 @@ from picard3.report import analyze_picard
 
 ROOT = Path(__file__).resolve().parent.parent
 # exit codes and stdout recorded before torsion-freeness was decided exactly
-# and before the closed-form family signature and 3x3 determinant
+# and before the closed-form family signature and 3x3 determinant; the
+# congruence entries re-recorded once that command printed analyze's block
 GOLDEN = ROOT / "tests" / "golden" / "analyze_congruence.json"
 # stdout of each script in demos/, recorded before the unused library
 # surface (Gamma_0^+(l), the torsion-bound options, the JSON helpers) went
@@ -231,7 +232,7 @@ def test_congruence(capsys):
     assert j["free_rank"] == 17
     assert j["torsion_bounded_search"]["found_count"] == 0
     code, out, _ = run_cli(capsys, "congruence", "--n", "2")
-    assert code == 0 and "not free" in out
+    assert code == 0 and "not a free group" in out
 
 
 def test_congruence_text_and_json_agree(capsys):
@@ -239,9 +240,28 @@ def test_congruence_text_and_json_agree(capsys):
     j = json.loads(out_j)
     _, out_t, _ = run_cli(capsys, "congruence", "--n", "8")
     assert f"[Pi : G_8] = {j['index_in_Pi']}" in out_t
-    assert f"delta_8 = {j['delta_n']}" in out_t
+    assert f"delta = {j['delta_n']}" in out_t
     assert f"free rank (if torsion-free): {j['free_rank']}" in out_t
     assert f"entries <= {j['torsion_bounded_search']['bound']}" in out_t
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 65536, 65537, 99991])
+def test_congruence_prints_the_block_of_analyze(capsys, n):
+    code, out, _ = run_cli(capsys, "congruence", "--n", str(n), "--format", "json")
+    block = json.loads(out)
+    assert code == 0 and block.pop("subgroup") == {"kind": "G_n", "n": n}
+    assert block.pop("schema") == "picard3-aut/1"
+    code, out, _ = run_cli(capsys, "congruence", "--n", str(n))
+    header, *lines = out.splitlines()
+    assert code == 0 and header == f"picard3 congruence G_{n}"
+    assert lines == report.congruence_lines(n, block)
+    if n >= 2:
+        _, out, _ = run_cli(capsys, "analyze", "--n", str(n), "--format", "json")
+        assert json.loads(out)["congruence"] == block
+        _, out, _ = run_cli(capsys, "analyze", "--n", str(n))
+        analyze_lines = out.splitlines()
+        start = analyze_lines.index(lines[0])
+        assert analyze_lines[start:start + len(lines)] == lines
 
 
 def test_verify_deterministic(capsys):

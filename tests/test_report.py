@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from picard3 import isometries, report
+from picard3 import cli, isometries, modular, report
 from picard3.lattice import family_lattice, represents, signature
 from picard3.linalg import char_poly, factor, square_root_count, squarefree_part
 from picard3.isometries import p_alpha_matrix
@@ -74,7 +74,7 @@ def test_congruence_data_searches_only_where_no_proof_applies(monkeypatch):
         searched.append((spec.n, bound))
         return ()
 
-    monkeypatch.setattr(report, "torsion_search", search)
+    monkeypatch.setattr(modular, "torsion_search", search)
     assert TORSION_SEARCH_BOUND == 30
     for n in range(1, 60):
         data = congruence_data(n)
@@ -221,6 +221,28 @@ def test_each_report_tests_each_representability_once(monkeypatch):
         seen.clear()
         analyze_picard(k, l, search_bound=3)
         assert sorted(seen) == [-1, 1], (k, l)
+
+
+def test_each_block_computes_delta_n_once(monkeypatch):
+    calls = []
+    delta_n = modular.delta_n
+
+    def counting_delta_n(n):
+        calls.append(n)
+        return delta_n(n)
+
+    # index_pi_g_n reads delta_n and the block reads it off the index; the
+    # name is patched wherever a module could hold it
+    for module in (modular, report, cli):
+        monkeypatch.setattr(module, "delta_n", counting_delta_n, raising=False)
+    for n in (1, 2, 5, 8, 12, 65537):
+        calls.clear()
+        block = congruence_data(n)
+        assert calls == [n] and block["delta_n"] == delta_n(n), n
+        if n >= 2:
+            calls.clear()
+            assert analyze_picard(n, -n, search_bound=3).congruence == block
+            assert calls == [n], n
 
 
 def test_salem_edge_cases():
